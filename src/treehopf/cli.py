@@ -14,16 +14,23 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from . import ck, duality, gl, ncs, nsym, orderpoly
-from .trees import (
-    enumerate_bplus_trees,
-    enumerate_forests,
-    enumerate_trees,
-    forest_text,
-    parse_forest,
-    parse_tree,
-    tree_text,
-)
+try:
+    from . import ck, duality, gl, ncs, nsym, orderpoly
+    from .trees import (
+        enumerate_bplus_trees,
+        enumerate_forests,
+        enumerate_trees,
+        forest_text,
+        parse_forest,
+        parse_tree,
+        tree_text,
+    )
+except ValueError as exc:
+    # treehopf.trees refuses an invalid TREEHOPF_MEMO_LIMIT at import; main()
+    # reports it as a usage error instead of a traceback.
+    _IMPORT_ERROR: ValueError | None = exc
+else:
+    _IMPORT_ERROR = None
 
 MAX_ORDER_CEILING = 12
 
@@ -159,8 +166,26 @@ def _report_ok(report: dict) -> bool:
     return True
 
 
+def _vertex_ceiling(suite: str) -> int:
+    """Largest --max-vertices every sweep of the suite accepts.
+
+    The order-polynomial sweep takes forests of up to DESK_VERTEX_BOUND
+    vertices.  The theta sweep adds a grafting root to each forest, and
+    theta_via_orderpoly takes grafting-rooted trees below that bound.
+    """
+    ceiling = MAX_ORDER_CEILING
+    if suite in ("orderpoly", "all"):
+        ceiling = min(ceiling, orderpoly.DESK_VERTEX_BOUND)
+    if suite in ("theta", "all"):
+        ceiling = min(ceiling, orderpoly.DESK_VERTEX_BOUND - 2)
+    return ceiling
+
+
 def cmd_verify(args) -> int:
     cfg = _config(args)
+    ceiling = _vertex_ceiling(args.suite)
+    if cfg.max_vertices > ceiling:
+        raise ValueError(f"max vertices for suite {args.suite} must be between 1 and {ceiling}")
     reports = _verify_reports(args.suite, cfg)
     ok = all(_report_ok(rep) for rep in reports.values())
     lines = []
@@ -294,6 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if _IMPORT_ERROR is not None:
+        print(f"error: {_IMPORT_ERROR}", file=sys.stderr)
+        return 2
     try:
         return args.run(args)
     except ValueError as exc:

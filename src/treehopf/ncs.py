@@ -35,10 +35,12 @@ from .trees import (
     is_primitive_tree,
     is_shrub,
     leaf,
-    nested_cut_sequences,
+    nested_cut_sum,
+    node,
     shape,
     tree_text,
     _memo_put,
+    _require_grafting_root,
 )
 
 
@@ -72,14 +74,28 @@ def _theta_trivially_zero(t: LabeledTree) -> bool:
 
 
 def theta_recurrence(t: LabeledTree) -> Fraction:
-    """Tree constant by the nested single-edge-cut recurrence.
+    """Tree constant of a grafting-rooted tree by the nested single-edge-cut recurrence.
 
     Zero on the singleton and on trees whose root has several children; one
-    on the two-vertex tree; otherwise one minus, for every m >= 2, 1/m! times
-    the sum over sequences of m-1 nested single-edge cuts of the product of
-    the constants of the m pieces.  Depends only on the underlying shape.
+    on the two-vertex tree; otherwise
+
+        theta(u) = 1 - sum_{m >= 2} S_{m-1}(u) / m!,
+
+    where S_k(u) sums, over sequences of k nested single-edge cuts, the
+    product of the constants of the pieces.  It is summed by trunk shape,
+    S_k(T) = sum over non-root v of theta(B+(T_v)) * S_{k-1}(T minus T_v) with
+    S_0 = theta (see :func:`trees.nested_cut_sum`), not sequence by sequence.
+    A piece is skipped when the S_{k-1} of its trunk is zero, which cuts off
+    the one self-referential term: cutting the root edge leaves the bare
+    root, whose constant is zero.  Depends only on the underlying shape, and
+    reads neither the logarithm nor the order polynomials.
     """
-    u = shape(t)
+    _require_grafting_root(t)
+    return _theta_of_shape(shape(t))
+
+
+def _theta_of_shape(u: LabeledTree) -> Fraction:
+    # The recursion runs on shapes, whose roots carry label 1.
     got = _THETA_CACHE.get(u)
     if got is not None:
         return got
@@ -90,21 +106,13 @@ def theta_recurrence(t: LabeledTree) -> Fraction:
     else:
         val = Fraction(1)
         for m in range(2, u.size + 1):
-            inner = Fraction(0)
-            for _cuts, pieces in nested_cut_sequences(u, m, single_edges=True):
-                # Pieces whose constant is zero need no recursion; skipping them
-                # also cuts off the one self-referential sequence (prune the
-                # root edge first, leaving the bare root).
-                if any(_theta_trivially_zero(shape(p)) for p in pieces):
-                    continue
-                prod = Fraction(1)
-                for p in pieces:
-                    prod *= theta_recurrence(p)
-                    if not prod:
-                        break
-                inner += prod
-            val -= inner / factorial(m)
+            val -= nested_cut_sum(u, m - 1, _theta_of_branch, _theta_of_shape) / factorial(m)
     return _memo_put(_THETA_CACHE, u, val)
+
+
+def _theta_of_branch(x: LabeledTree) -> Fraction:
+    # Constant of the pruned piece: the removed subtree grafted under a root.
+    return _theta_of_shape(node(1, (x,)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,12 @@ from .trees import (
     enumerate_forests,
     forest,
     forest_text,
-    nested_cut_sequences,
+    nested_cut_sum,
     node,
     shape,
     tree_text,
     _memo_put,
+    _require_grafting_root,
 )
 
 DESK_VERTEX_BOUND = 10
@@ -298,47 +299,38 @@ def phi_constants(f: Forest) -> tuple[Fraction, Fraction]:
     return strict_order_poly(f).linear_coeff, order_poly(f).linear_coeff
 
 
-def _piece_constants(pieces, weak: bool) -> Fraction:
-    # Product of the linear-coefficient constants over the pieces of one
-    # nested single-edge cut sequence: each pruned piece contributes through
-    # its re-rooted branch (a single tree), the final trunk directly.
-    prod = Fraction(1)
-    for p in pieces[:-1]:
-        prod *= _tree_constant(branch_forest(p).trees[0], weak)
-        if not prod:
-            return prod
-    return prod * _tree_constant(pieces[-1], weak)
+def _strict_constant(t: LabeledTree) -> Fraction:
+    return _tree_poly(shape(t), True).linear_coeff
 
 
-def _tree_constant(t: LabeledTree, weak: bool) -> Fraction:
-    poly = _tree_poly(shape(t), not weak)
-    return poly.linear_coeff
+def _weak_constant(t: LabeledTree) -> Fraction:
+    return _tree_poly(shape(t), False).linear_coeff
 
 
 def phi_recurrence_check(t: LabeledTree) -> bool:
     """Nested-cut recurrences and reconstructions for one tree.
 
-    Checks, with v the vertex count and sequences of k-1 nested single-edge
-    cuts (outermost first):
-      * strict constant: phi = -sum_{k>=2} (1/k!) sum over sequences of the
-        products of strict constants of the pieces (singleton: phi = 1);
+    Checks, with v the vertex count and S_{k-1} the sum over sequences of k-1
+    nested single-edge cuts (outermost first) of the products of the
+    constants of the pieces (each pruned subtree and the final trunk):
+      * strict constant: phi = -sum_{k>=2} (1/k!) S_{k-1} with strict
+        constants (singleton: phi = 1);
       * strict reconstruction: the strict polynomial equals phi*s plus
         sum_{k>=2} (s^k/k!) times the same inner sums;
       * weak constant, alternating form: phi_weak = sum_{k>=2} ((-1)^k/k!) ...
       * weak constant, evaluation form: phi_weak = 1 - sum_{k>=2} (1/k!) ...
       * weak reconstruction, mirroring the strict one.
+    The inner sums are summed by trunk shape, S_k(T) = sum over non-root v of
+    c(T_v) * S_{k-1}(T minus T_v) with S_0 = c, skipping a piece whose trunk
+    sum is zero (see :func:`trees.nested_cut_sum`); they read the polynomial
+    of each piece, never the polynomial of the tree being checked.
     """
     u = shape(t)
     strict_inner: dict[int, Fraction] = {}
     weak_inner: dict[int, Fraction] = {}
     for k in range(2, u.size + 1):
-        s_sum = Fraction(0)
-        w_sum = Fraction(0)
-        for _cuts, pieces in nested_cut_sequences(u, k, single_edges=True):
-            s_sum += _piece_constants(pieces, weak=False)
-            w_sum += _piece_constants(pieces, weak=True)
-        strict_inner[k] = s_sum
-        weak_inner[k] = w_sum
+        strict_inner[k] = nested_cut_sum(u, k - 1, _strict_constant, _strict_constant)
+        weak_inner[k] = nested_cut_sum(u, k - 1, _weak_constant, _weak_constant)
 
     phi_strict, phi_weak = phi_constants(forest((u,)))
 
@@ -373,8 +365,7 @@ def phi_recurrence_check(t: LabeledTree) -> bool:
 
 def theta_via_orderpoly(t: LabeledTree) -> Fraction:
     """Tree constant as the linear coefficient of the branch forest's polynomial."""
-    if t.label != 0:
-        raise ValueError("expected a grafting-rooted tree (root label 0)")
+    _require_grafting_root(t)
     if t.size > DESK_VERTEX_BOUND - 1:
         raise ValueError(f"tree has {t.size} vertices, above the supported bound")
     return order_poly(branch_forest(t)).linear_coeff

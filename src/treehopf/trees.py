@@ -21,13 +21,31 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator
 
 GRAFT_ROOT_LABEL = 0
 
+
+def _parse_memo_limit(raw: str) -> int | None:
+    """Entries per memo table named by ``TREEHOPF_MEMO_LIMIT``; None means unbounded.
+
+    Unset or 0 is unbounded.  Anything that is not an integer >= 0 is refused
+    with a one-line ValueError rather than silently changing the tables.
+    """
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"TREEHOPF_MEMO_LIMIT must be an integer >= 0, got {raw!r}")
+    return limit or None
+
+
 # Optional ceiling on memo-table sizes (entries per table); 0/unset = unbounded.
-_MEMO_LIMIT = int(os.environ.get("TREEHOPF_MEMO_LIMIT", "0")) or None
+# Read once at import, so the checks in _memo_put and node cost nothing extra.
+_MEMO_LIMIT = _parse_memo_limit(os.environ.get("TREEHOPF_MEMO_LIMIT", "0"))
 
 
 def _memo_put(cache: dict, key, value):
@@ -150,6 +168,12 @@ def forest_union(a: Forest, b: Forest) -> Forest:
 def bplus(f: Forest) -> LabeledTree:
     """Attach every tree of the forest under a fresh root labeled 0."""
     return node(GRAFT_ROOT_LABEL, f.trees)
+
+
+def _require_grafting_root(t: LabeledTree) -> None:
+    # The tree-constant routes are defined on grafting-rooted trees only.
+    if t.label != GRAFT_ROOT_LABEL:
+        raise ValueError("expected a grafting-rooted tree (root label 0)")
 
 
 def branch_forest(t: LabeledTree) -> Forest:
@@ -614,6 +638,64 @@ def nested_cut_sequences(
 
     go(frozenset(range(t.size)), r - 1, (), ())
     return out
+
+
+_SINGLE_CUTS_CACHE: dict[LabeledTree, tuple] = {}
+
+
+def _single_edge_cuts(t: LabeledTree) -> tuple[tuple[LabeledTree, LabeledTree, int], ...]:
+    # The distinct one-edge cuts of t as (pruned subtree, trunk, multiplicity):
+    # cut the edge to a child c (one per copy of c), or an edge inside c.
+    got = _SINGLE_CUTS_CACHE.get(t)
+    if got is not None:
+        return got
+    counts: dict[tuple[LabeledTree, LabeledTree], int] = {}
+    kids = t.children
+    start = 0
+    for c, group in itertools.groupby(kids):
+        copies = len(tuple(group))
+        others = kids[:start] + kids[start + 1 :]
+        start += copies
+        inner = [(x, node(t.label, others + (rest,)), m) for x, rest, m in _single_edge_cuts(c)]
+        for x, rest, m in [(c, node(t.label, others), 1)] + inner:
+            counts[x, rest] = counts.get((x, rest), 0) + copies * m
+    out = tuple((x, rest, m) for (x, rest), m in counts.items())
+    return _memo_put(_SINGLE_CUTS_CACHE, t, out)
+
+
+_NESTED_SUM_CACHE: dict[tuple, Fraction] = {}
+
+
+def nested_cut_sum(t: LabeledTree, k: int, piece, trunk) -> Fraction:
+    """Sum over sequences of k nested single-edge cuts of t, summed by trunk shape.
+
+    Each sequence contributes piece(T_1) ... piece(T_k) * trunk(R), where T_i
+    is the subtree the i-th cut removes and R the trunk left at the end.  The
+    sum obeys
+
+        S_0(T) = trunk(T),
+        S_k(T) = sum over non-root v of piece(T_v) * S_{k-1}(T minus T_v),
+
+    so it is memoized on (T, k, piece, trunk) instead of listing sequences.
+    S_{k-1} of the trunk is evaluated first and the piece is skipped when
+    that sum is zero; a caller whose piece of T's root branch would be its own
+    unknown (the tree constant theta) relies on this.  piece and trunk must be
+    pure functions returning Fractions.  The result equals the sum over
+    ``nested_cut_sequences(t, k + 1, single_edges=True)``, whose pieces are
+    the removed subtrees re-rooted under a 0-labeled root.
+    """
+    if k == 0:
+        return trunk(t)
+    key = (t, k, piece, trunk)
+    got = _NESTED_SUM_CACHE.get(key)
+    if got is not None:
+        return got
+    total = Fraction(0)
+    for x, rest, copies in _single_edge_cuts(t):
+        inner = nested_cut_sum(rest, k - 1, piece, trunk)
+        if inner:
+            total += copies * piece(x) * inner
+    return _memo_put(_NESTED_SUM_CACHE, key, total)
 
 
 def graft_positions(scions: Forest, stock: LabeledTree) -> list[LabeledTree]:

@@ -1,12 +1,19 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import treehopf
+from treehopf import cli, orderpoly
 from treehopf.cli import main
-from treehopf.trees import parse_tree, tree_text
+from treehopf.trees import forest, leaf, node, parse_tree, tree_text
 
 
 def run(capsys, *args):
@@ -109,6 +116,37 @@ def test_verify_all_small(capsys):
     assert "overall: pass" in out
 
 
+@pytest.mark.parametrize(
+    "suite, too_many", [("theta", "9"), ("all", "9"), ("orderpoly", "11")]
+)
+def test_verify_refuses_vertices_beyond_the_routes_before_any_work(capsys, suite, too_many):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", suite, "--max-vertices", too_many)
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_vertex_ceilings_match_what_the_routes_accept():
+    # --max-vertices counts non-root vertices; the theta sweep adds the root.
+    theta_top = cli._vertex_ceiling("theta")
+    chain = leaf(1)
+    for _ in range(theta_top - 1):
+        chain = node(1, (chain,))
+    assert orderpoly.theta_via_orderpoly(node(0, (chain,))) == Fraction(1, theta_top)
+    with pytest.raises(ValueError):
+        orderpoly.theta_via_orderpoly(node(0, (node(1, (chain,)),)))
+
+    poly_top = cli._vertex_ceiling("orderpoly")
+    orderpoly.order_poly(forest(leaf(1) for _ in range(poly_top)))
+    with pytest.raises(ValueError):
+        orderpoly.order_poly(forest(leaf(1) for _ in range(poly_top + 1)))
+
+    assert cli._vertex_ceiling("all") == min(theta_top, poly_top)
+    assert cli._vertex_ceiling("ncs") == cli.MAX_ORDER_CEILING
+
+
 def test_verify_json_reports(capsys):
     code, out, _ = run(
         capsys, "verify", "duality", "--labels", "1", "--max-weight", "3", "--format", "json"
@@ -134,6 +172,13 @@ def test_theta_json(capsys):
     _, out, _ = run(capsys, "theta", "0(1(1))", "--format", "json")
     payload = json.loads(out)
     assert payload == {"command": "theta", "tree": "0(1(1))", "theta": "1/2"}
+
+
+def test_theta_refuses_a_tree_without_grafting_root(capsys):
+    code, out, err = run(capsys, "theta", "1(1)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected a grafting-rooted tree (root label 0)\n"
 
 
 def test_orderpoly_weak_singleton(capsys):
@@ -187,3 +232,28 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["expand", "x"])
     assert exc.value.code == 2
+
+
+def _cli_with_memo_limit(value, *args):
+    env = dict(os.environ, TREEHOPF_MEMO_LIMIT=value)
+    src = str(Path(treehopf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "treehopf.cli", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_invalid_memo_limit_is_a_usage_error(value):
+    proc = _cli_with_memo_limit(value, "theta", "0(1)")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: TREEHOPF_MEMO_LIMIT must be an integer >= 0, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "3"])
+def test_valid_memo_limit_keeps_the_results(value):
+    # 0 is unbounded; 3 caps every table (the tree pool too) well below use.
+    proc = _cli_with_memo_limit(value, "theta", "0(1(1,1,1,1))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-1/30\n", "")

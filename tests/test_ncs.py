@@ -1,10 +1,14 @@
 """The five-series system over trees: axioms, constants, specialization."""
 
 from fractions import Fraction
+from math import comb
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given
 
-from treehopf import ck, gl, ncs, nsym
+from conftest import canonical_trees
+from treehopf import ck, gl, ncs, nsym, orderpoly
 from treehopf.trees import (
     EMPTY_FOREST,
     branch_forest,
@@ -76,9 +80,39 @@ def test_theta_depends_only_on_shape():
     )
 
 
+def test_theta_refuses_a_tree_without_grafting_root():
+    with pytest.raises(ValueError, match=r"expected a grafting-rooted tree \(root label 0\)"):
+        ncs.theta_recurrence(parse_tree("1(1)"))
+    with pytest.raises(ValueError, match=r"expected a grafting-rooted tree \(root label 0\)"):
+        orderpoly.theta_via_orderpoly(parse_tree("1(1)"))
+
+
 def test_theta_chain_closed_form():
-    for m in range(2, 9):
+    for m in range(2, 14):
         assert ncs.theta_recurrence(chain_bplus(m)) == Fraction(1, m - 1)
+
+
+def bernoulli(count):
+    # sum_{j<=m} C(m+1, j) B_j = 0 with B_0 = 1
+    b = [Fraction(1)]
+    for m in range(1, count):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def test_theta_shrub_closed_form_to_twelve_leaves():
+    b = bernoulli(13)
+    assert b[12] == Fraction(-691, 2730)
+    for k in range(0, 13):
+        shrub = node(1, tuple(leaf(1) for _ in range(k)))
+        assert ncs.theta_recurrence(node(0, (shrub,))) == (-1) ** k * b[k], k
+
+
+@given(st.lists(canonical_trees(), min_size=1, max_size=2))
+def test_theta_recurrence_matches_orderpoly_route(branches):
+    t = node(0, branches)
+    assume(t.size <= orderpoly.DESK_VERTEX_BOUND - 1)
+    assert ncs.theta_recurrence(t) == orderpoly.theta_via_orderpoly(t), tree_text(t)
 
 
 def test_theta_log_route_weight_one():

@@ -1,12 +1,15 @@
 """Tree core: canonical forms, enumeration, automorphisms, cuts, grafting."""
 
+import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
 from conftest import canonical_trees, raw_trees
-from treehopf import trees
+from treehopf import ncs, trees
+from treehopf.orderpoly import order_poly, strict_order_poly
 from treehopf.trees import (
     Cut,
     EMPTY_FOREST,
@@ -24,6 +27,7 @@ from treehopf.trees import (
     graft_positions,
     leaf,
     nested_cut_sequences,
+    nested_cut_sum,
     node,
     parse_forest,
     parse_tree,
@@ -343,6 +347,57 @@ def _surviving_edges(t, cut_vertex):
     idx = trees._index(t)
     dead = set(idx.descendants(cut_vertex))
     return {v for v in range(1, t.size) if v not in dead}
+
+
+@functools.cache
+def _theta_of_branch(x):
+    return ncs.theta_recurrence(node(0, (x,)))
+
+
+@functools.cache
+def _theta_of_trunk(r):
+    return ncs.theta_recurrence(node(0, r.children))
+
+
+@functools.cache
+def _strict_constant(t):
+    return strict_order_poly(forest((t,))).linear_coeff
+
+
+@functools.cache
+def _weak_constant(t):
+    return order_poly(forest((t,))).linear_coeff
+
+
+@functools.cache
+def _probe(t):
+    # label-sensitive and never zero, so every sequence counts
+    return Fraction(t.weight + 2, 3 * t.size + 1)
+
+
+def test_nested_cut_sum_matches_sequence_enumeration():
+    # Oracle: list every sequence and multiply the constants of its pieces.
+    # The pruned pieces come re-rooted under 0; the sum takes the bare subtree.
+    shape_constants = [
+        (_theta_of_branch, _theta_of_trunk),
+        (_strict_constant, _strict_constant),
+        (_weak_constant, _weak_constant),
+    ]
+    cases = [(t, shape_constants) for w in range(1, 8) for t in enumerate_trees((1,), w)]
+    cases += [(t, [(_probe, _probe)]) for w in range(1, 6) for t in enumerate_trees((1, 2), w)]
+    for t, constants in cases:
+        for k in range(t.size):
+            seqs = nested_cut_sequences(t, k + 1, single_edges=True)
+            for piece, trunk in constants:
+                expected = Fraction(0)
+                for _cuts, pieces in seqs:
+                    prod = trunk(pieces[-1])
+                    for p in pieces[:-1]:
+                        if not prod:
+                            break
+                        prod *= piece(p.children[0])
+                    expected += prod
+                assert nested_cut_sum(t, k, piece, trunk) == expected, (tree_text(t), k, piece)
 
 
 def test_general_nested_sequences_extend_cut_results():
