@@ -10,6 +10,7 @@ Submodules:
 * ``nsym``      noncommutative symmetric functions and QSym
 * ``ncs``       the five generating functions, their axioms, specialization
 * ``orderpoly`` order polynomials of forest posets and tree constants
+* ``report``    the checked/failures report of the verification suites
 * ``cli``       command-line front end
 """
 
@@ -24,5 +25,6 @@ __all__ = [
     "nsym",
     "ncs",
     "orderpoly",
+    "report",
     "cli",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linear import LinComb, format_linear
+from .linear import LinComb, extend_multiplicatively, format_linear
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -48,10 +48,6 @@ def unit() -> CKElem:
     return CKElem({EMPTY_FOREST: 1})
 
 
-def zero() -> CKElem:
-    return CKElem()
-
-
 def from_tree(t: LabeledTree) -> CKElem:
     return CKElem({forest((t,)): 1})
 
@@ -62,30 +58,20 @@ def from_forest(f: Forest) -> CKElem:
 
 def mul(a: CKElem, b: CKElem) -> CKElem:
     """Bilinear extension of disjoint union of forests."""
-    out: dict[Forest, Fraction] = {}
-    for fa, ca in a.terms.items():
-        for fb, cb in b.terms.items():
-            key = forest_union(fa, fb)
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return CKElem(out)
+    return CKElem(
+        (forest_union(fa, fb), ca * cb)
+        for fa, ca in a.terms.items()
+        for fb, cb in b.terms.items()
+    )
 
 
 def tensor_mul(a: CKTensor, b: CKTensor) -> CKTensor:
     """Componentwise product on the tensor square."""
-    out: dict = {}
-    for (la, ra), ca in a.terms.items():
-        for (lb, rb), cb in b.terms.items():
-            key = (forest_union(la, lb), forest_union(ra, rb))
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return CKTensor(out)
+    return CKTensor(
+        ((forest_union(la, lb), forest_union(ra, rb)), ca * cb)
+        for (la, ra), ca in a.terms.items()
+        for (lb, rb), cb in b.terms.items()
+    )
 
 
 def tensor_unit() -> CKTensor:
@@ -99,23 +85,14 @@ def _tree_coproduct(t: LabeledTree) -> CKTensor:
     got = _TREE_COPRODUCT_CACHE.get(t)
     if got is not None:
         return got
-    here = forest((t,))
-    out: dict = {(here, EMPTY_FOREST): Fraction(1)}
-    for _cut, pruned, trunk in cut_results(t):
-        key = (pruned, forest((trunk,)))
-        out[key] = out.get(key, 0) + 1
-    return _memo_put(_TREE_COPRODUCT_CACHE, t, CKTensor(out))
+    terms = [((forest((t,)), EMPTY_FOREST), 1)]
+    terms += (((pruned, forest((trunk,))), 1) for _cut, pruned, trunk in cut_results(t))
+    return _memo_put(_TREE_COPRODUCT_CACHE, t, CKTensor(terms))
 
 
 def coproduct(a: CKElem) -> CKTensor:
     """Admissible-cut coproduct, extended multiplicatively over forests."""
-    total = CKTensor()
-    for f, c in a.terms.items():
-        part = tensor_unit()
-        for t in f.trees:
-            part = tensor_mul(part, _tree_coproduct(t))
-        total = total + part.scale(c)
-    return total
+    return extend_multiplicatively(a, _tree_coproduct, tensor_unit(), tensor_mul)
 
 
 def counit(a: CKElem) -> Fraction:
@@ -141,13 +118,7 @@ def _tree_antipode(t: LabeledTree) -> CKElem:
 
 def antipode(a: CKElem) -> CKElem:
     """Hopf antipode; multiplicative over forests, S(1) = 1."""
-    total = zero()
-    for f, c in a.terms.items():
-        part = unit()
-        for t in f.trees:
-            part = mul(part, _tree_antipode(t))
-        total = total + part.scale(c)
-    return total
+    return extend_multiplicatively(a, _tree_antipode, unit(), mul)
 
 
 def text(a: CKElem) -> str:

@@ -132,18 +132,23 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _verify_reports(suite: str, cfg: RunConfig) -> dict[str, dict]:
+def _verify_reports(suite: str, cfg: RunConfig) -> tuple[dict[str, dict], bool]:
+    """The JSON of every report the suite makes, and whether every check passed."""
     reports: dict[str, dict] = {}
+    passed: list[bool] = []
+
+    def add(name: str, report) -> None:
+        passed.append(report.ok)
+        reports[name] = report.as_dict()
+
     if suite in ("ncs", "all"):
-        reports["ncs"] = ncs.verify_ncs(ncs.build_omega(cfg.labels, cfg.max_weight)).as_dict()
-        reports["shrub-expansion"] = ncs.kappa_expansion_check(
-            cfg.labels, cfg.max_weight
-        ).as_dict()
+        add("ncs", ncs.verify_ncs(ncs.build_omega(cfg.labels, cfg.max_weight)))
+        add("shrub-expansion", ncs.kappa_expansion_check(cfg.labels, cfg.max_weight))
     if suite in ("duality", "all"):
-        reports["duality"] = duality.check_hopf_adjunction(cfg.labels, cfg.max_weight).as_dict()
+        add("duality", duality.check_hopf_adjunction(cfg.labels, cfg.max_weight))
     if suite in ("hopf", "all"):
-        reports["specialization"] = ncs.specialization_check(cfg.labels, cfg.max_weight).as_dict()
-        reports["hopf-morphism"] = ncs.hopf_morphism_check(cfg.labels, cfg.max_weight).as_dict()
+        add("specialization", ncs.specialization_check(cfg.labels, cfg.max_weight))
+        add("hopf-morphism", ncs.hopf_morphism_check(cfg.labels, cfg.max_weight))
         reports["rank-diagnostic"] = {
             "note": "rank of the specialization per weight (injectivity undecided)",
             "by_weight": {
@@ -152,33 +157,23 @@ def _verify_reports(suite: str, cfg: RunConfig) -> dict[str, dict]:
             },
         }
     if suite in ("theta", "all"):
-        reports["theta"] = ncs.theta_agreement_report(cfg.max_vertices).as_dict()
+        add("theta", ncs.theta_agreement_report(cfg.max_vertices))
     if suite in ("orderpoly", "all"):
-        reports["orderpoly"] = orderpoly.orderpoly_suite(cfg.max_vertices).as_dict()
-    return reports
-
-
-def _report_ok(report: dict) -> bool:
-    if "status" in report:
-        return report["status"] == "pass"
-    if "failures" in report:
-        return not report["failures"]
-    return True
+        add("orderpoly", orderpoly.orderpoly_suite(cfg.max_vertices))
+    return reports, all(passed)
 
 
 def _vertex_ceiling(suite: str) -> int:
     """Largest --max-vertices every sweep of the suite accepts.
 
     The order-polynomial sweep takes forests of up to DESK_VERTEX_BOUND
-    vertices.  The theta sweep adds a grafting root to each forest, and
-    theta_via_orderpoly takes grafting-rooted trees below that bound.
+    vertices, and the theta sweep reads the order polynomial of the branch
+    forest of each grafting-rooted tree, which has as many vertices as the
+    tree has non-root ones.
     """
-    ceiling = MAX_ORDER_CEILING
-    if suite in ("orderpoly", "all"):
-        ceiling = min(ceiling, orderpoly.DESK_VERTEX_BOUND)
-    if suite in ("theta", "all"):
-        ceiling = min(ceiling, orderpoly.DESK_VERTEX_BOUND - 2)
-    return ceiling
+    if suite in ("theta", "orderpoly", "all"):
+        return orderpoly.DESK_VERTEX_BOUND
+    return MAX_ORDER_CEILING
 
 
 def cmd_verify(args) -> int:
@@ -186,8 +181,7 @@ def cmd_verify(args) -> int:
     ceiling = _vertex_ceiling(args.suite)
     if cfg.max_vertices > ceiling:
         raise ValueError(f"max vertices for suite {args.suite} must be between 1 and {ceiling}")
-    reports = _verify_reports(args.suite, cfg)
-    ok = all(_report_ok(rep) for rep in reports.values())
+    reports, ok = _verify_reports(args.suite, cfg)
     lines = []
     for name, rep in reports.items():
         if "checks" in rep:
@@ -195,8 +189,7 @@ def cmd_verify(args) -> int:
                 lines.append(f"{name}/{check['equation']}: {check['status']}")
         elif "failures" in rep:
             status = "pass" if not rep["failures"] else "fail"
-            checked = rep.get("checked", "?")
-            lines.append(f"{name}: {status} ({checked} checks)")
+            lines.append(f"{name}: {status} ({rep['checked']} checks)")
             lines.extend(f"  FAIL {msg}" for msg in rep["failures"])
         else:
             lines.append(f"{name}: info")
@@ -216,6 +209,10 @@ def cmd_verify(args) -> int:
 
 def cmd_theta(args) -> int:
     tree = parse_tree(args.tree)
+    if tree.size - 1 > MAX_ORDER_CEILING:
+        raise ValueError(
+            f"tree has {tree.size - 1} non-root vertices, above the ceiling {MAX_ORDER_CEILING}"
+        )
     value = ncs.theta_recurrence(tree)
     payload = {"command": "theta", "tree": tree_text(tree), "theta": str(value)}
     _emit(payload, args.format, [str(value)])

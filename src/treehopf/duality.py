@@ -11,11 +11,11 @@ forests through the complete/monomial duality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from . import ck, gl, nsym
+from .report import CheckReport
 from .trees import (
     Forest,
     LabeledTree,
@@ -56,20 +56,7 @@ def pair_tensor(a: gl.GLTensor, b: ck.CKTensor) -> Fraction:
     return total
 
 
-@dataclass
-class AdjunctionReport:
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def as_dict(self) -> dict:
-        return {"checked": self.checked, "failures": list(self.failures)}
-
-
-def check_hopf_adjunction(labels, max_weight: int) -> AdjunctionReport:
+def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
     """Verify the three transpose identities on all basis pairs up to a weight.
 
     For grafting-basis trees x, y and forests F, G:
@@ -77,7 +64,7 @@ def check_hopf_adjunction(labels, max_weight: int) -> AdjunctionReport:
       <coproduct(x), F (x) G> = <x, F*G>,
       <antipode(x), F> = <x, antipode(F)>.
     """
-    report = AdjunctionReport()
+    report = CheckReport()
     ls = tuple(labels)
 
     trees_by_weight = {m: enumerate_bplus_trees(ls, m) for m in range(max_weight + 1)}
@@ -150,9 +137,7 @@ def dual_image(linmap: Callable[[nsym.NSymElem], gl.GLElem], f: Forest) -> nsym.
     Expands over all compositions of the forest weight, pairing the image of
     the corresponding product of complete functions with the forest.
     """
-    out: dict = {}
-    for comp in nsym.compositions(f.weight):
-        coeff = pair(linmap(nsym.complete_word(comp)), ck.from_forest(f))
-        if coeff:
-            out[comp] = coeff
-    return nsym.QSymElem(out)
+    return nsym.QSymElem(
+        (comp, pair(linmap(nsym.complete_word(comp)), ck.from_forest(f)))
+        for comp in nsym.compositions(f.weight)
+    )

@@ -45,8 +45,8 @@ def _check_basis(basis: str):
         raise ValueError(f"unknown basis {basis!r}; use {V_BASIS!r} or {T_BASIS!r}")
 
 
-class GLElem(LinComb):
-    """Rational combination of grafting-rooted trees, keyed by branch forest."""
+class _BasisLinComb(LinComb):
+    """A combination written in one of the two bases; bases never mix."""
 
     __slots__ = ("basis",)
 
@@ -56,7 +56,7 @@ class GLElem(LinComb):
         self.basis = basis
 
     def _build(self, terms):
-        return GLElem(terms, self.basis)
+        return type(self)(terms, self.basis)
 
     def _check_compatible(self, other):
         super()._check_compatible(other)
@@ -69,35 +69,21 @@ class GLElem(LinComb):
         if self.basis != other.basis:
             raise TypeError(f"cannot compare {self.basis}-basis with {other.basis}-basis")
         return self.terms == other.terms
+
+
+class GLElem(_BasisLinComb):
+    """Rational combination of grafting-rooted trees, keyed by branch forest."""
+
+    __slots__ = ()
 
     def sorted_terms(self) -> list[tuple[Forest, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: (kv[0].weight, kv[0]._key))
 
 
-class GLTensor(LinComb):
+class GLTensor(_BasisLinComb):
     """Element of the tensor square, keyed by ordered pairs of branch forests."""
 
-    __slots__ = ("basis",)
-
-    def __init__(self, terms=None, basis: str = V_BASIS):
-        _check_basis(basis)
-        super().__init__(terms)
-        self.basis = basis
-
-    def _build(self, terms):
-        return GLTensor(terms, self.basis)
-
-    def _check_compatible(self, other):
-        super()._check_compatible(other)
-        if self.basis != other.basis:
-            raise TypeError(f"basis mismatch: {self.basis} vs {other.basis}")
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        if self.basis != other.basis:
-            raise TypeError(f"cannot compare {self.basis}-basis with {other.basis}-basis")
-        return self.terms == other.terms
+    __slots__ = ()
 
 
 def unit(basis: str = V_BASIS) -> GLElem:
@@ -159,23 +145,21 @@ def _graft_table(scions: Forest, stock_branches: Forest) -> tuple[tuple[Forest, 
 def mul(a: GLElem, b: GLElem) -> GLElem:
     """Grafting product; both factors must be written in the same basis."""
     a._check_compatible(b)
-    out: dict[Forest, Fraction] = {}
     divided = a.basis == V_BASIS
-    for fa, ca in a.terms.items():
-        for fb, cb in b.terms.items():
-            cab = ca * cb
-            if divided:
-                cab = cab / (alpha(fa) * alpha(fb))
-            for key, count in _graft_table(fa, fb):
-                c = cab * count
+
+    def terms():
+        for fa, ca in a.terms.items():
+            for fb, cb in b.terms.items():
+                cab = ca * cb
                 if divided:
-                    c *= alpha(key)
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-    return GLElem(out, a.basis)
+                    cab = cab / (alpha(fa) * alpha(fb))
+                for key, count in _graft_table(fa, fb):
+                    c = cab * count
+                    if divided:
+                        c *= alpha(key)
+                    yield key, c
+
+    return GLElem(terms(), a.basis)
 
 
 _STRUCT_CACHE: dict[tuple[Forest, Forest], tuple[tuple[Forest, int], ...]] = {}
@@ -210,22 +194,20 @@ def _structure_table(left: Forest, right: Forest) -> tuple[tuple[Forest, int], .
 def mul_structure(a: GLElem, b: GLElem) -> GLElem:
     """Independent product implementation via admissible-cut structure constants."""
     a._check_compatible(b)
-    out: dict[Forest, Fraction] = {}
     divided = a.basis == V_BASIS
-    for fa, ca in a.terms.items():
-        for fb, cb in b.terms.items():
-            cab = ca * cb
-            for key, count in _structure_table(fa, fb):
-                c = cab * count
-                if not divided:
-                    # plain-basis coefficient: count * alpha(left)*alpha(right)/alpha(result)
-                    c = c * Fraction(alpha(fa) * alpha(fb), alpha(key))
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-    return GLElem(out, a.basis)
+
+    def terms():
+        for fa, ca in a.terms.items():
+            for fb, cb in b.terms.items():
+                cab = ca * cb
+                for key, count in _structure_table(fa, fb):
+                    c = cab * count
+                    if not divided:
+                        # plain-basis coefficient: count * alpha(left)*alpha(right)/alpha(result)
+                        c = c * Fraction(alpha(fa) * alpha(fb), alpha(key))
+                    yield key, c
+
+    return GLElem(terms(), a.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +216,21 @@ def mul_structure(a: GLElem, b: GLElem) -> GLElem:
 
 def coproduct(a: GLElem) -> GLTensor:
     """Split the branch multiset over all ordered bipartitions of positions."""
-    out: dict = {}
     divided = a.basis == V_BASIS
-    for f, c in a.terms.items():
-        base = c / alpha(f) if divided else c
-        trees = f.trees
-        for bits in itertools.product((0, 1), repeat=len(trees)):
-            lf = forest(t for t, b in zip(trees, bits) if b == 0)
-            rf = forest(t for t, b in zip(trees, bits) if b == 1)
-            coeff = base
-            if divided:
-                coeff = coeff * alpha(lf) * alpha(rf)
-            key = (lf, rf)
-            s = out.get(key, 0) + coeff
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return GLTensor(out, a.basis)
+
+    def terms():
+        for f, c in a.terms.items():
+            base = c / alpha(f) if divided else c
+            trees = f.trees
+            for bits in itertools.product((0, 1), repeat=len(trees)):
+                lf = forest(t for t, b in zip(trees, bits) if b == 0)
+                rf = forest(t for t, b in zip(trees, bits) if b == 1)
+                coeff = base
+                if divided:
+                    coeff = coeff * alpha(lf) * alpha(rf)
+                yield (lf, rf), coeff
+
+    return GLTensor(terms(), a.basis)
 
 
 def counit(a: GLElem) -> Fraction:
@@ -260,11 +239,9 @@ def counit(a: GLElem) -> Fraction:
 
 def tensor_of(a: GLElem, b: GLElem) -> GLTensor:
     a._check_compatible(b)
-    out: dict = {}
-    for fa, ca in a.terms.items():
-        for fb, cb in b.terms.items():
-            out[(fa, fb)] = ca * cb
-    return GLTensor(out, a.basis)
+    return GLTensor(
+        (((fa, fb), ca * cb) for fa, ca in a.terms.items() for fb, cb in b.terms.items()), a.basis
+    )
 
 
 def is_primitive(a: GLElem) -> bool:

@@ -1,15 +1,18 @@
 """Exact linear combinations over hashable basis keys.
 
 All algebra elements in this package are finite maps ``key -> Fraction`` with
-zero coefficients dropped.  Subclasses fix the key type and add their own
-products; this base class only provides the vector-space operations and a
-deterministic text renderer.
+zero coefficients dropped.  The constructor is the one place where terms are
+summed: products and coproducts hand it their ``(key, coeff)`` stream, repeated
+keys included.  Subclasses fix the key type and add their own products; this
+module provides the vector-space operations, the multiplicative extension of a
+map on letters and a deterministic text renderer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain
+from typing import Callable, Iterable
 
 Scalar = int | Fraction
 
@@ -20,14 +23,23 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | Iterable[tuple] | None = None):
+        """Sum a mapping or a stream of ``(key, coeff)`` pairs, dropping zeros.
+
+        Coefficients that are not Fractions already are converted, so every
+        stored coefficient is a nonzero Fraction.
+        """
         data: dict = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for key, coeff in items:
-                c = data.get(key, 0) + Fraction(coeff)
-                if c:
-                    data[key] = c
-                elif key in data:
+                if type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
+                old = data.get(key)
+                if old is not None:
+                    coeff += old
+                if coeff:
+                    data[key] = coeff
+                elif old is not None:
                     del data[key]
         self.terms = data
 
@@ -51,14 +63,7 @@ class LinComb:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return self._build(out)
+        return self._build(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -77,10 +82,7 @@ class LinComb:
             return self.scale(scalar)
         return NotImplemented
 
-    def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return self.scale(scalar)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         return self.scale(Fraction(1, 1) / Fraction(scalar))
@@ -94,6 +96,25 @@ class LinComb:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.terms!r})"
+
+
+def extend_multiplicatively(
+    a: LinComb, image: Callable, one: LinComb, mul: Callable[[LinComb, LinComb], LinComb]
+) -> LinComb:
+    """Apply to ``a`` the linear map that is multiplicative over the letters of a key.
+
+    Every key of ``a`` is a sequence of letters (the trees of a forest, the
+    indices of a word).  It is sent to ``mul(...mul(mul(one, image(l1)),
+    image(l2))..., image(lk))``; an anti-homomorphism passes a flipped ``mul``.
+    The result has the kind of ``one``.
+    """
+    terms: list[tuple] = []
+    for key, c in a.terms.items():
+        part = one
+        for letter in key:
+            part = mul(part, image(letter))
+        terms += ((k, c * v) for k, v in part.terms.items())
+    return one._build(terms)
 
 
 def format_linear(items: list[tuple[Fraction, str]]) -> str:

@@ -21,6 +21,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import duality, gl, nsym
+from .linear import extend_multiplicatively
+from .report import CheckReport
 from .series import TruncSeries
 from .trees import (
     EMPTY_FOREST,
@@ -171,9 +173,7 @@ def build_omega(labels, order: int) -> NCSSystem:
         d_terms: dict[Forest, Fraction] = {}
         for t in enumerate_bplus_trees(ls, m):
             if is_primitive_tree(t):
-                value = theta_recurrence(t)
-                if value:
-                    d_terms[branch_forest(t)] = value
+                d_terms[branch_forest(t)] = theta_recurrence(t)
         d_coeffs.append(gl.GLElem(d_terms, gl.V_BASIS))
 
     return NCSSystem(
@@ -320,19 +320,6 @@ def theta_via_log(labels, order: int) -> dict[LabeledTree, Fraction]:
 # Shrub-expansion identity for f(-t)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckReport:
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def as_dict(self) -> dict:
-        return {"checked": self.checked, "failures": list(self.failures)}
-
-
 def kappa_expansion_check(labels, order: int) -> CheckReport:
     """Expand B_+ of powers of the labeled-singleton series against f(-t).
 
@@ -344,8 +331,8 @@ def kappa_expansion_check(labels, order: int) -> CheckReport:
     report = CheckReport()
     lhs = [gl.to_t_basis(c) for c in _f_series(ls, order).alternate().coeffs]
 
-    rhs_terms: list[dict[Forest, Fraction]] = [dict() for _ in range(order + 1)]
-    rhs_terms[0][EMPTY_FOREST] = Fraction(1)
+    rhs_terms: list[list[tuple[Forest, Fraction]]] = [[] for _ in range(order + 1)]
+    rhs_terms[0].append((EMPTY_FOREST, 1))
     for d in range(1, order // min(ls) + 1):
         base = Fraction((-1) ** d, factorial(d))
         for combo in itertools.combinations_with_replacement(ls, d):
@@ -355,8 +342,7 @@ def kappa_expansion_check(labels, order: int) -> CheckReport:
             multiplicity = factorial(d)
             for label in set(combo):
                 multiplicity //= factorial(combo.count(label))
-            key = forest(leaf(x) for x in combo)
-            rhs_terms[w][key] = rhs_terms[w].get(key, 0) + base * multiplicity
+            rhs_terms[w].append((forest(leaf(x) for x in combo), base * multiplicity))
 
     for degree in range(order + 1):
         report.checked += 1
@@ -378,17 +364,14 @@ _IMAGE_CACHE: dict[tuple[tuple[int, ...], int], gl.GLElem] = {}
 def specialize(x: nsym.NSymElem, labels) -> gl.GLElem:
     """Algebra map fixed on elementary generators by the signed shrub sums."""
     ls = _norm(labels)
-    total = gl.zero()
-    for word, c in x.terms.items():
-        part = gl.unit()
-        for m in word:
-            key = (ls, m)
-            image = _IMAGE_CACHE.get(key)
-            if image is None:
-                image = _memo_put(_IMAGE_CACHE, key, _generator_image(ls, m))
-            part = gl.mul(part, image)
-        total = total + part.scale(c)
-    return total
+
+    def image(m: int) -> gl.GLElem:
+        got = _IMAGE_CACHE.get((ls, m))
+        if got is None:
+            got = _memo_put(_IMAGE_CACHE, (ls, m), _generator_image(ls, m))
+        return got
+
+    return extend_multiplicatively(x, image, gl.unit(), gl.mul)
 
 
 def dual_specialize(f: Forest, labels) -> nsym.QSymElem:
@@ -430,23 +413,22 @@ def hopf_morphism_check(labels, order: int) -> CheckReport:
     report = CheckReport()
     omega = build_omega(ls, order)
 
+    def divided_power_step(seq, m: int) -> bool:
+        # coproduct(seq[m]) == sum over k of seq[k] (x) seq[m - k]
+        rhs = gl.GLTensor({}, gl.V_BASIS)
+        for k in range(m + 1):
+            rhs = rhs + gl.tensor_of(seq[k], seq[m - k])
+        return gl.coproduct(seq[m]) == rhs
+
     images = [gl.unit()] + [specialize(nsym.generator(m), ls) for m in range(1, order + 1)]
     for m in range(1, order + 1):
         report.checked += 1
-        lhs = gl.coproduct(images[m])
-        rhs = gl.GLTensor({}, gl.V_BASIS)
-        for k in range(m + 1):
-            rhs = rhs + gl.tensor_of(images[k], images[m - k])
-        if lhs != rhs:
+        if not divided_power_step(images, m):
             report.failures.append(f"generator image {m} is not a divided-power sequence step")
 
     for m in range(1, order + 1):
         report.checked += 1
-        lhs = gl.coproduct(omega.g.coeffs[m])
-        rhs = gl.GLTensor({}, gl.V_BASIS)
-        for k in range(m + 1):
-            rhs = rhs + gl.tensor_of(omega.g.coeffs[k], omega.g.coeffs[m - k])
-        if lhs != rhs:
+        if not divided_power_step(omega.g.coeffs, m):
             report.failures.append(f"g coefficient {m} breaks the divided-power pattern")
 
     for name in ("h", "d", "m"):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linear import LinComb, format_linear
+from .linear import LinComb, extend_multiplicatively, format_linear
 from .series import TruncSeries
 
 Word = tuple[int, ...]
@@ -79,49 +79,35 @@ def generator(m: int) -> NSymElem:
 
 def mul(a: NSymElem, b: NSymElem, max_weight: int | None = None) -> NSymElem:
     """Concatenation product; words heavier than max_weight are dropped."""
-    out: dict[Word, Fraction] = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            w = wa + wb
-            if max_weight is not None and word_weight(w) > max_weight:
-                continue
-            c = out.get(w, 0) + ca * cb
-            if c:
-                out[w] = c
-            elif w in out:
-                del out[w]
-    return NSymElem(out)
+    return NSymElem(
+        (wa + wb, ca * cb)
+        for wa, ca in a.terms.items()
+        for wb, cb in b.terms.items()
+        if max_weight is None or word_weight(wa) + word_weight(wb) <= max_weight
+    )
 
 
 def tensor_mul(a: NSymTensor, b: NSymTensor) -> NSymTensor:
-    out: dict = {}
-    for (la, ra), ca in a.terms.items():
-        for (lb, rb), cb in b.terms.items():
-            key = (la + lb, ra + rb)
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return NSymTensor(out)
+    return NSymTensor(
+        ((la + lb, ra + rb), ca * cb)
+        for (la, ra), ca in a.terms.items()
+        for (lb, rb), cb in b.terms.items()
+    )
 
 
 def tensor_unit() -> NSymTensor:
     return NSymTensor({(EMPTY_WORD, EMPTY_WORD): 1})
 
 
+def _generator_coproduct(m: int) -> NSymTensor:
+    return NSymTensor(
+        {((k,) if k else EMPTY_WORD, (m - k,) if m - k else EMPTY_WORD): 1 for k in range(m + 1)}
+    )
+
+
 def coproduct(a: NSymElem) -> NSymTensor:
     """Algebra-map coproduct fixed by the divided-power rule on generators."""
-    total = NSymTensor()
-    for w, c in a.terms.items():
-        part = tensor_unit()
-        for m in w:
-            letter = NSymTensor(
-                {((k,) if k else EMPTY_WORD, (m - k,) if m - k else EMPTY_WORD): 1 for k in range(m + 1)}
-            )
-            part = tensor_mul(part, letter)
-        total = total + part.scale(c)
-    return total
+    return extend_multiplicatively(a, _generator_coproduct, tensor_unit(), tensor_mul)
 
 
 def counit(a: NSymElem) -> Fraction:
@@ -145,13 +131,7 @@ def _antipode_generator(m: int) -> NSymElem:
 
 def antipode(a: NSymElem) -> NSymElem:
     """Hopf antipode, extended over words as an algebra anti-homomorphism."""
-    total = NSymElem()
-    for w, c in a.terms.items():
-        part = unit()
-        for m in reversed(w):
-            part = mul(part, _antipode_generator(m))
-        total = total + part.scale(c)
-    return total
+    return extend_multiplicatively(a, _antipode_generator, unit(), lambda x, y: mul(y, x))
 
 
 def omega_lambda(a: NSymElem) -> NSymElem:
@@ -234,10 +214,6 @@ def pi_system(order: int) -> PiSystem:
     return pi
 
 
-def elementary_element(m: int) -> NSymElem:
-    return generator(m)
-
-
 def complete_element(m: int) -> NSymElem:
     """The m-th complete function expanded in elementary words."""
     if m == 0:
@@ -292,13 +268,7 @@ def elementary_in_complete(m: int) -> NSymElem:
 
 def to_complete_basis(a: NSymElem) -> NSymElem:
     """Rewrite an elementary-word element as complete-basis words."""
-    total = NSymElem()
-    for w, c in a.terms.items():
-        part = unit()
-        for m in w:
-            part = mul(part, elementary_in_complete(m))
-        total = total + part.scale(c)
-    return total
+    return extend_multiplicatively(a, elementary_in_complete, unit(), mul)
 
 
 # ---------------------------------------------------------------------------
@@ -344,30 +314,19 @@ def _quasi_shuffle(left: Composition, right: Composition) -> tuple[tuple[Composi
 
 def qsym_mul(a: QSymElem, b: QSymElem) -> QSymElem:
     """Quasi-shuffle (overlapping shuffle) product on the monomial basis."""
-    out: dict[Composition, Fraction] = {}
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            for comp, n in _quasi_shuffle(ia, ib):
-                c = out.get(comp, 0) + ca * cb * n
-                if c:
-                    out[comp] = c
-                elif comp in out:
-                    del out[comp]
-    return QSymElem(out)
+    return QSymElem(
+        (comp, ca * cb * n)
+        for ia, ca in a.terms.items()
+        for ib, cb in b.terms.items()
+        for comp, n in _quasi_shuffle(ia, ib)
+    )
 
 
 def qsym_coproduct(a: QSymElem) -> QSymTensor:
     """Deconcatenation coproduct."""
-    out: dict = {}
-    for comp, c in a.terms.items():
-        for k in range(len(comp) + 1):
-            key = (comp[:k], comp[k:])
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return QSymTensor(out)
+    return QSymTensor(
+        ((comp[:k], comp[k:]), c) for comp, c in a.terms.items() for k in range(len(comp) + 1)
+    )
 
 
 def qsym_counit(a: QSymElem) -> Fraction:

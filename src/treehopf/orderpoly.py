@@ -12,11 +12,12 @@ logarithm of the all-trees generating function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .linear import format_linear
+from .report import CheckReport
 from .trees import (
     Forest,
     LabeledTree,
@@ -25,7 +26,6 @@ from .trees import (
     forest,
     forest_text,
     nested_cut_sum,
-    node,
     shape,
     tree_text,
     _memo_put,
@@ -366,8 +366,6 @@ def phi_recurrence_check(t: LabeledTree) -> bool:
 def theta_via_orderpoly(t: LabeledTree) -> Fraction:
     """Tree constant as the linear coefficient of the branch forest's polynomial."""
     _require_grafting_root(t)
-    if t.size > DESK_VERTEX_BOUND - 1:
-        raise ValueError(f"tree has {t.size} vertices, above the supported bound")
     return order_poly(branch_forest(t)).linear_coeff
 
 
@@ -375,22 +373,9 @@ def theta_via_orderpoly(t: LabeledTree) -> Fraction:
 # Exhaustive suite
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OrderPolyReport:
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def as_dict(self) -> dict:
-        return {"checked": self.checked, "failures": list(self.failures)}
-
-
-def orderpoly_suite(max_vertices: int = 6) -> OrderPolyReport:
+def orderpoly_suite(max_vertices: int = 6) -> CheckReport:
     """All polynomial identities over every unlabeled forest up to a size."""
-    report = OrderPolyReport()
+    report = CheckReport()
 
     def run(name: str, desc: str, ok: bool):
         report.checked += 1
@@ -426,8 +411,3 @@ def orderpoly_suite(max_vertices: int = 6) -> OrderPolyReport:
             run("nested-cut-recurrences", ttxt, phi_recurrence_check(t))
 
     return report
-
-
-def bplus_of_tree(t: LabeledTree) -> LabeledTree:
-    """Grafting-rooted tree with the given single branch."""
-    return node(0, (t,))

@@ -147,19 +147,15 @@ class TruncSeries:
 
     def inverse_right(self) -> "TruncSeries":
         """b with self * b = 1; requires unit constant term."""
-        ops = self.ops
-        if not ops.eq(self.coeffs[0], ops.one()):
-            raise ValueError("inverse needs a series with unit constant term")
-        out = [ops.one()]
-        for n in range(1, self.order + 1):
-            acc = ops.zero()
-            for k in range(1, n + 1):
-                acc = ops.add(acc, ops.mul(self.coeffs[k], out[n - k]))
-            out.append(ops.scale(Fraction(-1), acc))
-        return TruncSeries(ops, tuple(out))
+        return self._inverse(self.ops.mul)
 
     def inverse_left(self) -> "TruncSeries":
         """b with b * self = 1; requires unit constant term."""
+        return self._inverse(lambda coeff, known: self.ops.mul(known, coeff))
+
+    def _inverse(self, mul) -> "TruncSeries":
+        # b_n = -sum_{k=1..n} mul(self_k, b_{n-k}), where mul puts self's
+        # coefficient on the side it takes in the product being inverted.
         ops = self.ops
         if not ops.eq(self.coeffs[0], ops.one()):
             raise ValueError("inverse needs a series with unit constant term")
@@ -167,7 +163,7 @@ class TruncSeries:
         for n in range(1, self.order + 1):
             acc = ops.zero()
             for k in range(1, n + 1):
-                acc = ops.add(acc, ops.mul(out[n - k], self.coeffs[k]))
+                acc = ops.add(acc, mul(self.coeffs[k], out[n - k]))
             out.append(ops.scale(Fraction(-1), acc))
         return TruncSeries(ops, tuple(out))
 

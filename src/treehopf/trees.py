@@ -228,6 +228,12 @@ def forest_text(f: Forest) -> str:
     return f._text
 
 
+# Deepest nesting the parser accepts.  The parser, tree_text, shape and the
+# other tree walks recurse once per level; deeper text is refused before any
+# tree is built, so it ends in a one-line ValueError, not a RecursionError.
+MAX_PARSE_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -259,17 +265,23 @@ class _Parser:
             self.fail("an integer label")
         return int(self.text[start : self.pos])
 
-    def tree(self, at_root: bool) -> LabeledTree:
+    def tree(self, depth: int) -> LabeledTree:
+        # depth counts the parentheses around this vertex; 0 is a root.
+        if depth > MAX_PARSE_DEPTH:
+            raise ValueError(
+                f"parse error at offset {self.pos}: trees nested deeper than "
+                f"{MAX_PARSE_DEPTH} levels are not supported"
+            )
         lab = self.integer()
-        if lab == GRAFT_ROOT_LABEL and not at_root:
+        if lab == GRAFT_ROOT_LABEL and depth:
             raise ValueError("label 0 is reserved for the root of grafting trees")
         kids: list[LabeledTree] = []
         if self.peek() == "(":
             self.pos += 1
-            kids.append(self.tree(False))
+            kids.append(self.tree(depth + 1))
             while self.peek() == ",":
                 self.pos += 1
-                kids.append(self.tree(False))
+                kids.append(self.tree(depth + 1))
             self.expect(")")
         return node(lab, kids)
 
@@ -277,10 +289,10 @@ class _Parser:
         self.expect("[")
         trees: list[LabeledTree] = []
         if self.peek() != "]":
-            trees.append(self.tree(True))
+            trees.append(self.tree(0))
             while self.peek() == ",":
                 self.pos += 1
-                trees.append(self.tree(True))
+                trees.append(self.tree(0))
         self.expect("]")
         return forest(trees)
 
@@ -292,7 +304,7 @@ class _Parser:
 
 def parse_tree(text: str) -> LabeledTree:
     p = _Parser(text)
-    t = p.tree(True)
+    t = p.tree(0)
     p.done()
     return t
 
@@ -307,12 +319,6 @@ def parse_forest(text: str) -> Forest:
 # ---------------------------------------------------------------------------
 # Structure predicates and invariants
 # ---------------------------------------------------------------------------
-
-def height(t: LabeledTree) -> int:
-    if not t.children:
-        return 0
-    return 1 + max(height(c) for c in t.children)
-
 
 def is_chain(t: LabeledTree) -> bool:
     """True when the tree has a single leaf (every vertex has at most one child)."""
@@ -576,10 +582,14 @@ def apply_cut(t: LabeledTree, cut: Cut) -> CutResult:
         for w in vs[i + 1 :]:
             if w < v + idx.size[v]:
                 raise ValueError("cut is not admissible: two edges share a root-to-leaf path")
-    alive = frozenset(range(n))
+    return CutResult(*_split(idx, vs))
+
+
+def _split(idx: _TreeIndex, vs: list[int]) -> tuple[Forest, LabeledTree]:
+    # The pruned forest and the trunk of the admissible cut at sorted vertices vs.
+    alive = frozenset(range(len(idx.labels)))
     pruned = forest(_extract(idx, v, alive) for v in vs)
-    trunk = _extract(idx, 0, _without_subtrees(idx, alive, vs))
-    return CutResult(pruned, trunk)
+    return pruned, _extract(idx, 0, _without_subtrees(idx, alive, vs))
 
 
 _CUT_RESULTS_CACHE: dict[LabeledTree, tuple] = {}
@@ -591,14 +601,9 @@ def cut_results(t: LabeledTree) -> tuple[tuple[Cut, Forest, LabeledTree], ...]:
     if got is not None:
         return got
     idx = _index(t)
-    alive = frozenset(range(t.size))
-    out = []
-    for s in sorted(_antichain_sets(idx, alive), key=lambda s: (len(s), sorted(s))):
-        vs = sorted(s)
-        pruned = forest(_extract(idx, v, alive) for v in vs)
-        trunk = _extract(idx, 0, _without_subtrees(idx, alive, vs))
-        out.append((Cut(s), pruned, trunk))
-    return _memo_put(_CUT_RESULTS_CACHE, t, tuple(out))
+    sets = sorted(_antichain_sets(idx, frozenset(range(t.size))), key=lambda s: (len(s), sorted(s)))
+    out = tuple((Cut(s), *_split(idx, sorted(s))) for s in sets)
+    return _memo_put(_CUT_RESULTS_CACHE, t, out)
 
 
 def nested_cut_sequences(

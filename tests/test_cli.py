@@ -117,7 +117,7 @@ def test_verify_all_small(capsys):
 
 
 @pytest.mark.parametrize(
-    "suite, too_many", [("theta", "9"), ("all", "9"), ("orderpoly", "11")]
+    "suite, too_many", [("theta", "11"), ("all", "11"), ("orderpoly", "11")]
 )
 def test_verify_refuses_vertices_beyond_the_routes_before_any_work(capsys, suite, too_many):
     started = time.perf_counter()
@@ -234,14 +234,18 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def _cli_with_memo_limit(value, *args):
-    env = dict(os.environ, TREEHOPF_MEMO_LIMIT=value)
+def _cli_subprocess(*args, **env_vars):
+    env = dict(os.environ, **env_vars)
     src = str(Path(treehopf.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "treehopf.cli", *args],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def _cli_with_memo_limit(value, *args):
+    return _cli_subprocess(*args, TREEHOPF_MEMO_LIMIT=value)
 
 
 @pytest.mark.parametrize("value", ["abc", "-5"])
@@ -257,3 +261,38 @@ def test_valid_memo_limit_keeps_the_results(value):
     # 0 is unbounded; 3 caps every table (the tree pool too) well below use.
     proc = _cli_with_memo_limit(value, "theta", "0(1(1,1,1,1))")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-1/30\n", "")
+
+
+def _chain_text(depth: int, root: str) -> str:
+    return root + "(1" * depth + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("theta", _chain_text(500, "0")),
+        ("theta", _chain_text(3000, "0")),
+        ("theta", _chain_text(300, "0")),
+        ("orderpoly", "--forest", f"[{_chain_text(499, '1')}]"),
+        ("orderpoly", "--forest", f"[{_chain_text(2999, '1')}]"),
+        ("qsym", "--forest", f"[{_chain_text(499, '1')}]"),
+        ("qsym", "--forest", f"[{_chain_text(2999, '1')}]"),
+        # shallow enough to parse, but past the size ceiling of theta
+        ("theta", _chain_text(cli.MAX_ORDER_CEILING + 1, "0")),
+        ("theta", "0(1(" + ",".join(["1(1)"] * 12) + "))"),
+    ],
+    ids=lambda args: f"{args[0]}-{len(args[-1])}chars",
+)
+def test_oversized_tree_input_is_a_quick_usage_error(args):
+    started = time.perf_counter()
+    proc = _cli_subprocess(*args)
+    assert time.perf_counter() - started < 1
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+
+def test_theta_accepts_a_tree_at_the_size_ceiling(capsys):
+    code, out, _ = run(capsys, "theta", _chain_text(cli.MAX_ORDER_CEILING, "0"))
+    assert code == 0
+    assert out == f"1/{cli.MAX_ORDER_CEILING}\n"

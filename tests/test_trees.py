@@ -191,6 +191,26 @@ def test_parse_rejects_zero_off_root():
     assert parse_forest("[]") is EMPTY_FOREST
 
 
+def _nested_text(depth: int) -> str:
+    return "0" + "(1" * depth + ")" * depth
+
+
+def test_parse_accepts_nesting_up_to_the_bound():
+    text = _nested_text(trees.MAX_PARSE_DEPTH)
+    t = parse_tree(text)
+    assert t.size == trees.MAX_PARSE_DEPTH + 1
+    assert tree_text(t) == text
+    assert parse_forest(f"[{text},1]").size == trees.MAX_PARSE_DEPTH + 2
+
+
+@pytest.mark.parametrize("depth", [trees.MAX_PARSE_DEPTH + 1, 3000])
+def test_parse_refuses_deeper_nesting_without_recursing(depth):
+    with pytest.raises(ValueError, match="nested deeper than"):
+        parse_tree(_nested_text(depth))
+    with pytest.raises(ValueError, match="nested deeper than"):
+        parse_forest(f"[1,{_nested_text(depth)}]")
+
+
 def test_weight_ignores_grafting_root():
     assert parse_tree("0(1(1))").weight == 2
     assert parse_tree("2(1)").weight == 3
