@@ -49,10 +49,10 @@ def pair(a: gl.GLElem, b: ck.CKElem) -> Fraction:
 def pair_tensor(a: gl.GLTensor, b: ck.CKTensor) -> Fraction:
     total = Fraction(0)
     for (fa1, fa2), ca in a.terms.items():
-        for (fb1, fb2), cb in b.terms.items():
-            if fa1 == fb1 and fa2 == fb2:
-                factor = 1 if a.basis == gl.V_BASIS else gl.alpha(fa1) * gl.alpha(fa2)
-                total += ca * cb * factor
+        cb = b.terms.get((fa1, fa2))
+        if cb:
+            factor = 1 if a.basis == gl.V_BASIS else gl.alpha(fa1) * gl.alpha(fa2)
+            total += ca * cb * factor
     return total
 
 
@@ -69,6 +69,9 @@ def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
 
     trees_by_weight = {m: enumerate_bplus_trees(ls, m) for m in range(max_weight + 1)}
     forests_by_weight = {m: enumerate_forests(ls, m) for m in range(max_weight + 1)}
+    coproducts = {
+        f: ck.coproduct(ck.from_forest(f)) for fs in forests_by_weight.values() for f in fs
+    }
 
     for wx in range(max_weight + 1):
         for wy in range(max_weight + 1 - wx):
@@ -78,10 +81,10 @@ def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
                 for y in trees_by_weight[wy]:
                     ey = gl.from_bplus_tree(y, gl.T_BASIS)
                     prod = gl.mul(ex, ey)
+                    exy = gl.tensor_of(ex, ey)
                     for f in forests_by_weight[wf]:
-                        ef = ck.from_forest(f)
-                        lhs = pair(prod, ef)
-                        rhs = pair_tensor(gl.tensor_of(ex, ey), ck.coproduct(ef))
+                        lhs = pair(prod, ck.from_forest(f))
+                        rhs = pair_tensor(exy, coproducts[f])
                         report.checked += 1
                         if lhs != rhs:
                             report.failures.append(

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linear import LinComb, format_linear
+from .linear import LinComb, add_all, format_linear
 from .series import TruncSeries
 from .trees import (
     EMPTY_FOREST,
@@ -31,7 +31,8 @@ from .trees import (
     enumerate_bplus_trees,
     forest,
     forest_text,
-    graft_positions,
+    graft_counts,
+    graft_positions,  # re-exported: the per-assignment oracle of graft_counts
     label_values,
     _memo_put,
 )
@@ -125,41 +126,40 @@ def to_t_basis(a: GLElem) -> GLElem:
 # Product: grafting route and structure-constant route
 # ---------------------------------------------------------------------------
 
-_GRAFT_CACHE: dict[tuple[Forest, Forest], tuple[tuple[Forest, int], ...]] = {}
+_PRODUCT_CACHE: dict[tuple[Forest, Forest, str], tuple[tuple[Forest, Fraction], ...]] = {}
 
 
-def _graft_table(scions: Forest, stock_branches: Forest) -> tuple[tuple[Forest, int], ...]:
-    # Multiplicity table of the plain-basis product of two basis trees.
-    key = (scions, stock_branches)
-    got = _GRAFT_CACHE.get(key)
+def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Forest, Fraction], ...]:
+    # Structure constants of the product of two basis trees in one basis,
+    # sorted by result: the graft multiplicity n in T, and
+    # n * alpha(result) / (alpha(left) * alpha(right)) in V.
+    key = (left, right, basis)
+    got = _PRODUCT_CACHE.get(key)
     if got is not None:
         return got
-    counts: dict[Forest, int] = {}
-    for result in graft_positions(scions, bplus(stock_branches)):
-        k = branch_forest(result)
-        counts[k] = counts.get(k, 0) + 1
-    table = tuple(sorted(counts.items(), key=lambda kv: kv[0]._key))
-    return _memo_put(_GRAFT_CACHE, key, table)
+    counts = graft_counts(left, bplus(right))
+    if basis == T_BASIS:
+        terms = ((t, Fraction(n)) for t, n in counts.items())
+    else:
+        scale = Fraction(1, alpha(left) * alpha(right))
+        terms = ((t, n * automorphism_count(t) * scale) for t, n in counts.items())
+    table = tuple(sorted(((branch_forest(t), c) for t, c in terms), key=lambda kv: kv[0]._key))
+    return _memo_put(_PRODUCT_CACHE, key, table)
 
 
 def mul(a: GLElem, b: GLElem) -> GLElem:
     """Grafting product; both factors must be written in the same basis."""
     a._check_compatible(b)
-    divided = a.basis == V_BASIS
+    basis = a.basis
 
     def terms():
         for fa, ca in a.terms.items():
             for fb, cb in b.terms.items():
                 cab = ca * cb
-                if divided:
-                    cab = cab / (alpha(fa) * alpha(fb))
-                for key, count in _graft_table(fa, fb):
-                    c = cab * count
-                    if divided:
-                        c *= alpha(key)
-                    yield key, c
+                for key, c in _product_table(fa, fb, basis):
+                    yield key, cab * c
 
-    return GLElem(terms(), a.basis)
+    return GLElem(terms(), basis)
 
 
 _STRUCT_CACHE: dict[tuple[Forest, Forest], tuple[tuple[Forest, int], ...]] = {}
@@ -329,8 +329,8 @@ class GLSeriesOps:
     def one(self) -> GLElem:
         return unit(self.basis)
 
-    def add(self, x: GLElem, y: GLElem) -> GLElem:
-        return x + y
+    def sum(self, xs) -> GLElem:
+        return add_all(self.zero(), xs)
 
     def scale(self, c: Fraction, x: GLElem) -> GLElem:
         return x.scale(c)

@@ -98,6 +98,24 @@ class LinComb:
         return f"{type(self).__name__}({self.terms!r})"
 
 
+def add_all(zero: LinComb, xs: Iterable[LinComb]) -> LinComb:
+    """``zero + x_1 + ... + x_n`` in one construction.
+
+    ``zero`` fixes the kind of the result (and any basis); each ``x_i`` must
+    be compatible with it, as for ``+``.  The result, insertion order
+    included, is that of the repeated ``+``, without rebuilding the growing
+    sum once per term.
+    """
+
+    def terms():
+        yield from zero.terms.items()
+        for x in xs:
+            zero._check_compatible(x)
+            yield from x.terms.items()
+
+    return zero._build(terms())
+
+
 def extend_multiplicatively(
     a: LinComb, image: Callable, one: LinComb, mul: Callable[[LinComb, LinComb], LinComb]
 ) -> LinComb:

@@ -247,11 +247,12 @@ def _compare(name: str, lhs: TruncSeries, rhs: TruncSeries) -> EquationCheck:
     order = min(lhs.order, rhs.order)
     lhs = lhs.truncate(order)
     rhs = rhs.truncate(order)
+    ops = lhs.ops
     for degree in range(order + 1):
-        if not lhs.ops.eq(lhs.coeffs[degree], rhs.coeffs[degree]):
-            diff = lhs.ops.add(lhs.coeffs[degree], lhs.ops.scale(Fraction(-1), rhs.coeffs[degree]))
+        if not ops.eq(lhs.coeffs[degree], rhs.coeffs[degree]):
+            diff = ops.sum((lhs.coeffs[degree], ops.scale(Fraction(-1), rhs.coeffs[degree])))
             return EquationCheck(
-                name, "fail", {"degree": degree, "diff": _describe(lhs.ops, diff)}
+                name, "fail", {"degree": degree, "diff": _describe(ops, diff)}
             )
     return EquationCheck(name, "pass")
 

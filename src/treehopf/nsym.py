@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linear import LinComb, extend_multiplicatively, format_linear
+from .linear import LinComb, add_all, extend_multiplicatively, format_linear
 from .series import TruncSeries
+from .trees import _memo_put
 
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -125,8 +126,7 @@ def _antipode_generator(m: int) -> NSymElem:
     acc = -generator(m)
     for k in range(1, m):
         acc = acc - mul(_antipode_generator(k), generator(m - k))
-    _ANTIPODE_GEN_CACHE[m] = acc
-    return acc
+    return _memo_put(_ANTIPODE_GEN_CACHE, m, acc)
 
 
 def antipode(a: NSymElem) -> NSymElem:
@@ -155,8 +155,8 @@ class WordOps:
     def one(self) -> NSymElem:
         return unit()
 
-    def add(self, x, y):
-        return x + y
+    def sum(self, xs):
+        return add_all(NSymElem(), xs)
 
     def scale(self, c, x):
         return x.scale(c)
@@ -210,8 +210,7 @@ def pi_system(order: int) -> PiSystem:
     power_first = lam_neg_cut * sigma_prime
     power_third = sigma_prime * lam_neg_cut
     pi = PiSystem(order, lam, sigma, power_second, power_first, power_third)
-    _PI_CACHE[order] = pi
-    return pi
+    return _memo_put(_PI_CACHE, order, pi)
 
 
 def complete_element(m: int) -> NSymElem:
@@ -308,8 +307,7 @@ def _quasi_shuffle(left: Composition, right: Composition) -> tuple[tuple[Composi
                 k = head + comp
                 counts[k] = counts.get(k, 0) + n
         out = tuple(sorted(counts.items()))
-    _QSHUFFLE_CACHE[key] = out
-    return out
+    return _memo_put(_QSHUFFLE_CACHE, key, out)
 
 
 def qsym_mul(a: QSymElem, b: QSymElem) -> QSymElem:

@@ -1,7 +1,7 @@
 """Truncated formal power series over an associative unital algebra.
 
 The parameter t is central and all arithmetic is exact modulo t**(N+1).
-The engine is generic over a small algebra interface (zero, one, add, scale,
+The engine is generic over a small algebra interface (zero, one, sum, scale,
 mul, eq) so the same code serves rational scalars, free-algebra elements and
 tree-algebra elements.  Coefficients beyond the truncation order are silently
 dropped; that is the meaning of truncation, never an error.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Any, Protocol
+from typing import Any, Iterable, Protocol
 
 
 class AlgebraOps(Protocol):
@@ -20,7 +20,9 @@ class AlgebraOps(Protocol):
 
     def one(self) -> Any: ...
 
-    def add(self, x, y) -> Any: ...
+    def sum(self, xs: Iterable) -> Any:
+        """The sum of all of xs (zero when empty), built in one pass."""
+        ...
 
     def scale(self, c: Fraction, x) -> Any: ...
 
@@ -39,8 +41,8 @@ class RationalOps:
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def add(self, x, y):
-        return x + y
+    def sum(self, xs):
+        return sum(xs, Fraction(0))
 
     def scale(self, c, x):
         return c * x
@@ -89,7 +91,7 @@ class TruncSeries:
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._require_same(other)
         ops = self.ops
-        return TruncSeries(ops, tuple(ops.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return TruncSeries(ops, tuple(ops.sum(pair) for pair in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self + other.scale(Fraction(-1))
@@ -106,13 +108,14 @@ class TruncSeries:
         """Cauchy product modulo t**(order+1)."""
         self._require_same(other)
         ops = self.ops
-        out = []
-        for n in range(self.order + 1):
-            acc = ops.zero()
-            for k in range(n + 1):
-                acc = ops.add(acc, ops.mul(self.coeffs[k], other.coeffs[n - k]))
-            out.append(acc)
-        return TruncSeries(ops, tuple(out))
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries(
+            ops,
+            tuple(
+                ops.sum(ops.mul(a[k], b[n - k]) for k in range(n + 1))
+                for n in range(self.order + 1)
+            ),
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
@@ -161,9 +164,7 @@ class TruncSeries:
             raise ValueError("inverse needs a series with unit constant term")
         out = [ops.one()]
         for n in range(1, self.order + 1):
-            acc = ops.zero()
-            for k in range(1, n + 1):
-                acc = ops.add(acc, mul(self.coeffs[k], out[n - k]))
+            acc = ops.sum(mul(self.coeffs[k], out[n - k]) for k in range(1, n + 1))
             out.append(ops.scale(Fraction(-1), acc))
         return TruncSeries(ops, tuple(out))
 

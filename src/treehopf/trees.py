@@ -213,12 +213,39 @@ def canonicalize(raw, labels: Iterable[int] | None = None) -> LabeledTree:
     return build(raw, True)
 
 
+def _bottom_up(t: LabeledTree, cached, combine):
+    # combine(u, values of u's children) at every vertex whose value cached(u)
+    # does not hold yet, children first.  An explicit stack instead of
+    # recursion, so a tree of any depth costs no interpreter stack.
+    values: dict[LabeledTree, object] = {}
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in values:
+            stack.pop()
+            continue
+        got = cached(u)
+        if got is not None:
+            values[u] = got
+            stack.pop()
+            continue
+        pending = [c for c in u.children if c not in values]
+        if pending:
+            stack.extend(pending)
+        else:
+            stack.pop()
+            values[u] = combine(u, [values[c] for c in u.children])
+    return values[t]
+
+
+def _text_of(u: LabeledTree, kids: list[str]) -> str:
+    u._text = f"{u.label}({','.join(kids)})" if kids else str(u.label)
+    return u._text
+
+
 def tree_text(t: LabeledTree) -> str:
     if t._text is None:
-        if t.children:
-            t._text = f"{t.label}({','.join(tree_text(c) for c in t.children)})"
-        else:
-            t._text = str(t.label)
+        return _bottom_up(t, lambda u: u._text, _text_of)
     return t._text
 
 
@@ -228,9 +255,10 @@ def forest_text(f: Forest) -> str:
     return f._text
 
 
-# Deepest nesting the parser accepts.  The parser, tree_text, shape and the
-# other tree walks recurse once per level; deeper text is refused before any
-# tree is built, so it ends in a one-line ValueError, not a RecursionError.
+# Deepest nesting the parser accepts.  The parser and the other tree walks
+# (cuts, grafting, label_values) recurse once per level; tree_text, shape and
+# automorphism_count do not.  Deeper text is refused before any tree is
+# built, so it ends in a one-line ValueError, not a RecursionError.
 MAX_PARSE_DEPTH = 100
 
 
@@ -355,7 +383,9 @@ def shape(t: LabeledTree) -> LabeledTree:
     got = _SHAPE_CACHE.get(t)
     if got is not None:
         return got
-    return _memo_put(_SHAPE_CACHE, t, node(1, (shape(c) for c in t.children)))
+    return _bottom_up(
+        t, _SHAPE_CACHE.get, lambda u, kids: _memo_put(_SHAPE_CACHE, u, node(1, kids))
+    )
 
 
 _ALPHA_CACHE: dict[LabeledTree, int] = {}
@@ -371,10 +401,14 @@ def automorphism_count(t: LabeledTree) -> int:
     got = _ALPHA_CACHE.get(t)
     if got is not None:
         return got
+    return _bottom_up(t, _ALPHA_CACHE.get, _automorphisms_of)
+
+
+def _automorphisms_of(t: LabeledTree, kids: list[int]) -> int:
     a = 1
-    for _, group in itertools.groupby(t.children):
+    for _, group in itertools.groupby(zip(t.children, kids), key=lambda ck: ck[0]):
         block = tuple(group)
-        a *= factorial(len(block)) * automorphism_count(block[0]) ** len(block)
+        a *= factorial(len(block)) * block[0][1] ** len(block)
     return _memo_put(_ALPHA_CACHE, t, a)
 
 
@@ -728,3 +762,46 @@ def graft_positions(scions: Forest, stock: LabeledTree) -> list[LabeledTree]:
 
         results.append(build(0))
     return results
+
+
+def graft_counts(scions: Forest, stock: LabeledTree) -> dict[LabeledTree, int]:
+    """The distinct trees of :func:`graft_positions` with their multiplicities.
+
+    Equal scions are adjacent in the canonical forest.  A class of m equal
+    scions is spread over the stock's vertices as a multiset of m vertices
+    (``combinations_with_replacement``); the m!/(k_1!...k_v!) assignments
+    that put k_i of them on vertex i all give the same tree, so the multiset
+    is built once with that weight.  The classes combine as a product.  With
+    a single class of m equal scions on v vertices that is C(v+m-1, m) trees
+    instead of v**m.
+    """
+    if stock.label != GRAFT_ROOT_LABEL:
+        raise ValueError("stock must have the 0-labeled grafting root")
+    idx = _index(stock)
+    spreads = []
+    for scion, group in itertools.groupby(scions.trees):
+        m = len(tuple(group))
+        spread = []
+        for vertices in itertools.combinations_with_replacement(range(stock.size), m):
+            ways = factorial(m)
+            for _, same in itertools.groupby(vertices):
+                ways //= factorial(len(tuple(same)))
+            spread.append((scion, vertices, ways))
+        spreads.append(spread)
+    counts: dict[LabeledTree, int] = {}
+    for placement in itertools.product(*spreads):
+        extra: dict[int, list[LabeledTree]] = {}
+        weight = 1
+        for scion, vertices, ways in placement:
+            weight *= ways
+            for v in vertices:
+                extra.setdefault(v, []).append(scion)
+
+        def build(v: int) -> LabeledTree:
+            kids = [build(c) for c in idx.children[v]]
+            kids.extend(extra.get(v, ()))
+            return node(idx.labels[v], kids)
+
+        result = build(0)
+        counts[result] = counts.get(result, 0) + weight
+    return counts

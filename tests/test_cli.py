@@ -263,6 +263,17 @@ def test_valid_memo_limit_keeps_the_results(value):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-1/30\n", "")
 
 
+def test_memo_limit_of_one_keeps_verify_all_output(monkeypatch):
+    # Every memo table, nsym's included, is written through _memo_put, so a
+    # cap of one entry per table changes the work done, never the output.
+    args = ("verify", "all", "--format", "json")
+    capped = _cli_with_memo_limit("1", *args)
+    monkeypatch.delenv("TREEHOPF_MEMO_LIMIT", raising=False)
+    unset = _cli_subprocess(*args)
+    assert (capped.returncode, capped.stderr) == (unset.returncode, unset.stderr) == (0, "")
+    assert capped.stdout == unset.stdout
+
+
 def _chain_text(depth: int, root: str) -> str:
     return root + "(1" * depth + ")" * depth
 

@@ -13,6 +13,7 @@ from treehopf.trees import (
     branch_forest,
     enumerate_bplus_trees,
     cut_results,
+    enumerate_forests,
     forest,
     graft_positions,
     leaf,
@@ -125,6 +126,25 @@ _basis_pool = [
 def test_associativity(triple):
     a, b, c = triple
     assert gl.mul(gl.mul(a, b), c) == gl.mul(a, gl.mul(b, c))
+
+
+_forest_pool = [f for w in range(0, 4) for f in enumerate_forests((1, 2), w)]
+_non_unit_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+    lambda c: c not in (0, 1, -1)
+)
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(st.tuples(st.sampled_from(_forest_pool), _non_unit_coeffs), min_size=1, max_size=4),
+    st.lists(st.tuples(st.sampled_from(_forest_pool), _non_unit_coeffs), min_size=1, max_size=4),
+    st.sampled_from((gl.V_BASIS, gl.T_BASIS)),
+)
+def test_product_routes_agree_on_combinations(a_terms, b_terms, basis):
+    # Combinations, not basis elements: the cached table's constants must
+    # scale by the coefficients and sum over the pairs of terms in each basis.
+    a, b = gl.GLElem(a_terms, basis), gl.GLElem(b_terms, basis)
+    assert gl.mul(a, b) == gl.mul_structure(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from treehopf import ck, gl, nsym
+from treehopf.linear import add_all
 from treehopf.trees import enumerate_forests
 
 FORESTS = [f for w in range(4) for f in enumerate_forests((1, 2), w)]
@@ -75,3 +76,26 @@ def test_results_hold_nonzero_fractions(keys, build, products, data):
     assert (a + b).terms == summed(a_terms + b_terms)
     assert (a - a).terms == {}
     assert_normalized(a, a + b, a - b, *products(a, b))
+
+
+@pytest.mark.parametrize("keys, build, products", ALGEBRAS.values(), ids=ALGEBRAS.keys())
+@settings(max_examples=25)
+@given(data=st.data())
+def test_add_all_is_the_repeated_sum(keys, build, products, data):
+    # One construction gives what repeated + gives, key order included, since
+    # series coefficients are summed this way and rendered from it.
+    xs = [build(data.draw(cancelling_terms(keys))) for _ in range(data.draw(st.integers(0, 4)))]
+    zero = build([])
+    repeated = zero
+    for x in xs:
+        repeated = repeated + x
+    total = add_all(zero, xs)
+    assert type(total) is type(repeated)
+    assert list(total.terms.items()) == list(repeated.terms.items())
+
+
+def test_add_all_refuses_mixed_kinds():
+    with pytest.raises(TypeError):
+        add_all(gl.zero(gl.V_BASIS), [gl.unit(gl.T_BASIS)])
+    with pytest.raises(TypeError):
+        add_all(ck.CKElem(), [nsym.unit()])

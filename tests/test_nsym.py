@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from treehopf import ncs, nsym
+from treehopf import ncs, nsym, trees
 from treehopf.nsym import (
     NSymElem,
     complete_element,
@@ -42,6 +42,18 @@ def word_elem(*letters):
 # ---------------------------------------------------------------------------
 # Free algebra basics
 # ---------------------------------------------------------------------------
+
+def test_memo_tables_obey_the_memo_limit(monkeypatch):
+    # TREEHOPF_MEMO_LIMIT caps every memo table; here at one entry each.
+    monkeypatch.setattr(trees, "_MEMO_LIMIT", 1)
+    tables = ("_PI_CACHE", "_QSHUFFLE_CACHE", "_ANTIPODE_GEN_CACHE")
+    for name in tables:
+        monkeypatch.setattr(nsym, name, {})
+    assert pi_system(4).order == 4 and pi_system(3).order == 3
+    assert antipode(word_elem(4)) == antipode(word_elem(4))
+    assert qsym_mul(monomial((1, 2)), monomial((2, 1))) == qsym_mul(monomial((2, 1)), monomial((1, 2)))
+    assert [len(getattr(nsym, name)) for name in tables] == [1, 1, 1]
+
 
 def test_free_product_keeps_order():
     assert mul(generator(1), generator(2)) == word_elem(1, 2)

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from treehopf.trees import (
     enumerate_trees,
     forest,
     forest_text,
+    graft_counts,
     graft_positions,
     leaf,
     nested_cut_sequences,
@@ -457,6 +459,34 @@ def test_graft_requires_grafting_root():
         graft_positions(forest([leaf(1)]), leaf(1))
 
 
+@pytest.mark.parametrize("labels, max_weight", [((1,), 8), ((1, 2), 7)])
+def test_graft_counts_match_every_assignment(labels, max_weight):
+    # Every scion forest and stock of total weight <= max_weight: the grouped
+    # placements give each result tree as often as the v**m assignments do.
+    pairs = repeated = 0
+    for ws in range(max_weight + 1):
+        for scions in enumerate_forests(labels, ws):
+            has_repeats = len(set(scions.trees)) < len(scions.trees)
+            for wt in range(max_weight + 1 - ws):
+                for stock in enumerate_bplus_trees(labels, wt):
+                    expected = Counter(graft_positions(scions, stock))
+                    assert graft_counts(scions, stock) == dict(expected), (scions, stock)
+                    pairs += 1
+                    repeated += has_repeats
+    assert pairs > 2000 and repeated > 300
+
+
+def test_graft_counts_group_equal_scions():
+    # Four equal leaves on the three vertices of 0(1,1): C(6, 4) = 15
+    # placements (not 3**4 = 81), weighted by multinomials summing to 81.
+    counts = graft_counts(forest([leaf(1)] * 4), parse_tree("0(1,1)"))
+    assert sum(counts.values()) == 81
+    assert counts[parse_tree("0(1,1,1,1,1,1)")] == 1
+    assert counts[parse_tree("0(1(1,1),1(1,1))")] == 4 * 3 // 2
+    with pytest.raises(ValueError):
+        graft_counts(forest([leaf(1)]), leaf(1))
+
+
 def test_branch_forest_inverts_bplus():
     for m in range(0, 5):
         for f in enumerate_forests((1, 2), m):
@@ -481,3 +511,16 @@ def test_concurrent_memoized_enumeration_agrees():
     assert all(r == results[0] for r in results)
     first = results[0]
     assert all(a is b for a, b in zip(first, enumerate_bplus_trees((1, 3), 6)))
+
+
+def test_tree_walks_take_a_3000_deep_chain():
+    # Built through node, not the depth-limited parser.
+    depth = 3000
+    chain = leaf(2)
+    for _ in range(depth - 1):
+        chain = node(2, (chain,))
+    assert tree_text(chain) == "2(" * (depth - 1) + "2" + ")" * (depth - 1)
+    unlabeled = trees.shape(chain)
+    assert trees.is_chain(unlabeled) and unlabeled.size == unlabeled.weight == depth
+    assert automorphism_count(chain) == 1
+    assert automorphism_count(node(1, (chain, chain, unlabeled))) == 2
