@@ -261,8 +261,9 @@ def elementary_in_complete(m: int) -> NSymElem:
     sigma_free = TruncSeries(ops, (unit(),) + tuple(generator(k) for k in range(1, m + 1)))
     lam_free = sigma_free.alternate().inverse_right()
     for k in range(1, m + 1):
-        _ELEM_IN_COMPLETE.setdefault(k, lam_free.coeffs[k])
-    return _ELEM_IN_COMPLETE[m]
+        if k not in _ELEM_IN_COMPLETE:
+            _memo_put(_ELEM_IN_COMPLETE, k, lam_free.coeffs[k])
+    return lam_free.coeffs[m]
 
 
 def to_complete_basis(a: NSymElem) -> NSymElem:

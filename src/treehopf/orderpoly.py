@@ -12,13 +12,13 @@ logarithm of the all-trees generating function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .linear import format_linear
 from .report import CheckReport
 from .trees import (
+    EMPTY_FOREST,
     Forest,
     LabeledTree,
     branch_forest,
@@ -35,121 +35,124 @@ from .trees import (
 DESK_VERTEX_BOUND = 10
 
 
-@dataclass(frozen=True)
-class ForestPoset:
-    """Explicit poset view of a forest.
+def _over_common_denominator(xs) -> tuple[list[int], int]:
+    fs = [Fraction(x) for x in xs]
+    den = lcm(*(f.denominator for f in fs))
+    return [f.numerator * (den // f.denominator) for f in fs], den
 
-    Vertices are indexed in preorder, components in canonical order; u <= v
-    exactly when v lies in the subtree rooted at u (roots are minimal).
-    """
 
-    size: int
-    leq_pairs: frozenset[tuple[int, int]]
-
-    @classmethod
-    def from_forest(cls, f: Forest) -> "ForestPoset":
-        pairs: set[tuple[int, int]] = set()
-        cursor = 0
-        for t in f.trees:
-
-            def visit(u: LabeledTree, ancestors: list[int]):
-                nonlocal cursor
-                v = cursor
-                cursor += 1
-                for a in ancestors:
-                    pairs.add((a, v))
-                pairs.add((v, v))
-                for c in u.children:
-                    visit(c, ancestors + [v])
-
-            visit(t, [])
-        return cls(cursor, frozenset(pairs))
-
-    def leq(self, u: int, v: int) -> bool:
-        return (u, v) in self.leq_pairs
-
-    def covers(self) -> frozenset[tuple[int, int]]:
-        out = set()
-        for (u, v) in self.leq_pairs:
-            if u == v:
-                continue
-            if not any(
-                self.leq(u, w) and self.leq(w, v) and w != u and w != v
-                for w in range(self.size)
-            ):
-                out.add((u, v))
-        return frozenset(out)
+def _lowest(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    # Strip trailing zeros and divide out gcd(den, num...); den must be > 0.
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), 1
+    g = gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(a // g for a in num), den // g
 
 
 class RationalPolynomial:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Dense univariate polynomial with exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Stored as integer numerators ``num`` (constant term first) over one
+    positive denominator ``den``, in lowest terms: gcd(den, *num) is 1, there
+    is no trailing zero, and the zero polynomial is ``((), 1)``.  Arithmetic
+    runs on ints and normalises each result with one gcd, so equal
+    polynomials have equal ``(num, den)``.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.num, self.den = _lowest(*_over_common_denominator(coeffs))
+
+    @classmethod
+    def _from_ints(cls, num: list[int], den: int) -> "RationalPolynomial":
+        out = cls.__new__(cls)
+        out.num, out.den = _lowest(num, den)
+        return out
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
 
     @property
     def linear_coeff(self) -> Fraction:
         return self.coeff(1)
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        # Horner on the numerators: ints stay ints at an integer point.
+        acc = 0
+        for a in reversed(self.num):
+            acc = acc * x + a
+        return Fraction(acc, self.den)
+
+    def _combine(self, other: "RationalPolynomial", sign: int) -> "RationalPolynomial":
+        a = [x * other.den for x in self.num]
+        b = [sign * y * self.den for y in other.num]
+        if len(a) < len(b):
+            a, b = b, a
+        for k, y in enumerate(b):
+            a[k] += y
+        return self._from_ints(a, self.den * other.den)
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial(self.coeff(k) + other.coeff(k) for k in range(n))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial(self.coeff(k) - other.coeff(k) for k in range(n))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(-c for c in self.coeffs)
+        return self._from_ints([-a for a in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(Fraction(other) * c for c in self.coeffs)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+            other = RationalPolynomial((other,))
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            for j, b in enumerate(other.num):
                 out[i + j] += a * b
-        return RationalPolynomial(out)
+        return self._from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def shifted(self, delta) -> "RationalPolynomial":
-        """The polynomial s -> p(s + delta)."""
-        shift = RationalPolynomial((Fraction(delta), Fraction(1)))
-        acc = RationalPolynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * shift + RationalPolynomial((c,))
-        return acc
+        """The polynomial s -> p(s + delta).
+
+        With delta = a/b and d the degree, c_k = num_k * b^(d-k) are the
+        coefficients of C(s) = b^d * N(s/b), where N has coefficients num; a
+        Taylor shift by the integer a turns them into those of C(s + a), and
+        p(s + delta) = C(b*s + a) / (b^d * den).
+        """
+        if not self.num:
+            return self
+        delta = Fraction(delta)
+        a, b = delta.numerator, delta.denominator
+        d = len(self.num) - 1
+        c = [x * b ** (d - k) for k, x in enumerate(self.num)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                c[j] += a * c[j + 1]
+        return self._from_ints([x * b**k for k, x in enumerate(c)], self.den * b**d)
 
     def reflected(self) -> "RationalPolynomial":
         """The polynomial s -> p(-s)."""
-        return RationalPolynomial(
-            (-c if k % 2 else c) for k, c in enumerate(self.coeffs)
-        )
+        return self._from_ints([-a if k % 2 else a for k, a in enumerate(self.num)], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, RationalPolynomial)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"RationalPolynomial({self.coeffs!r})"
@@ -164,38 +167,41 @@ class RationalPolynomial:
         return format_linear(items)
 
 
-ZERO_POLY = RationalPolynomial()
 ONE_POLY = RationalPolynomial((1,))
-S_POLY = RationalPolynomial((0, 1))
 
 
 def binomial_poly(k: int) -> RationalPolynomial:
     """The polynomial s(s-1)...(s-k+1)/k!."""
-    acc = ONE_POLY
-    for j in range(k):
-        acc = acc * RationalPolynomial((-j, 1))
-    return acc * Fraction(1, factorial(k))
+    return interpolate_integer_nodes([0] * k + [1])
 
 
 def interpolate_integer_nodes(values) -> RationalPolynomial:
-    """Exact Newton forward-difference interpolation at nodes 0, 1, ..., len-1."""
-    diffs = [Fraction(v) for v in values]
-    acc = ZERO_POLY
+    """Exact Newton forward-difference interpolation at nodes 0, 1, ..., n.
+
+    p(s) = sum_k (Delta^k p)(0) * s(s-1)...(s-k+1) / k!, summed in integers
+    over n! times the common denominator of the values.
+    """
+    diffs, scale = _over_common_denominator(values)
+    n = max(len(diffs) - 1, 0)
+    num = [0] * len(diffs)
+    falling = [1]  # s(s-1)...(s-k+1), constant term first
+    weight = factorial(n)  # n!/k!
     for k in range(len(diffs)):
         if diffs[0]:
-            acc = acc + diffs[0] * binomial_poly(k)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return acc
+            step = diffs[0] * weight
+            for i, c in enumerate(falling):
+                num[i] += step * c
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+        falling = [0] + falling
+        for i in range(k + 1):
+            falling[i] -= k * falling[i + 1]
+        weight //= k + 1
+    return RationalPolynomial._from_ints(num, factorial(n) * scale)
 
 
 # ---------------------------------------------------------------------------
 # Counting order-preserving maps
 # ---------------------------------------------------------------------------
-
-def _check_size(n: int):
-    if n > DESK_VERTEX_BOUND:
-        raise ValueError(f"forest has {n} vertices, above the supported bound {DESK_VERTEX_BOUND}")
-
 
 _VEC_CACHE: dict[tuple[LabeledTree, int, bool], tuple[int, ...]] = {}
 
@@ -252,19 +258,22 @@ def _tree_poly(u: LabeledTree, strict: bool) -> RationalPolynomial:
 
 def strict_order_poly(f: Forest) -> RationalPolynomial:
     """Strict order polynomial; product over the components of the forest."""
-    _check_size(f.size)
-    acc = ONE_POLY
-    for t in f.trees:
-        acc = acc * _tree_poly(shape(t), True)
-    return acc
+    return _forest_poly(f, True)
 
 
 def order_poly(f: Forest) -> RationalPolynomial:
     """Order polynomial (weakly order-preserving maps)."""
-    _check_size(f.size)
+    return _forest_poly(f, False)
+
+
+def _forest_poly(f: Forest, strict: bool) -> RationalPolynomial:
+    if f.size > DESK_VERTEX_BOUND:
+        raise ValueError(
+            f"forest has {f.size} vertices, above the supported bound {DESK_VERTEX_BOUND}"
+        )
     acc = ONE_POLY
     for t in f.trees:
-        acc = acc * _tree_poly(shape(t), False)
+        acc = acc * _tree_poly(shape(t), strict)
     return acc
 
 
@@ -274,8 +283,11 @@ def order_poly(f: Forest) -> RationalPolynomial:
 
 def reciprocity_check(f: Forest) -> bool:
     """Weak polynomial equals (-1)^|F| times the strict one at -s."""
-    sign = (-1) ** f.size
-    return order_poly(f) == sign * strict_order_poly(f).reflected()
+    return _reciprocity_holds(f.size, strict_order_poly(f), order_poly(f))
+
+
+def _reciprocity_holds(size: int, p: RationalPolynomial, q: RationalPolynomial) -> bool:
+    return q == (-1) ** size * p.reflected()
 
 
 def delta_nabla_check(t: LabeledTree) -> bool:
@@ -287,11 +299,12 @@ def delta_nabla_check(t: LabeledTree) -> bool:
     """
     one_tree = forest((t,))
     branches = branch_forest(shape(t))
-    p = strict_order_poly(one_tree)
-    q = order_poly(one_tree)
-    strict_ok = p.shifted(1) - p == strict_order_poly(branches)
-    weak_ok = q - q.shifted(-1) == order_poly(branches)
-    return strict_ok and weak_ok
+    p, q = strict_order_poly(one_tree), order_poly(one_tree)
+    return _differences_hold(p, q, strict_order_poly(branches), order_poly(branches))
+
+
+def _differences_hold(p, q, p_branches, q_branches) -> bool:
+    return p.shifted(1) - p == p_branches and q - q.shifted(-1) == q_branches
 
 
 def phi_constants(f: Forest) -> tuple[Fraction, Fraction]:
@@ -326,40 +339,31 @@ def phi_recurrence_check(t: LabeledTree) -> bool:
     of each piece, never the polynomial of the tree being checked.
     """
     u = shape(t)
-    strict_inner: dict[int, Fraction] = {}
-    weak_inner: dict[int, Fraction] = {}
-    for k in range(2, u.size + 1):
-        strict_inner[k] = nested_cut_sum(u, k - 1, _strict_constant, _strict_constant)
-        weak_inner[k] = nested_cut_sum(u, k - 1, _weak_constant, _weak_constant)
+    one_tree = forest((u,))
+    return _recurrences_hold(u, strict_order_poly(one_tree), order_poly(one_tree))
 
-    phi_strict, phi_weak = phi_constants(forest((u,)))
 
+def _recurrences_hold(u: LabeledTree, p: RationalPolynomial, q: RationalPolynomial) -> bool:
+    # u is a shape, p and q its strict and weak polynomials; the terms are
+    # S_{k-1}/k! for k = 2..|u|, the coefficients of s^k in p and q.
+    strict_terms = [
+        nested_cut_sum(u, k - 1, _strict_constant, _strict_constant) / factorial(k)
+        for k in range(2, u.size + 1)
+    ]
+    weak_terms = [
+        nested_cut_sum(u, k - 1, _weak_constant, _weak_constant) / factorial(k)
+        for k in range(2, u.size + 1)
+    ]
+    phi_strict, phi_weak = p.linear_coeff, q.linear_coeff
     if u.size == 1:
         return phi_strict == 1 and phi_weak == 1
-
-    rec_strict = -sum(
-        (strict_inner[k] / factorial(k) for k in strict_inner), Fraction(0)
-    )
-    rec_weak_alt = sum(
-        (Fraction((-1) ** k, factorial(k)) * weak_inner[k] for k in weak_inner), Fraction(0)
-    )
-    rec_weak_eval = 1 - sum(
-        (weak_inner[k] / factorial(k) for k in weak_inner), Fraction(0)
-    )
-
-    strict_poly = RationalPolynomial((0, phi_strict))
-    weak_poly = RationalPolynomial((0, phi_weak))
-    for k in strict_inner:
-        monom = RationalPolynomial([0] * k + [Fraction(1, factorial(k))])
-        strict_poly = strict_poly + monom * strict_inner[k]
-        weak_poly = weak_poly + monom * weak_inner[k]
-
+    alternating = sum(((-1) ** k * w for k, w in enumerate(weak_terms, 2)), Fraction(0))
     return (
-        rec_strict == phi_strict
-        and rec_weak_alt == phi_weak
-        and rec_weak_eval == phi_weak
-        and strict_poly == strict_order_poly(forest((u,)))
-        and weak_poly == order_poly(forest((u,)))
+        -sum(strict_terms, Fraction(0)) == phi_strict
+        and alternating == phi_weak
+        and 1 - sum(weak_terms, Fraction(0)) == phi_weak
+        and RationalPolynomial([0, phi_strict] + strict_terms) == p
+        and RationalPolynomial([0, phi_weak] + weak_terms) == q
     )
 
 
@@ -374,7 +378,12 @@ def theta_via_orderpoly(t: LabeledTree) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def orderpoly_suite(max_vertices: int = 6) -> CheckReport:
-    """All polynomial identities over every unlabeled forest up to a size."""
+    """All polynomial identities over every unlabeled forest up to a size.
+
+    The strict and weak polynomials of each forest are computed once; every
+    check reads them, and a tree's difference identities read those of its
+    branch forest, which has one vertex fewer.
+    """
     report = CheckReport()
 
     def run(name: str, desc: str, ok: bool):
@@ -382,17 +391,19 @@ def orderpoly_suite(max_vertices: int = 6) -> CheckReport:
         if not ok:
             report.failures.append(f"{name}: {desc}")
 
+    polys = {EMPTY_FOREST: (strict_order_poly(EMPTY_FOREST), order_poly(EMPTY_FOREST))}
     for n in range(1, max_vertices + 1):
         for f in enumerate_forests((1,), n):
             ftxt = forest_text(f)
-            run("reciprocity", ftxt, reciprocity_check(f))
+            p, q = polys[f] = strict_order_poly(f), order_poly(f)
+            run("reciprocity", ftxt, _reciprocity_holds(f.size, p, q))
             prod = ONE_POLY
             for t in f.trees:
-                prod = prod * strict_order_poly(forest((t,)))
-            run("product-rule", ftxt, prod == strict_order_poly(f))
-            run("weak-at-one", ftxt, order_poly(f)(1) == 1)
-            run("strict-at-zero", ftxt, strict_order_poly(f)(0) == 0)
-            phi_strict, phi_weak = phi_constants(f)
+                prod = prod * polys[forest((t,))][0]
+            run("product-rule", ftxt, prod == p)
+            run("weak-at-one", ftxt, q(1) == 1)
+            run("strict-at-zero", ftxt, p(0) == 0)
+            phi_strict, phi_weak = p.linear_coeff, q.linear_coeff
             run(
                 "linear-coeff-reflection",
                 ftxt,
@@ -401,13 +412,12 @@ def orderpoly_suite(max_vertices: int = 6) -> CheckReport:
             if len(f.trees) > 1:
                 run("multi-component-vanishing", ftxt, phi_strict == 0 and phi_weak == 0)
 
-    for n in range(1, max_vertices + 1):
-        for f in enumerate_forests((1,), n):
-            if len(f.trees) != 1:
-                continue
-            t = f.trees[0]
-            ttxt = tree_text(t)
-            run("difference-identities", ttxt, delta_nabla_check(t))
-            run("nested-cut-recurrences", ttxt, phi_recurrence_check(t))
+    for f, (p, q) in polys.items():
+        if len(f.trees) != 1:
+            continue
+        t = f.trees[0]
+        ttxt = tree_text(t)
+        run("difference-identities", ttxt, _differences_hold(p, q, *polys[branch_forest(t)]))
+        run("nested-cut-recurrences", ttxt, _recurrences_hold(t, p, q))
 
     return report

@@ -255,10 +255,10 @@ def forest_text(f: Forest) -> str:
     return f._text
 
 
-# Deepest nesting the parser accepts.  The parser and the other tree walks
-# (cuts, grafting, label_values) recurse once per level; tree_text, shape and
-# automorphism_count do not.  Deeper text is refused before any tree is
-# built, so it ends in a one-line ValueError, not a RecursionError.
+# Deepest nesting the parser accepts.  The parser, the cut extraction and
+# grafting recurse once per level; tree_text, shape, automorphism_count,
+# label_values and the cut enumeration do not.  Deeper text is refused before
+# any tree is built, so it ends in a one-line ValueError, not a RecursionError.
 MAX_PARSE_DEPTH = 100
 
 
@@ -415,15 +415,12 @@ def _automorphisms_of(t: LabeledTree, kids: list[int]) -> int:
 def label_values(obj: LabeledTree | Forest) -> frozenset[int]:
     """Nonzero labels occurring anywhere in the tree or forest."""
     out: set[int] = set()
-
-    def walk(t: LabeledTree):
+    stack = list(obj.trees if isinstance(obj, Forest) else (obj,))
+    while stack:
+        t = stack.pop()
         if t.label != GRAFT_ROOT_LABEL:
             out.add(t.label)
-        for c in t.children:
-            walk(c)
-
-    for t in obj.trees if isinstance(obj, Forest) else (obj,):
-        walk(t)
+        stack.extend(t.children)
     return frozenset(out)
 
 
@@ -527,28 +524,19 @@ class _TreeIndex:
     __slots__ = ("labels", "parent", "children", "size")
 
     def __init__(self, t: LabeledTree):
-        labels: list[int] = []
-        parent: list[int] = []
-        children: list[tuple[int, ...]] = []
-        size: list[int] = []
-
-        def visit(u: LabeledTree, par: int):
-            v = len(labels)
-            labels.append(u.label)
-            parent.append(par)
-            children.append(())
-            size.append(u.size)
-            kids = []
-            for c in u.children:
-                kids.append(len(labels))
-                visit(c, v)
-            children[v] = tuple(kids)
-
-        visit(t, -1)
-        self.labels = tuple(labels)
-        self.parent = tuple(parent)
-        self.children = tuple(children)
-        self.size = tuple(size)
+        order: list[tuple[LabeledTree, int]] = []  # (vertex, parent index), preorder
+        stack = [(t, -1)]
+        while stack:
+            u, par = stack.pop()
+            order.append((u, par))
+            stack.extend((c, len(order) - 1) for c in reversed(u.children))
+        kids: list[list[int]] = [[] for _ in order]
+        for v, (_, par) in enumerate(order[1:], 1):
+            kids[par].append(v)
+        self.labels = tuple(u.label for u, _ in order)
+        self.parent = tuple(par for _, par in order)
+        self.children = tuple(map(tuple, kids))
+        self.size = tuple(u.size for u, _ in order)
 
     def descendants(self, v: int) -> range:
         # Preorder makes every subtree a contiguous index range.
@@ -567,21 +555,20 @@ def _index(t: LabeledTree) -> _TreeIndex:
 
 def _antichain_sets(idx: _TreeIndex, alive: frozenset[int]) -> list[frozenset[int]]:
     # All admissible cut vertex sets inside `alive` (vertex = its root edge).
-    def opts(v: int) -> list[frozenset[int]]:
+    # opts[v] lists the cut sets of v's subtree, {v} itself last; preorder
+    # puts children after their parent, so reverse preorder sees them first.
+    # The first alive child's list is taken as it is, since [{}] x cs = cs.
+    opts: dict[int, list[frozenset[int]]] = {}
+    for v in sorted(alive, reverse=True):
         acc: list[frozenset[int]] = [frozenset()]
         for c in idx.children[v]:
             if c in alive:
-                cs = opts(c)
-                acc = [a | o for a in acc for o in cs]
-        acc.append(frozenset((v,)))
-        return acc
-
-    acc: list[frozenset[int]] = [frozenset()]
-    for c in idx.children[0]:
-        if c in alive:
-            cs = opts(c)
-            acc = [a | o for a in acc for o in cs]
-    return acc
+                cs = opts.pop(c)
+                acc = cs if len(acc) == 1 else [a | o for a in acc for o in cs]
+        if v:
+            acc.append(frozenset((v,)))
+        opts[v] = acc
+    return opts[0]
 
 
 def _extract(idx: _TreeIndex, v: int, alive: frozenset[int]) -> LabeledTree:

@@ -55,6 +55,17 @@ def test_memo_tables_obey_the_memo_limit(monkeypatch):
     assert [len(getattr(nsym, name)) for name in tables] == [1, 1, 1]
 
 
+def test_elementary_table_obeys_the_memo_limit(monkeypatch):
+    a = word_elem(3, 1, 2) + word_elem(2, 2) * Fraction(1, 3)
+    monkeypatch.setattr(nsym, "_ELEM_IN_COMPLETE", {})
+    uncapped = to_complete_basis(a)
+    monkeypatch.setattr(trees, "_MEMO_LIMIT", 1)
+    monkeypatch.setattr(nsym, "_ELEM_IN_COMPLETE", {})
+    assert to_complete_basis(a) == uncapped
+    assert elementary_in_complete(4) == elementary_in_complete(4)
+    assert len(nsym._ELEM_IN_COMPLETE) <= 1
+
+
 def test_free_product_keeps_order():
     assert mul(generator(1), generator(2)) == word_elem(1, 2)
     assert mul(generator(2), generator(1)) == word_elem(2, 1)

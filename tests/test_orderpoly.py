@@ -1,12 +1,16 @@
 """Order polynomials: counting oracle, closed forms, identities, constants."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from treehopf import orderpoly
+from treehopf.linear import format_linear
 from treehopf.orderpoly import (
     RationalPolynomial,
     binomial_poly,
@@ -116,6 +120,118 @@ def test_polynomial_text():
         (0, Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
     ).text() == "1/6*s + 1/2*s^2 + 1/3*s^3"
     assert RationalPolynomial(()).text() == "0"
+
+
+# Differential test against plain lists of Fractions, constant term first.
+
+def ref_poly(cs):
+    out = [Fraction(c) for c in cs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def ref_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for xs in (a, b):
+        for k, x in enumerate(xs):
+            out[k] += x
+    return ref_poly(out)
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_poly(out)
+
+
+def ref_call(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_shifted(a, delta):
+    acc = []
+    for c in reversed(a):
+        acc = ref_add(ref_mul(acc, [Fraction(delta), Fraction(1)]), [c])
+    return acc
+
+
+def ref_text(a):
+    keys = ["", "s"] + [f"s^{k}" for k in range(2, len(a))]
+    return format_linear([(c, keys[k]) for k, c in enumerate(a) if c])
+
+
+def assert_lowest_terms(p):
+    assert p.den > 0 and gcd(p.den, *p.num) == 1
+    assert (p.num and p.num[-1]) or (p.num == () and p.den == 1)
+
+
+def rewritten(c):
+    # The same value written another way: a whole number as an int, any other
+    # as Fraction(2n, 2d), as in Fraction(2, 4) for Fraction(1, 2).
+    return int(c) if c.denominator == 1 else Fraction(2 * c.numerator, 2 * c.denominator)
+
+
+scalars = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+coeff_lists = st.lists(scalars, max_size=6)
+
+
+@given(coeff_lists, coeff_lists, scalars, scalars)
+def test_polynomial_arithmetic_matches_fraction_lists(xs, ys, c, point):
+    p, q = RationalPolynomial(xs), RationalPolynomial(ys)
+    a, b = ref_poly(xs), ref_poly(ys)
+    for poly, ref in (
+        (p, a),
+        (p + q, ref_add(a, b)),
+        (p - q, ref_add(a, [-y for y in b])),
+        (-p, [-x for x in a]),
+        (p * q, ref_mul(a, b)),
+        (p * c, ref_mul(a, [Fraction(c)])),
+        (c * p, ref_mul(a, [Fraction(c)])),
+        (p.shifted(c), ref_shifted(a, c)),
+        (p.shifted(int(c)), ref_shifted(a, int(c))),
+        (p.reflected(), [-x if k % 2 else x for k, x in enumerate(a)]),
+        (p * Fraction(2) * Fraction(1, 2), a),
+        ((p + p) * Fraction(1, 2), a),
+        (p - p, []),
+    ):
+        assert_lowest_terms(poly)
+        assert poly.coeffs == tuple(ref)
+        assert poly.text() == ref_text(ref)
+        assert [poly.coeff(k) for k in range(-1, 8)] == [
+            ref[k] if 0 <= k < len(ref) else 0 for k in range(-1, 8)
+        ]
+        assert poly(point) == ref_call(ref, point)
+        assert poly(int(point)) == ref_call(ref, int(point))
+        assert type(poly(int(point))) is Fraction
+        same = RationalPolynomial([rewritten(x) for x in ref] + [Fraction(0, 5), 0])
+        assert same == poly and hash(same) == hash(poly)
+        assert (same == poly + RationalPolynomial((1,))) is False
+
+
+@given(coeff_lists)
+def test_interpolation_recovers_random_polynomials(xs):
+    p = RationalPolynomial(xs)
+    nodes = range(max(len(xs), 1))
+    interpolated = interpolate_integer_nodes([p(n) for n in nodes])
+    assert interpolated == p
+    assert_lowest_terms(interpolated)
+    scaled = p * p.den  # integer coefficients, so integer values
+    assert interpolate_integer_nodes([int(scaled(n)) for n in nodes]) == scaled
+
+
+def test_binomial_polynomials_in_lowest_terms():
+    assert binomial_poly(0) == RationalPolynomial((1,))
+    assert binomial_poly(2) == RationalPolynomial((0, Fraction(-1, 2), Fraction(1, 2)))
+    assert (binomial_poly(4).num, binomial_poly(4).den) == ((0, -6, 11, -6, 1), 24)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +397,56 @@ def test_full_suite_to_six_vertices():
 # The explicit poset view
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ForestPoset:
+    """Explicit poset view of a forest.
+
+    Vertices are indexed in preorder, components in canonical order; u <= v
+    exactly when v lies in the subtree rooted at u (roots are minimal).
+    """
+
+    size: int
+    leq_pairs: frozenset[tuple[int, int]]
+
+    @classmethod
+    def from_forest(cls, f) -> "ForestPoset":
+        pairs: set[tuple[int, int]] = set()
+        cursor = 0
+        for t in f.trees:
+
+            def visit(u, ancestors: list[int]):
+                nonlocal cursor
+                v = cursor
+                cursor += 1
+                for a in ancestors:
+                    pairs.add((a, v))
+                pairs.add((v, v))
+                for c in u.children:
+                    visit(c, ancestors + [v])
+
+            visit(t, [])
+        return cls(cursor, frozenset(pairs))
+
+    def leq(self, u: int, v: int) -> bool:
+        return (u, v) in self.leq_pairs
+
+    def covers(self) -> frozenset[tuple[int, int]]:
+        out = set()
+        for (u, v) in self.leq_pairs:
+            if u == v:
+                continue
+            if not any(
+                self.leq(u, w) and self.leq(w, v) and w != u and w != v
+                for w in range(self.size)
+            ):
+                out.add((u, v))
+        return frozenset(out)
+
+
 def test_forest_poset_axioms():
     for size in range(1, 6):
         for f in enumerate_forests((1,), size):
-            poset = orderpoly.ForestPoset.from_forest(f)
+            poset = ForestPoset.from_forest(f)
             n = poset.size
             assert n == f.size
             for u in range(n):
@@ -300,7 +462,7 @@ def test_forest_poset_axioms():
 def test_forest_poset_components_are_trees():
     # canonical order puts the singleton first: vertex 0 alone, 1-2 chained
     f = parse_forest("[1(1),1]")
-    poset = orderpoly.ForestPoset.from_forest(f)
+    poset = ForestPoset.from_forest(f)
     assert poset.covers() == frozenset({(1, 2)})
     assert not poset.leq(0, 1) and not poset.leq(1, 0)
 
@@ -311,7 +473,7 @@ def test_counts_over_poset_match_dp():
 
     for size in range(1, 5):
         for f in enumerate_forests((1,), size):
-            poset = orderpoly.ForestPoset.from_forest(f)
+            poset = ForestPoset.from_forest(f)
             for n in range(0, 4):
                 for strict in (True, False):
                     count = 0

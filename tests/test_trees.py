@@ -524,3 +524,15 @@ def test_tree_walks_take_a_3000_deep_chain():
     assert trees.is_chain(unlabeled) and unlabeled.size == unlabeled.weight == depth
     assert automorphism_count(chain) == 1
     assert automorphism_count(node(1, (chain, chain, unlabeled))) == 2
+
+
+def test_label_values_and_cut_enumeration_take_a_3000_deep_chain():
+    depth = 3000
+    chain = leaf(2)
+    for _ in range(depth - 1):
+        chain = node(2, (chain,))
+    assert trees.label_values(chain) == {2}
+    assert trees.label_values(forest((chain, leaf(5)))) == {2, 5}
+    cuts = admissible_cuts(node(0, (chain,)))
+    assert len(cuts) == depth + 1
+    assert cuts[0].edges == frozenset() and {len(c) for c in cuts[1:]} == {1}
