@@ -11,6 +11,7 @@ Submodules:
 * ``ncs``       the five generating functions, their axioms, specialization
 * ``orderpoly`` order polynomials of forest posets and tree constants
 * ``report``    the checked/failures report of the verification suites
+* ``memo``      every memo table and the ``TREEHOPF_MEMO_LIMIT`` cap
 * ``cli``       command-line front end
 """
 
@@ -26,5 +27,6 @@ __all__ = [
     "ncs",
     "orderpoly",
     "report",
+    "memo",
     "cli",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import memo
 from .linear import LinComb, extend_multiplicatively, format_linear
 from .trees import (
     EMPTY_FOREST,
@@ -19,7 +20,6 @@ from .trees import (
     forest,
     forest_text,
     forest_union,
-    _memo_put,
 )
 
 
@@ -78,16 +78,11 @@ def tensor_unit() -> CKTensor:
     return CKTensor({(EMPTY_FOREST, EMPTY_FOREST): 1})
 
 
-_TREE_COPRODUCT_CACHE: dict[LabeledTree, CKTensor] = {}
-
-
+@memo.memoized
 def _tree_coproduct(t: LabeledTree) -> CKTensor:
-    got = _TREE_COPRODUCT_CACHE.get(t)
-    if got is not None:
-        return got
     terms = [((forest((t,)), EMPTY_FOREST), 1)]
     terms += (((pruned, forest((trunk,))), 1) for _cut, pruned, trunk in cut_results(t))
-    return _memo_put(_TREE_COPRODUCT_CACHE, t, CKTensor(terms))
+    return CKTensor(terms)
 
 
 def coproduct(a: CKElem) -> CKTensor:
@@ -99,13 +94,8 @@ def counit(a: CKElem) -> Fraction:
     return a.get(EMPTY_FOREST)
 
 
-_TREE_ANTIPODE_CACHE: dict[LabeledTree, CKElem] = {}
-
-
+@memo.memoized
 def _tree_antipode(t: LabeledTree) -> CKElem:
-    got = _TREE_ANTIPODE_CACHE.get(t)
-    if got is not None:
-        return got
     # From m(S x id)Delta = unit*counit: S(T) = -T - sum over nonempty cuts
     # of S(pruned) * trunk; the pruned part always has strictly lower weight.
     acc = -from_tree(t)
@@ -113,7 +103,7 @@ def _tree_antipode(t: LabeledTree) -> CKElem:
         if not cut.edges:
             continue
         acc = acc - mul(antipode(from_forest(pruned)), from_tree(trunk))
-    return _memo_put(_TREE_ANTIPODE_CACHE, t, acc)
+    return acc
 
 
 def antipode(a: CKElem) -> CKElem:

@@ -26,7 +26,7 @@ try:
         tree_text,
     )
 except ValueError as exc:
-    # treehopf.trees refuses an invalid TREEHOPF_MEMO_LIMIT at import; main()
+    # treehopf.memo refuses an invalid TREEHOPF_MEMO_LIMIT at import; main()
     # reports it as a usage error instead of a traceback.
     _IMPORT_ERROR: ValueError | None = exc
 else:

@@ -25,13 +25,13 @@ from .trees import (
     enumerate_forests,
     forest_text,
     tree_text,
+    _require_grafting_root,
 )
 
 
 def pair_tree_forest(t: LabeledTree, f: Forest) -> int:
     """Pairing of a basis grafting-rooted tree with a basis forest."""
-    if t.label != 0:
-        raise ValueError("expected a grafting-rooted tree (root label 0)")
+    _require_grafting_root(t)
     return automorphism_count(t) if branch_forest(t) == f else 0
 
 

@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import memo
 from .linear import LinComb, add_all, format_linear
 from .series import TruncSeries
 from .trees import (
@@ -34,7 +35,7 @@ from .trees import (
     graft_counts,
     graft_positions,  # re-exported: the per-assignment oracle of graft_counts
     label_values,
-    _memo_put,
+    _require_grafting_root,
 )
 
 V_BASIS = "V"
@@ -96,8 +97,7 @@ def zero(basis: str = V_BASIS) -> GLElem:
 
 
 def from_bplus_tree(t: LabeledTree, basis: str = V_BASIS) -> GLElem:
-    if t.label != 0:
-        raise ValueError("expected a grafting-rooted tree (root label 0)")
+    _require_grafting_root(t)
     return GLElem({branch_forest(t): 1}, basis)
 
 
@@ -126,25 +126,18 @@ def to_t_basis(a: GLElem) -> GLElem:
 # Product: grafting route and structure-constant route
 # ---------------------------------------------------------------------------
 
-_PRODUCT_CACHE: dict[tuple[Forest, Forest, str], tuple[tuple[Forest, Fraction], ...]] = {}
-
-
+@memo.memoized
 def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Forest, Fraction], ...]:
     # Structure constants of the product of two basis trees in one basis,
     # sorted by result: the graft multiplicity n in T, and
     # n * alpha(result) / (alpha(left) * alpha(right)) in V.
-    key = (left, right, basis)
-    got = _PRODUCT_CACHE.get(key)
-    if got is not None:
-        return got
     counts = graft_counts(left, bplus(right))
     if basis == T_BASIS:
         terms = ((t, Fraction(n)) for t, n in counts.items())
     else:
         scale = Fraction(1, alpha(left) * alpha(right))
         terms = ((t, n * automorphism_count(t) * scale) for t, n in counts.items())
-    table = tuple(sorted(((branch_forest(t), c) for t, c in terms), key=lambda kv: kv[0]._key))
-    return _memo_put(_PRODUCT_CACHE, key, table)
+    return tuple(sorted(((branch_forest(t), c) for t, c in terms), key=lambda kv: kv[0]._key))
 
 
 def mul(a: GLElem, b: GLElem) -> GLElem:
@@ -162,21 +155,15 @@ def mul(a: GLElem, b: GLElem) -> GLElem:
     return GLElem(terms(), basis)
 
 
-_STRUCT_CACHE: dict[tuple[Forest, Forest], tuple[tuple[Forest, int], ...]] = {}
-
-
+@memo.memoized
 def _structure_table(left: Forest, right: Forest) -> tuple[tuple[Forest, int], ...]:
     # Divided-basis structure constants: the coefficient of a candidate tree
     # is the number of its admissible cuts whose pruned part re-roots to the
     # left factor and whose trunk is the right factor.
-    key = (left, right)
-    got = _STRUCT_CACHE.get(key)
-    if got is not None:
-        return got
     if not left.trees:
-        return _memo_put(_STRUCT_CACHE, key, ((right, 1),))
+        return ((right, 1),)
     if not right.trees:
-        return _memo_put(_STRUCT_CACHE, key, ((left, 1),))
+        return ((left, 1),)
     labels = label_values(left) | label_values(right)
     total = left.weight + right.weight
     stock = bplus(right)
@@ -188,7 +175,7 @@ def _structure_table(left: Forest, right: Forest) -> tuple[tuple[Forest, int], .
                 count += 1
         if count:
             out.append((branch_forest(cand), count))
-    return _memo_put(_STRUCT_CACHE, key, tuple(out))
+    return tuple(out)
 
 
 def mul_structure(a: GLElem, b: GLElem) -> GLElem:
@@ -262,17 +249,12 @@ def _ordered_set_partitions(m: int, r: int):
         yield blocks
 
 
-_ANTIPODE_CACHE: dict[Forest, GLElem] = {}
-
-
+@memo.memoized
 def _antipode_basis_t(f: Forest) -> GLElem:
-    got = _ANTIPODE_CACHE.get(f)
-    if got is not None:
-        return got
     trees = f.trees
     m = len(trees)
     if m == 0:
-        return _memo_put(_ANTIPODE_CACHE, f, unit(T_BASIS))
+        return unit(T_BASIS)
     acc = zero(T_BASIS)
     for r in range(1, m + 1):
         sign = (-1) ** r
@@ -281,7 +263,7 @@ def _antipode_basis_t(f: Forest) -> GLElem:
             for block in blocks:
                 term = mul(term, from_branches(forest(trees[i] for i in block), T_BASIS))
             acc = acc + term.scale(sign)
-    return _memo_put(_ANTIPODE_CACHE, f, acc)
+    return acc
 
 
 def antipode(a: GLElem) -> GLElem:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from . import duality, gl, nsym
+from . import duality, gl, memo, nsym
 from .linear import extend_multiplicatively
 from .report import CheckReport
 from .series import TruncSeries
@@ -41,7 +41,7 @@ from .trees import (
     node,
     shape,
     tree_text,
-    _memo_put,
+    _norm_labels,
     _require_grafting_root,
 )
 
@@ -68,9 +68,6 @@ class NCSSystem:
 # Tree constants
 # ---------------------------------------------------------------------------
 
-_THETA_CACHE: dict[LabeledTree, Fraction] = {}
-
-
 def _theta_trivially_zero(t: LabeledTree) -> bool:
     return t.size == 1 or len(t.children) != 1
 
@@ -96,11 +93,9 @@ def theta_recurrence(t: LabeledTree) -> Fraction:
     return _theta_of_shape(shape(t))
 
 
+@memo.memoized
 def _theta_of_shape(u: LabeledTree) -> Fraction:
     # The recursion runs on shapes, whose roots carry label 1.
-    got = _THETA_CACHE.get(u)
-    if got is not None:
-        return got
     if _theta_trivially_zero(u):
         val = Fraction(0)
     elif u.size == 2:
@@ -109,7 +104,7 @@ def _theta_of_shape(u: LabeledTree) -> Fraction:
         val = Fraction(1)
         for m in range(2, u.size + 1):
             val -= nested_cut_sum(u, m - 1, _theta_of_branch, _theta_of_shape) / factorial(m)
-    return _memo_put(_THETA_CACHE, u, val)
+    return val
 
 
 def _theta_of_branch(x: LabeledTree) -> Fraction:
@@ -121,6 +116,7 @@ def _theta_of_branch(x: LabeledTree) -> Fraction:
 # The system over the grafting algebra
 # ---------------------------------------------------------------------------
 
+@memo.memoized
 def _generator_image(labels: tuple[int, ...], m: int) -> gl.GLElem:
     # Coefficient of t^m in f: signed sum over grafting-rooted shrubs.
     out: dict[Forest, Fraction] = {}
@@ -130,18 +126,14 @@ def _generator_image(labels: tuple[int, ...], m: int) -> gl.GLElem:
     return gl.GLElem(out, gl.V_BASIS)
 
 
-def _norm(labels) -> tuple[int, ...]:
-    return tuple(sorted(set(labels)))
-
-
 def _f_series(labels, order: int) -> TruncSeries:
-    ls = _norm(labels)
+    ls = _norm_labels(labels)
     coeffs = [gl.unit()] + [_generator_image(ls, m) for m in range(1, order + 1)]
     return gl.series(coeffs)
 
 
 def _g_series(labels, order: int) -> TruncSeries:
-    ls = _norm(labels)
+    ls = _norm_labels(labels)
     coeffs = [gl.unit()] + [
         gl.GLElem({branch_forest(t): 1 for t in enumerate_bplus_trees(ls, m)}, gl.V_BASIS)
         for m in range(1, order + 1)
@@ -153,7 +145,7 @@ def build_omega(labels, order: int) -> NCSSystem:
     """The five series over the grafting algebra of labeled trees."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    ls = _norm(labels)
+    ls = _norm_labels(labels)
 
     h_coeffs = []
     m_coeffs = []
@@ -307,7 +299,7 @@ def theta_via_log(labels, order: int) -> dict[LabeledTree, Fraction]:
     Returns the coefficient (possibly zero) of every grafting-rooted tree of
     weight 1..order in the divided basis of log g.
     """
-    ls = _norm(labels)
+    ls = _norm_labels(labels)
     logs = _g_series(ls, order).log()
     table: dict[LabeledTree, Fraction] = {}
     for m in range(1, order + 1):
@@ -328,7 +320,7 @@ def kappa_expansion_check(labels, order: int) -> CheckReport:
     of all ordered d-tuples of labeled singletons under one new root; it must
     reproduce f(-t) coefficientwise.
     """
-    ls = _norm(labels)
+    ls = _norm_labels(labels)
     report = CheckReport()
     lhs = [gl.to_t_basis(c) for c in _f_series(ls, order).alternate().coeffs]
 
@@ -359,20 +351,10 @@ def kappa_expansion_check(labels, order: int) -> CheckReport:
 # Specialization and its transpose
 # ---------------------------------------------------------------------------
 
-_IMAGE_CACHE: dict[tuple[tuple[int, ...], int], gl.GLElem] = {}
-
-
 def specialize(x: nsym.NSymElem, labels) -> gl.GLElem:
     """Algebra map fixed on elementary generators by the signed shrub sums."""
-    ls = _norm(labels)
-
-    def image(m: int) -> gl.GLElem:
-        got = _IMAGE_CACHE.get((ls, m))
-        if got is None:
-            got = _memo_put(_IMAGE_CACHE, (ls, m), _generator_image(ls, m))
-        return got
-
-    return extend_multiplicatively(x, image, gl.unit(), gl.mul)
+    ls = _norm_labels(labels)
+    return extend_multiplicatively(x, lambda m: _generator_image(ls, m), gl.unit(), gl.mul)
 
 
 def dual_specialize(f: Forest, labels) -> nsym.QSymElem:
@@ -386,7 +368,7 @@ def specialization_check(labels, order: int) -> CheckReport:
     Applies the algebra map coefficientwise to the five series over the free
     algebra and compares against the five tree series, degree by degree.
     """
-    ls = _norm(labels)
+    ls = _norm_labels(labels)
     report = CheckReport()
     pi = pi_ncs_system(order)
     omega = build_omega(ls, order)
@@ -410,7 +392,7 @@ def hopf_morphism_check(labels, order: int) -> CheckReport:
     pattern, that the g-coefficients form a sequence of divided powers, and
     that every h, d and m coefficient is primitive.
     """
-    ls = _norm(labels)
+    ls = _norm_labels(labels)
     report = CheckReport()
     omega = build_omega(ls, order)
 
@@ -450,7 +432,7 @@ def specialization_rank(labels, order: int) -> dict[int, dict[str, int]]:
     Row-reduces the images of all weight-m words over the tree basis; the map
     may or may not be injective and no claim is made either way.
     """
-    ls = _norm(labels)
+    ls = _norm_labels(labels)
     out: dict[int, dict[str, int]] = {}
     for m in range(1, order + 1):
         words = nsym.compositions(m)

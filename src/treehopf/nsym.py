@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import memo
 from .linear import LinComb, add_all, extend_multiplicatively, format_linear
 from .series import TruncSeries
-from .trees import _memo_put
 
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -115,18 +115,13 @@ def counit(a: NSymElem) -> Fraction:
     return a.get(EMPTY_WORD)
 
 
-_ANTIPODE_GEN_CACHE: dict[int, NSymElem] = {}
-
-
+@memo.memoized
 def _antipode_generator(m: int) -> NSymElem:
-    got = _ANTIPODE_GEN_CACHE.get(m)
-    if got is not None:
-        return got
     # Connected-graded recurrence from m(S x id)Delta = unit*counit.
     acc = -generator(m)
     for k in range(1, m):
         acc = acc - mul(_antipode_generator(k), generator(m - k))
-    return _memo_put(_ANTIPODE_GEN_CACHE, m, acc)
+    return acc
 
 
 def antipode(a: NSymElem) -> NSymElem:
@@ -191,16 +186,11 @@ class PiSystem:
     power_third: TruncSeries
 
 
-_PI_CACHE: dict[int, PiSystem] = {}
-
-
+@memo.memoized
 def pi_system(order: int) -> PiSystem:
     """Solve the defining equations over NSym by truncated-series arithmetic."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    got = _PI_CACHE.get(order)
-    if got is not None:
-        return got
     ops = WordOps()
     lam = TruncSeries(ops, (unit(),) + tuple(generator(m) for m in range(1, order + 1)))
     sigma = lam.alternate().inverse_right()
@@ -209,8 +199,7 @@ def pi_system(order: int) -> PiSystem:
     lam_neg_cut = lam.alternate().truncate(order - 1)
     power_first = lam_neg_cut * sigma_prime
     power_third = sigma_prime * lam_neg_cut
-    pi = PiSystem(order, lam, sigma, power_second, power_first, power_third)
-    return _memo_put(_PI_CACHE, order, pi)
+    return PiSystem(order, lam, sigma, power_second, power_first, power_third)
 
 
 def complete_element(m: int) -> NSymElem:
@@ -243,7 +232,7 @@ def complete_word(comp: Composition) -> NSymElem:
     return acc
 
 
-_ELEM_IN_COMPLETE: dict[int, NSymElem] = {}
+_ELEM_IN_COMPLETE = memo.table()
 
 
 def elementary_in_complete(m: int) -> NSymElem:
@@ -262,7 +251,7 @@ def elementary_in_complete(m: int) -> NSymElem:
     lam_free = sigma_free.alternate().inverse_right()
     for k in range(1, m + 1):
         if k not in _ELEM_IN_COMPLETE:
-            _memo_put(_ELEM_IN_COMPLETE, k, lam_free.coeffs[k])
+            memo.put(_ELEM_IN_COMPLETE, k, lam_free.coeffs[k])
     return lam_free.coeffs[m]
 
 
@@ -285,30 +274,22 @@ def monomial(comp: Composition) -> QSymElem:
     return QSymElem({tuple(comp): 1})
 
 
-_QSHUFFLE_CACHE: dict[tuple[Composition, Composition], tuple[tuple[Composition, int], ...]] = {}
-
-
+@memo.memoized
 def _quasi_shuffle(left: Composition, right: Composition) -> tuple[tuple[Composition, int], ...]:
-    key = (left, right)
-    got = _QSHUFFLE_CACHE.get(key)
-    if got is not None:
-        return got
     if not left:
-        out = ((right, 1),)
-    elif not right:
-        out = ((left, 1),)
-    else:
-        counts: dict[Composition, int] = {}
-        for head, rest in (
-            ((left[0],), _quasi_shuffle(left[1:], right)),
-            ((right[0],), _quasi_shuffle(left, right[1:])),
-            ((left[0] + right[0],), _quasi_shuffle(left[1:], right[1:])),
-        ):
-            for comp, n in rest:
-                k = head + comp
-                counts[k] = counts.get(k, 0) + n
-        out = tuple(sorted(counts.items()))
-    return _memo_put(_QSHUFFLE_CACHE, key, out)
+        return ((right, 1),)
+    if not right:
+        return ((left, 1),)
+    counts: dict[Composition, int] = {}
+    for head, rest in (
+        ((left[0],), _quasi_shuffle(left[1:], right)),
+        ((right[0],), _quasi_shuffle(left, right[1:])),
+        ((left[0] + right[0],), _quasi_shuffle(left[1:], right[1:])),
+    ):
+        for comp, n in rest:
+            k = head + comp
+            counts[k] = counts.get(k, 0) + n
+    return tuple(sorted(counts.items()))
 
 
 def qsym_mul(a: QSymElem, b: QSymElem) -> QSymElem:
@@ -326,10 +307,6 @@ def qsym_coproduct(a: QSymElem) -> QSymTensor:
     return QSymTensor(
         ((comp[:k], comp[k:]), c) for comp, c in a.terms.items() for k in range(len(comp) + 1)
     )
-
-
-def qsym_counit(a: QSymElem) -> Fraction:
-    return a.get(())
 
 
 def compositions(n: int) -> tuple[Composition, ...]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
+from . import memo
 from .linear import format_linear
 from .report import CheckReport
 from .trees import (
@@ -28,7 +29,6 @@ from .trees import (
     nested_cut_sum,
     shape,
     tree_text,
-    _memo_put,
     _require_grafting_root,
 )
 
@@ -203,16 +203,10 @@ def interpolate_integer_nodes(values) -> RationalPolynomial:
 # Counting order-preserving maps
 # ---------------------------------------------------------------------------
 
-_VEC_CACHE: dict[tuple[LabeledTree, int, bool], tuple[int, ...]] = {}
-
-
+@memo.memoized
 def _root_value_vector(u: LabeledTree, n: int, strict: bool) -> tuple[int, ...]:
     # v[r] = number of maps of the subtree with the root sent to r (1-indexed;
     # v[0] unused).  Children must take values >= r (weak) or > r (strict).
-    key = (u, n, strict)
-    got = _VEC_CACHE.get(key)
-    if got is not None:
-        return got
     child_suffix = []
     for c in u.children:
         vec = _root_value_vector(c, n, strict)
@@ -228,7 +222,7 @@ def _root_value_vector(u: LabeledTree, n: int, strict: bool) -> tuple[int, ...]:
             if not prod:
                 break
         out[r] = prod
-    return _memo_put(_VEC_CACHE, key, tuple(out))
+    return tuple(out)
 
 
 def count_order_preserving(f: Forest, n: int, strict: bool) -> int:
@@ -244,16 +238,10 @@ def count_order_preserving(f: Forest, n: int, strict: bool) -> int:
     return total
 
 
-_TREE_POLY_CACHE: dict[tuple[LabeledTree, bool], RationalPolynomial] = {}
-
-
+@memo.memoized
 def _tree_poly(u: LabeledTree, strict: bool) -> RationalPolynomial:
-    key = (u, strict)
-    got = _TREE_POLY_CACHE.get(key)
-    if got is not None:
-        return got
     values = [count_order_preserving(forest((u,)), n, strict) for n in range(u.size + 1)]
-    return _memo_put(_TREE_POLY_CACHE, key, interpolate_integer_nodes(values))
+    return interpolate_integer_nodes(values)
 
 
 def strict_order_poly(f: Forest) -> RationalPolynomial:

@@ -19,39 +19,14 @@ so the 3-chain over labels {1} with a grafting root prints as ``0(1(1))``.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator
 
+from . import memo
+
 GRAFT_ROOT_LABEL = 0
-
-
-def _parse_memo_limit(raw: str) -> int | None:
-    """Entries per memo table named by ``TREEHOPF_MEMO_LIMIT``; None means unbounded.
-
-    Unset or 0 is unbounded.  Anything that is not an integer >= 0 is refused
-    with a one-line ValueError rather than silently changing the tables.
-    """
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = -1
-    if limit < 0:
-        raise ValueError(f"TREEHOPF_MEMO_LIMIT must be an integer >= 0, got {raw!r}")
-    return limit or None
-
-
-# Optional ceiling on memo-table sizes (entries per table); 0/unset = unbounded.
-# Read once at import, so the checks in _memo_put and node cost nothing extra.
-_MEMO_LIMIT = _parse_memo_limit(os.environ.get("TREEHOPF_MEMO_LIMIT", "0"))
-
-
-def _memo_put(cache: dict, key, value):
-    if _MEMO_LIMIT is None or len(cache) < _MEMO_LIMIT:
-        cache[key] = value
-    return value
 
 
 class LabeledTree:
@@ -88,7 +63,7 @@ class LabeledTree:
         return f"LabeledTree({tree_text(self)!r})"
 
 
-_TREE_POOL: dict[tuple, LabeledTree] = {}
+_TREE_POOL = memo.table()
 
 
 def node(label: int, children: Iterable[LabeledTree] = ()) -> LabeledTree:
@@ -98,10 +73,7 @@ def node(label: int, children: Iterable[LabeledTree] = ()) -> LabeledTree:
     got = _TREE_POOL.get(key)
     if got is not None:
         return got
-    t = LabeledTree(label, kids, key)
-    if _MEMO_LIMIT is not None and len(_TREE_POOL) >= _MEMO_LIMIT:
-        return t
-    return _TREE_POOL.setdefault(key, t)
+    return memo.put(_TREE_POOL, key, LabeledTree(label, kids, key))
 
 
 def leaf(label: int) -> LabeledTree:
@@ -142,7 +114,7 @@ class Forest:
         return f"Forest({forest_text(self)!r})"
 
 
-_FOREST_POOL: dict[tuple, Forest] = {}
+_FOREST_POOL = memo.table()
 
 
 def forest(trees: Iterable[LabeledTree] = ()) -> Forest:
@@ -152,10 +124,7 @@ def forest(trees: Iterable[LabeledTree] = ()) -> Forest:
     got = _FOREST_POOL.get(key)
     if got is not None:
         return got
-    f = Forest(ts, key)
-    if _MEMO_LIMIT is not None and len(_FOREST_POOL) >= _MEMO_LIMIT:
-        return f
-    return _FOREST_POOL.setdefault(key, f)
+    return memo.put(_FOREST_POOL, key, Forest(ts, key))
 
 
 EMPTY_FOREST = forest()
@@ -375,7 +344,7 @@ def chain_leaf(t: LabeledTree) -> LabeledTree:
     return t
 
 
-_SHAPE_CACHE: dict[LabeledTree, LabeledTree] = {}
+_SHAPE_CACHE = memo.table()
 
 
 def shape(t: LabeledTree) -> LabeledTree:
@@ -384,11 +353,11 @@ def shape(t: LabeledTree) -> LabeledTree:
     if got is not None:
         return got
     return _bottom_up(
-        t, _SHAPE_CACHE.get, lambda u, kids: _memo_put(_SHAPE_CACHE, u, node(1, kids))
+        t, _SHAPE_CACHE.get, lambda u, kids: memo.put(_SHAPE_CACHE, u, node(1, kids))
     )
 
 
-_ALPHA_CACHE: dict[LabeledTree, int] = {}
+_ALPHA_CACHE = memo.table()
 
 
 def automorphism_count(t: LabeledTree) -> int:
@@ -409,7 +378,7 @@ def _automorphisms_of(t: LabeledTree, kids: list[int]) -> int:
     for _, group in itertools.groupby(zip(t.children, kids), key=lambda ck: ck[0]):
         block = tuple(group)
         a *= factorial(len(block)) * block[0][1] ** len(block)
-    return _memo_put(_ALPHA_CACHE, t, a)
+    return memo.put(_ALPHA_CACHE, t, a)
 
 
 def label_values(obj: LabeledTree | Forest) -> frozenset[int]:
@@ -437,27 +406,23 @@ def _norm_labels(labels: Iterable[int]) -> tuple[int, ...]:
     return ls
 
 
-_TREES_CACHE: dict[tuple, tuple[LabeledTree, ...]] = {}
-_FORESTS_CACHE: dict[tuple, tuple[Forest, ...]] = {}
-_BOUNDED_CACHE: dict[tuple, tuple[Forest, ...]] = {}
-
-
 def enumerate_trees(labels: Iterable[int], weight: int) -> tuple[LabeledTree, ...]:
     """All isomorphism classes of labeled trees of the given total weight."""
     ls = _norm_labels(labels)
     if weight < 0:
         raise ValueError("weight must be nonnegative")
-    key = (ls, weight)
-    got = _TREES_CACHE.get(key)
-    if got is not None:
-        return got
+    return _trees_of_weight(ls, weight)
+
+
+@memo.memoized
+def _trees_of_weight(ls: tuple[int, ...], weight: int) -> tuple[LabeledTree, ...]:
     out: list[LabeledTree] = []
     for root_label in ls:
         if root_label <= weight:
             for f in enumerate_forests(ls, weight - root_label):
                 out.append(node(root_label, f.trees))
     out.sort(key=lambda t: t._key)
-    return _memo_put(_TREES_CACHE, key, tuple(out))
+    return tuple(out)
 
 
 def enumerate_forests(labels: Iterable[int], weight: int) -> tuple[Forest, ...]:
@@ -465,23 +430,15 @@ def enumerate_forests(labels: Iterable[int], weight: int) -> tuple[Forest, ...]:
     ls = _norm_labels(labels)
     if weight < 0:
         raise ValueError("weight must be nonnegative")
-    key = (ls, weight)
-    got = _FORESTS_CACHE.get(key)
-    if got is not None:
-        return got
-    out = _forests_bounded(ls, weight, None)
-    return _memo_put(_FORESTS_CACHE, key, out)
+    return _forests_bounded(ls, weight, None)
 
 
+@memo.memoized
 def _forests_bounded(ls: tuple[int, ...], weight: int, bound_key) -> tuple[Forest, ...]:
     # Forests whose trees all have canonical key <= bound_key; each multiset is
     # produced exactly once by peeling off its maximal tree first.
     if weight == 0:
         return (EMPTY_FOREST,)
-    key = (ls, weight, bound_key)
-    got = _BOUNDED_CACHE.get(key)
-    if got is not None:
-        return got
     out: list[Forest] = []
     for k in range(1, weight + 1):
         for t in enumerate_trees(ls, k):
@@ -490,7 +447,7 @@ def _forests_bounded(ls: tuple[int, ...], weight: int, bound_key) -> tuple[Fores
             for rest in _forests_bounded(ls, weight - k, t._key):
                 out.append(forest((t,) + rest.trees))
     out.sort(key=lambda f: f._key)
-    return _memo_put(_BOUNDED_CACHE, key, tuple(out))
+    return tuple(out)
 
 
 def enumerate_bplus_trees(labels: Iterable[int], weight: int) -> tuple[LabeledTree, ...]:
@@ -543,14 +500,9 @@ class _TreeIndex:
         return range(v, v + self.size[v])
 
 
-_INDEX_CACHE: dict[LabeledTree, _TreeIndex] = {}
-
-
+@memo.memoized
 def _index(t: LabeledTree) -> _TreeIndex:
-    got = _INDEX_CACHE.get(t)
-    if got is not None:
-        return got
-    return _memo_put(_INDEX_CACHE, t, _TreeIndex(t))
+    return _TreeIndex(t)
 
 
 def _antichain_sets(idx: _TreeIndex, alive: frozenset[int]) -> list[frozenset[int]]:
@@ -613,18 +565,12 @@ def _split(idx: _TreeIndex, vs: list[int]) -> tuple[Forest, LabeledTree]:
     return pruned, _extract(idx, 0, _without_subtrees(idx, alive, vs))
 
 
-_CUT_RESULTS_CACHE: dict[LabeledTree, tuple] = {}
-
-
+@memo.memoized
 def cut_results(t: LabeledTree) -> tuple[tuple[Cut, Forest, LabeledTree], ...]:
     """All admissible cuts of the tree together with their pruned/trunk parts."""
-    got = _CUT_RESULTS_CACHE.get(t)
-    if got is not None:
-        return got
     idx = _index(t)
     sets = sorted(_antichain_sets(idx, frozenset(range(t.size))), key=lambda s: (len(s), sorted(s)))
-    out = tuple((Cut(s), *_split(idx, sorted(s))) for s in sets)
-    return _memo_put(_CUT_RESULTS_CACHE, t, out)
+    return tuple((Cut(s), *_split(idx, sorted(s))) for s in sets)
 
 
 def nested_cut_sequences(
@@ -666,15 +612,10 @@ def nested_cut_sequences(
     return out
 
 
-_SINGLE_CUTS_CACHE: dict[LabeledTree, tuple] = {}
-
-
+@memo.memoized
 def _single_edge_cuts(t: LabeledTree) -> tuple[tuple[LabeledTree, LabeledTree, int], ...]:
     # The distinct one-edge cuts of t as (pruned subtree, trunk, multiplicity):
     # cut the edge to a child c (one per copy of c), or an edge inside c.
-    got = _SINGLE_CUTS_CACHE.get(t)
-    if got is not None:
-        return got
     counts: dict[tuple[LabeledTree, LabeledTree], int] = {}
     kids = t.children
     start = 0
@@ -685,13 +626,10 @@ def _single_edge_cuts(t: LabeledTree) -> tuple[tuple[LabeledTree, LabeledTree, i
         inner = [(x, node(t.label, others + (rest,)), m) for x, rest, m in _single_edge_cuts(c)]
         for x, rest, m in [(c, node(t.label, others), 1)] + inner:
             counts[x, rest] = counts.get((x, rest), 0) + copies * m
-    out = tuple((x, rest, m) for (x, rest), m in counts.items())
-    return _memo_put(_SINGLE_CUTS_CACHE, t, out)
+    return tuple((x, rest, m) for (x, rest), m in counts.items())
 
 
-_NESTED_SUM_CACHE: dict[tuple, Fraction] = {}
-
-
+@memo.memoized
 def nested_cut_sum(t: LabeledTree, k: int, piece, trunk) -> Fraction:
     """Sum over sequences of k nested single-edge cuts of t, summed by trunk shape.
 
@@ -712,16 +650,12 @@ def nested_cut_sum(t: LabeledTree, k: int, piece, trunk) -> Fraction:
     """
     if k == 0:
         return trunk(t)
-    key = (t, k, piece, trunk)
-    got = _NESTED_SUM_CACHE.get(key)
-    if got is not None:
-        return got
     total = Fraction(0)
     for x, rest, copies in _single_edge_cuts(t):
         inner = nested_cut_sum(rest, k - 1, piece, trunk)
         if inner:
             total += copies * piece(x) * inner
-    return _memo_put(_NESTED_SUM_CACHE, key, total)
+    return total
 
 
 def graft_positions(scions: Forest, stock: LabeledTree) -> list[LabeledTree]:
@@ -734,21 +668,10 @@ def graft_positions(scions: Forest, stock: LabeledTree) -> list[LabeledTree]:
     if stock.label != GRAFT_ROOT_LABEL:
         raise ValueError("stock must have the 0-labeled grafting root")
     idx = _index(stock)
-    n = stock.size
-    m = len(scions.trees)
-    results: list[LabeledTree] = []
-    for assign in itertools.product(range(n), repeat=m):
-        extra: dict[int, list[LabeledTree]] = {}
-        for pos, v in enumerate(assign):
-            extra.setdefault(v, []).append(scions.trees[pos])
-
-        def build(v: int) -> LabeledTree:
-            kids = [build(c) for c in idx.children[v]]
-            kids.extend(extra.get(v, ()))
-            return node(idx.labels[v], kids)
-
-        results.append(build(0))
-    return results
+    return [
+        _grafted(idx, zip(assign, scions.trees))
+        for assign in itertools.product(range(stock.size), repeat=len(scions.trees))
+    ]
 
 
 def graft_counts(scions: Forest, stock: LabeledTree) -> dict[LabeledTree, int]:
@@ -777,18 +700,20 @@ def graft_counts(scions: Forest, stock: LabeledTree) -> dict[LabeledTree, int]:
         spreads.append(spread)
     counts: dict[LabeledTree, int] = {}
     for placement in itertools.product(*spreads):
-        extra: dict[int, list[LabeledTree]] = {}
-        weight = 1
-        for scion, vertices, ways in placement:
-            weight *= ways
-            for v in vertices:
-                extra.setdefault(v, []).append(scion)
-
-        def build(v: int) -> LabeledTree:
-            kids = [build(c) for c in idx.children[v]]
-            kids.extend(extra.get(v, ()))
-            return node(idx.labels[v], kids)
-
-        result = build(0)
-        counts[result] = counts.get(result, 0) + weight
+        result = _grafted(idx, ((v, s) for s, vertices, _ in placement for v in vertices))
+        counts[result] = counts.get(result, 0) + prod(ways for *_, ways in placement)
     return counts
+
+
+def _grafted(idx: _TreeIndex, placed: Iterable[tuple[int, LabeledTree]]) -> LabeledTree:
+    # The stock of idx with each scion of placed attached at its vertex.
+    extra: dict[int, list[LabeledTree]] = {}
+    for v, scion in placed:
+        extra.setdefault(v, []).append(scion)
+    return _attach(idx, 0, extra)
+
+
+def _attach(idx: _TreeIndex, v: int, extra: dict[int, list[LabeledTree]]) -> LabeledTree:
+    kids = [_attach(idx, c, extra) for c in idx.children[v]]
+    kids.extend(extra.get(v, ()))
+    return node(idx.labels[v], kids)

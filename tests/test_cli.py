@@ -234,14 +234,17 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def _cli_subprocess(*args, **env_vars):
+def _python_subprocess(*argv, **env_vars):
     env = dict(os.environ, **env_vars)
     src = str(Path(treehopf.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "treehopf.cli", *args],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def _cli_subprocess(*args, **env_vars):
+    return _python_subprocess("-m", "treehopf.cli", *args, **env_vars)
 
 
 def _cli_with_memo_limit(value, *args):
@@ -264,7 +267,7 @@ def test_valid_memo_limit_keeps_the_results(value):
 
 
 def test_memo_limit_of_one_keeps_verify_all_output(monkeypatch):
-    # Every memo table, nsym's included, is written through _memo_put, so a
+    # Every memo table, nsym's included, is written through memo.put, so a
     # cap of one entry per table changes the work done, never the output.
     args = ("verify", "all", "--format", "json")
     capped = _cli_with_memo_limit("1", *args)
@@ -272,6 +275,21 @@ def test_memo_limit_of_one_keeps_verify_all_output(monkeypatch):
     unset = _cli_subprocess(*args)
     assert (capped.returncode, capped.stderr) == (unset.returncode, unset.stderr) == (0, "")
     assert capped.stdout == unset.stdout
+
+
+def test_memo_limit_of_one_caps_every_table():
+    # Every memo table and intern pool is made by treehopf.memo and listed there.
+    script = (
+        "from treehopf import cli, memo\n"
+        "code = cli.main(['verify', 'all', '--format', 'json'])\n"
+        "print(code, [len(table) for table in memo.TABLES])\n"
+    )
+    proc = _python_subprocess("-c", script, TREEHOPF_MEMO_LIMIT="1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, sizes = proc.stdout.splitlines()[-1].split(" ", 1)
+    sizes = json.loads(sizes)
+    assert code == "0" and len(sizes) > 20
+    assert max(sizes) == 1
 
 
 def _chain_text(depth: int, root: str) -> str:

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from treehopf import ck, duality, gl
 from treehopf.trees import (
     EMPTY_FOREST,
@@ -17,6 +19,16 @@ def test_basis_pairing_examples():
     assert duality.pair_tree_forest(bplus(EMPTY_FOREST), EMPTY_FOREST) == 1
     assert duality.pair_tree_forest(parse_tree("0(1,1)"), parse_forest("[1,1]")) == 2
     assert duality.pair_tree_forest(parse_tree("0(1)"), parse_forest("[2]")) == 0
+
+
+def test_pairing_and_gl_elements_refuse_a_tree_without_grafting_root():
+    t = parse_tree("1(1)")
+    for call in (
+        lambda: gl.from_bplus_tree(t),
+        lambda: duality.pair_tree_forest(t, parse_forest("[1]")),
+    ):
+        with pytest.raises(ValueError, match=r"^expected a grafting-rooted tree \(root label 0\)$"):
+            call()
 
 
 def test_pairing_bilinear_and_basis_aware():
