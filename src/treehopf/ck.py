@@ -98,12 +98,15 @@ def counit(a: CKElem) -> Fraction:
 def _tree_antipode(t: LabeledTree) -> CKElem:
     # From m(S x id)Delta = unit*counit: S(T) = -T - sum over nonempty cuts
     # of S(pruned) * trunk; the pruned part always has strictly lower weight.
-    acc = -from_tree(t)
-    for cut, pruned, trunk in cut_results(t):
-        if not cut.edges:
-            continue
-        acc = acc - mul(antipode(from_forest(pruned)), from_tree(trunk))
-    return acc
+    def terms():
+        yield forest((t,)), -1
+        for cut, pruned, trunk in cut_results(t):
+            if cut.edges:
+                rest = forest((trunk,))
+                for f, c in antipode(from_forest(pruned)).terms.items():
+                    yield forest_union(f, rest), -c
+
+    return CKElem(terms())
 
 
 def antipode(a: CKElem) -> CKElem:

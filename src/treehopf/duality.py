@@ -4,7 +4,8 @@ On basis elements the pairing of a grafting-rooted tree T with a forest F is
 the automorphism count of T when F is the branch forest of T, and zero
 otherwise; in the divided basis it is simply the indicator, which makes the
 pairing a key-level operation.  The adjunction checker verifies that product,
-coproduct and antipode on the two sides are transposes of one another, and
+coproduct and antipode on the two sides are transposes of one another by
+comparing rows of coefficients against the transposed forest-side tables, and
 the dual-map constructor turns a linear map into quasi-symmetric images of
 forests through the complete/monomial duality.
 """
@@ -24,6 +25,7 @@ from .trees import (
     enumerate_bplus_trees,
     enumerate_forests,
     forest_text,
+    forest_union,
     tree_text,
     _require_grafting_root,
 )
@@ -56,6 +58,28 @@ def pair_tensor(a: gl.GLTensor, b: ck.CKTensor) -> Fraction:
     return total
 
 
+def _compare_rows(report: CheckReport, keys, lhs: dict, rhs: dict, describe) -> None:
+    # One check per key.  Both rows hold nonzero values only, so equal dicts
+    # mean every key agrees; a mismatch walks the keys in order and lists
+    # each disagreeing key (a row entry outside the keys is not checked).
+    report.checked += len(keys)
+    if lhs == rhs:
+        return
+    for k in keys:
+        left, right = lhs.get(k, 0), rhs.get(k, 0)
+        if left != right:
+            report.failures.append(f"{describe(k)}: {left} != {right}")
+
+
+def _transpose(images) -> dict:
+    # {source: {result: c}} turned into {result: {source: c}}.
+    table: dict = {}
+    for source, image in images:
+        for key, c in image.items():
+            table.setdefault(key, {})[source] = c
+    return table
+
+
 def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
     """Verify the three transpose identities on all basis pairs up to a weight.
 
@@ -63,63 +87,80 @@ def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
       <x*y, F> = <x (x) y, coproduct(F)>,
       <coproduct(x), F (x) G> = <x, F*G>,
       <antipode(x), F> = <x, antipode(F)>.
+
+    Each CK coproduct, product and antipode is computed once and transposed
+    into a table keyed by its result; every GL product, coproduct and
+    antipode row is then compared with the matching table row.  One check is
+    counted per (x, y, F), (x, F, G) and (x, F), as the pairings would be.
     """
     report = CheckReport()
     ls = tuple(labels)
+    weights = range(max_weight + 1)
 
-    trees_by_weight = {m: enumerate_bplus_trees(ls, m) for m in range(max_weight + 1)}
-    forests_by_weight = {m: enumerate_forests(ls, m) for m in range(max_weight + 1)}
-    coproducts = {
-        f: ck.coproduct(ck.from_forest(f)) for fs in forests_by_weight.values() for f in fs
+    trees_by_weight = {m: enumerate_bplus_trees(ls, m) for m in weights}
+    forests_by_weight = {m: enumerate_forests(ls, m) for m in weights}
+    forests = [f for m in weights for f in forests_by_weight[m]]
+    pairs_by_weight = {
+        m: [
+            (f, g)
+            for wf in range(m + 1)
+            for f in forests_by_weight[wf]
+            for g in forests_by_weight[m - wf]
+        ]
+        for m in weights
     }
+    elems = {x: gl.from_bplus_tree(x, gl.T_BASIS) for m in weights for x in trees_by_weight[m]}
 
-    for wx in range(max_weight + 1):
+    by_split = _transpose((f, ck.coproduct(ck.from_forest(f)).terms) for f in forests)
+    by_union = _transpose(
+        (fg, {forest_union(*fg): 1}) for m in weights for fg in pairs_by_weight[m]
+    )
+    by_image = _transpose((f, ck.antipode(ck.from_forest(f)).terms) for f in forests)
+
+    for wx in weights:
         for wy in range(max_weight + 1 - wx):
-            wf = wx + wy
             for x in trees_by_weight[wx]:
-                ex = gl.from_bplus_tree(x, gl.T_BASIS)
+                bx = branch_forest(x)
                 for y in trees_by_weight[wy]:
-                    ey = gl.from_bplus_tree(y, gl.T_BASIS)
-                    prod = gl.mul(ex, ey)
-                    exy = gl.tensor_of(ex, ey)
-                    for f in forests_by_weight[wf]:
-                        lhs = pair(prod, ck.from_forest(f))
-                        rhs = pair_tensor(exy, coproducts[f])
-                        report.checked += 1
-                        if lhs != rhs:
-                            report.failures.append(
-                                f"product/coproduct: x={tree_text(x)} y={tree_text(y)} "
-                                f"F={forest_text(f)}: {lhs} != {rhs}"
-                            )
-
-    for wx in range(max_weight + 1):
-        for x in trees_by_weight[wx]:
-            ex = gl.from_bplus_tree(x, gl.T_BASIS)
-            dx = gl.coproduct(ex)
-            for wf in range(wx + 1):
-                for f in forests_by_weight[wf]:
-                    for g in forests_by_weight[wx - wf]:
-                        lhs = pair_tensor(dx, ck.CKTensor({(f, g): 1}))
-                        rhs = pair(ex, ck.mul(ck.from_forest(f), ck.from_forest(g)))
-                        report.checked += 1
-                        if lhs != rhs:
-                            report.failures.append(
-                                f"coproduct/product: x={tree_text(x)} F={forest_text(f)} "
-                                f"G={forest_text(g)}: {lhs} != {rhs}"
-                            )
-
-    for wx in range(max_weight + 1):
-        for x in trees_by_weight[wx]:
-            ex = gl.from_bplus_tree(x, gl.T_BASIS)
-            sx = gl.antipode(ex)
-            for f in forests_by_weight[wx]:
-                lhs = pair(sx, ck.from_forest(f))
-                rhs = pair(ex, ck.antipode(ck.from_forest(f)))
-                report.checked += 1
-                if lhs != rhs:
-                    report.failures.append(
-                        f"antipode: x={tree_text(x)} F={forest_text(f)}: {lhs} != {rhs}"
+                    by = branch_forest(y)
+                    prod = gl.mul(elems[x], elems[y])
+                    scale = gl.alpha(bx) * gl.alpha(by)
+                    _compare_rows(
+                        report,
+                        forests_by_weight[wx + wy],
+                        {f: c * gl.alpha(f) for f, c in prod.terms.items()},
+                        {f: c * scale for f, c in by_split.get((bx, by), {}).items()},
+                        lambda f: f"product/coproduct: x={tree_text(x)} y={tree_text(y)} "
+                        f"F={forest_text(f)}",
                     )
+
+    for wx in weights:
+        for x in trees_by_weight[wx]:
+            bx = branch_forest(x)
+            scale = gl.alpha(bx)
+            _compare_rows(
+                report,
+                pairs_by_weight[wx],
+                {
+                    (f, g): c * gl.alpha(f) * gl.alpha(g)
+                    for (f, g), c in gl.coproduct(elems[x]).terms.items()
+                },
+                {fg: c * scale for fg, c in by_union.get(bx, {}).items()},
+                lambda fg: f"coproduct/product: x={tree_text(x)} F={forest_text(fg[0])} "
+                f"G={forest_text(fg[1])}",
+            )
+
+    for wx in weights:
+        for x in trees_by_weight[wx]:
+            bx = branch_forest(x)
+            scale = gl.alpha(bx)
+            _compare_rows(
+                report,
+                forests_by_weight[wx],
+                {f: c * gl.alpha(f) for f, c in gl.antipode(elems[x]).terms.items()},
+                {f: c * scale for f, c in by_image.get(bx, {}).items()},
+                lambda f: f"antipode: x={tree_text(x)} F={forest_text(f)}",
+            )
 
     return report
 

@@ -9,7 +9,7 @@ the vertices of the right factor in all possible ways; a second, independent
 implementation recovers the same structure constants by scanning admissible
 cuts of candidate result trees.  The coproduct splits the branch multiset
 over all ordered bipartitions, and the antipode has a closed form as an
-alternating sum over ordered set partitions of the branches.
+alternating sum over ordered partitions of the branch multiset.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 
 from . import memo
 from .linear import LinComb, add_all, format_linear
@@ -237,62 +238,67 @@ def is_primitive(a: GLElem) -> bool:
     return coproduct(a) == expected
 
 
-def _ordered_set_partitions(m: int, r: int):
-    # Ordered partitions of positions 0..m-1 into r nonempty blocks, as tuples
-    # of index tuples; enumerated through surjective block assignments.
-    for assign in itertools.product(range(r), repeat=m):
-        if len(set(assign)) != r:
-            continue
-        blocks = tuple(
-            tuple(i for i in range(m) if assign[i] == blk) for blk in range(r)
-        )
-        yield blocks
-
-
 @memo.memoized
 def _antipode_basis_t(f: Forest) -> GLElem:
-    trees = f.trees
-    m = len(trees)
-    if m == 0:
-        return unit(T_BASIS)
-    acc = zero(T_BASIS)
-    for r in range(1, m + 1):
-        sign = (-1) ** r
-        for blocks in _ordered_set_partitions(m, r):
-            term = unit(T_BASIS)
-            for block in blocks:
-                term = mul(term, from_branches(forest(trees[i] for i in block), T_BASIS))
-            acc = acc + term.scale(sign)
-    return acc
+    # Takeuchi's formula, summed over the branch multiset M: every sequence
+    # of nonempty sub-multisets N1, ..., Nr with union M contributes
+    # (-1)^r * B(N1) * ... * B(Nr), once for each ordered set partition of
+    # the branch positions that it groups, i.e. prod over distinct branches
+    # of the multinomial of their multiplicity.  Sequences with a common
+    # prefix share its product; no antipode of a remainder is reused.
+    groups = [(t, len(tuple(g))) for t, g in itertools.groupby(f.trees)]
+
+    def terms(prefix: GLElem, rest: tuple[int, ...], coeff: int):
+        if not any(rest):
+            yield from ((k, coeff * c) for k, c in prefix.terms.items())
+            return
+        for take in itertools.product(*(range(m + 1) for m in rest)):
+            if not any(take):
+                continue
+            block = forest(t for (t, _), k in zip(groups, take) for _ in range(k))
+            ways = prod(comb(m, k) for m, k in zip(rest, take))
+            yield from terms(
+                mul(prefix, from_branches(block, T_BASIS)),
+                tuple(m - k for m, k in zip(rest, take)),
+                -coeff * ways,
+            )
+
+    return GLElem(terms(unit(T_BASIS), tuple(m for _, m in groups), 1), T_BASIS)
+
+
+def _on_t_basis(a: GLElem, image) -> GLElem:
+    # The linear map sending each T-basis key f to image(f), in a's basis.
+    out = GLElem(
+        ((k, c * v) for f, c in to_t_basis(a).terms.items() for k, v in image(f).terms.items()),
+        T_BASIS,
+    )
+    return out if a.basis == T_BASIS else to_v_basis(out)
 
 
 def antipode(a: GLElem) -> GLElem:
-    """Closed-form antipode: alternating sum over ordered branch partitions."""
-    acc = zero(T_BASIS)
-    for f, c in to_t_basis(a).terms.items():
-        acc = acc + _antipode_basis_t(f).scale(c)
-    return acc if a.basis == T_BASIS else to_v_basis(acc)
+    """Closed-form antipode: alternating sum over ordered partitions of the branch multiset."""
+    return _on_t_basis(a, _antipode_basis_t)
 
 
 def antipode_by_recurrence(a: GLElem) -> GLElem:
     """Antipode via the connected-graded recurrence, for cross-checking."""
 
     def on_branches(f: Forest) -> GLElem:
-        trees = f.trees
-        m = len(trees)
-        if m == 0:
+        # From m(S x id)coproduct = unit*counit: S(B(f)) is minus the sum,
+        # over the terms L (x) R of the coproduct of B(f) with R nonempty,
+        # of S(B(L)) * B(R); each such L has fewer branches than f.
+        if not f.trees:
             return unit(T_BASIS)
-        acc = -from_branches(f, T_BASIS)
-        for blocks in _ordered_set_partitions(m, 2):
-            left = forest(trees[i] for i in blocks[0])
-            right = forest(trees[i] for i in blocks[1])
-            acc = acc - mul(on_branches(left), from_branches(right, T_BASIS))
-        return acc
 
-    acc = zero(T_BASIS)
-    for f, c in to_t_basis(a).terms.items():
-        acc = acc + on_branches(f).scale(c)
-    return acc if a.basis == T_BASIS else to_v_basis(acc)
+        def terms():
+            for (left, right), c in coproduct(from_branches(f, T_BASIS)).terms.items():
+                if right.trees:
+                    part = mul(on_branches(left), from_branches(right, T_BASIS))
+                    yield from ((k, -c * v) for k, v in part.terms.items())
+
+        return GLElem(terms(), T_BASIS)
+
+    return _on_t_basis(a, on_branches)
 
 
 # ---------------------------------------------------------------------------

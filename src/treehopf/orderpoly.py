@@ -29,6 +29,7 @@ from .trees import (
     nested_cut_sum,
     shape,
     tree_text,
+    _bottom_up,
     _require_grafting_root,
 )
 
@@ -203,26 +204,31 @@ def interpolate_integer_nodes(values) -> RationalPolynomial:
 # Counting order-preserving maps
 # ---------------------------------------------------------------------------
 
-@memo.memoized
+_ROOT_VECTORS = memo.table()
+
+
 def _root_value_vector(u: LabeledTree, n: int, strict: bool) -> tuple[int, ...]:
     # v[r] = number of maps of the subtree with the root sent to r (1-indexed;
     # v[0] unused).  Children must take values >= r (weak) or > r (strict).
-    child_suffix = []
-    for c in u.children:
-        vec = _root_value_vector(c, n, strict)
-        suffix = [0] * (n + 2)
-        for r in range(n, 0, -1):
-            suffix[r] = suffix[r + 1] + vec[r]
-        child_suffix.append(suffix)
-    out = [0] * (n + 1)
-    for r in range(1, n + 1):
-        prod = 1
-        for suffix in child_suffix:
-            prod *= suffix[r + 1] if strict else suffix[r]
-            if not prod:
-                break
-        out[r] = prod
-    return tuple(out)
+    # Walked bottom-up, so a tree of any depth costs no interpreter stack.
+    def combine(v: LabeledTree, kid_vectors: list[tuple[int, ...]]) -> tuple[int, ...]:
+        child_suffix = []
+        for vec in kid_vectors:
+            suffix = [0] * (n + 2)
+            for r in range(n, 0, -1):
+                suffix[r] = suffix[r + 1] + vec[r]
+            child_suffix.append(suffix)
+        out = [0] * (n + 1)
+        for r in range(1, n + 1):
+            prod = 1
+            for suffix in child_suffix:
+                prod *= suffix[r + 1] if strict else suffix[r]
+                if not prod:
+                    break
+            out[r] = prod
+        return memo.put(_ROOT_VECTORS, (v, n, strict), tuple(out))
+
+    return _bottom_up(u, lambda v: _ROOT_VECTORS.get((v, n, strict)), combine)
 
 
 def count_order_preserving(f: Forest, n: int, strict: bool) -> int:

@@ -19,5 +19,5 @@ def raw_trees(max_depth=3, max_children=3, labels=(1, 2, 3)):
     )
 
 
-def canonical_trees(labels=(1, 2, 3)):
-    return raw_trees(labels=labels).map(trees.canonicalize)
+def canonical_trees(labels=(1, 2, 3), max_depth=3, max_children=3):
+    return raw_trees(max_depth, max_children, labels).map(trees.canonicalize)

@@ -1,10 +1,13 @@
 """Graded pairing between the grafting and forest algebras."""
 
+import importlib.util
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from treehopf import ck, duality, gl
+from treehopf import ck, duality, gl, memo
 from treehopf.trees import (
     EMPTY_FOREST,
     bplus,
@@ -77,6 +80,74 @@ def test_adjunction_spot_samples_weight_five():
         assert duality.pair(gl.antipode(x), ck.from_forest(parse_forest("[1,1]"))) == duality.pair(
             x, ck.antipode(ck.from_forest(parse_forest("[1,1]")))
         )
+
+
+def _load_refs():
+    # perfbench/refs.py restates the check counts without importing treehopf.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "refs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_refs", path)
+    refs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(refs)
+    return refs
+
+
+def test_adjunction_weight_five_over_two_labels():
+    report = duality.check_hopf_adjunction((1, 2), 5)
+    assert report.ok, report.failures[:5]
+    assert report.checked == 27453 == _load_refs().adjunction_checks((1, 2), 5)
+
+
+# Failure lists recorded from the pair-by-pair checker, which paired one
+# basis triple at a time, under the faults below.
+ADJUNCTION_FAULTS = json.loads(Path(__file__).with_name("adjunction_faults.json").read_text())
+ONE = parse_forest("[1]")
+
+
+def _last_key_of_weight_four(arg, out):
+    return [f for f, _ in out.sorted_terms()[-1:] if f.weight == 4]
+
+
+def _one_split_off(arg, out):
+    return [k for k in out.terms if k[0] == ONE and k[1].weight >= 2]
+
+
+def _self_or_unit(arg, out):
+    # Weight 2 gains a term of the wrong weight, which no pairing sees.
+    (f,) = arg.terms
+    return [f] if f.weight == 4 else [EMPTY_FOREST] if f.weight == 2 else []
+
+
+def _every_key_of_weight_three(arg, out):
+    # Several failures in one row, so their order within the row shows.
+    return [f for f in out.terms if f.weight == 3]
+
+
+@pytest.mark.parametrize(
+    "fault, keys",
+    [
+        ("gl.mul", _last_key_of_weight_four),
+        ("gl.coproduct", _one_split_off),
+        ("ck.antipode", _self_or_unit),
+        ("gl.antipode", _every_key_of_weight_three),
+    ],
+)
+def test_adjunction_reports_corrupted_coefficients_as_the_pairings_did(monkeypatch, fault, keys):
+    # Filled memo tables keep the fault inside the checker's own calls (the
+    # antipodes call mul and antipode themselves on a miss).
+    monkeypatch.setattr(memo, "LIMIT", None)
+    assert duality.check_hopf_adjunction((1, 2), 4).ok
+    module_name, name = fault.split(".")
+    module = {"gl": gl, "ck": ck}[module_name]
+    original = getattr(module, name)
+
+    def faulty(*args):
+        out = original(*args)
+        return out._build([*out.terms.items(), *((k, 1) for k in keys(args[0], out))])
+
+    monkeypatch.setattr(module, name, faulty)
+    report = duality.check_hopf_adjunction((1, 2), 4)
+    assert report.checked == 3308
+    assert report.failures == ADJUNCTION_FAULTS[fault]
 
 
 def test_pairing_matrix_is_identity_permutation():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from conftest import canonical_trees
 from treehopf import gl
 from treehopf.trees import (
     automorphism_count,
@@ -222,6 +223,30 @@ def test_closed_form_matches_recurrence_up_to_weight_four():
         for t in enumerate_bplus_trees((1,), m):
             e = gl.from_bplus_tree(t, gl.T_BASIS)
             assert gl.antipode(e) == gl.antipode_by_recurrence(e), tree_text(t)
+
+
+def _repeated_branches():
+    # One to three distinct small branches over labels (1,2), each repeated
+    # up to four times, at most six branches in all: the forests where the
+    # multiset grouping of the closed form differs most from a sum over
+    # branch positions.
+    small = canonical_trees(labels=(1, 2), max_depth=1, max_children=2)
+    kinds = st.lists(small, min_size=1, max_size=3, unique=True)
+
+    def repeat(ks):
+        counts = st.lists(st.integers(1, 4), min_size=len(ks), max_size=len(ks))
+        return counts.map(lambda ms: forest([t for t, m in zip(ks, ms) for _ in range(m)][:6]))
+
+    return kinds.flatmap(repeat).filter(lambda f: f.weight <= 8)
+
+
+@settings(max_examples=40)
+@given(_repeated_branches())
+def test_closed_form_matches_recurrence_on_repeated_branches(f):
+    t = bplus(f)
+    for basis in (gl.T_BASIS, gl.V_BASIS):
+        e = gl.from_bplus_tree(t, basis)
+        assert gl.antipode(e) == gl.antipode_by_recurrence(e), (basis, tree_text(t))
 
 
 def test_antipode_axiom_up_to_weight_four():

@@ -85,6 +85,15 @@ def test_counting_matches_brute_force():
                 )
 
 
+def test_counting_walks_a_deep_chain_without_recursion():
+    chain = leaf(1)
+    for _ in range(1999):
+        chain = node(1, (chain,))
+    f = forest((chain,))
+    assert orderpoly.count_order_preserving(f, 2, False) == 2001
+    assert orderpoly.count_order_preserving(f, 2, True) == 0
+
+
 def test_interpolation_matches_counts_at_unseen_nodes():
     # polynomials are interpolated at 0..|P|; brute force confirms the values
     # at n = 1..4 for every forest with up to six vertices
