@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
 from . import memo
 from .linear import LinComb, add_all, format_linear
@@ -128,32 +128,68 @@ def to_t_basis(a: GLElem) -> GLElem:
 # ---------------------------------------------------------------------------
 
 @memo.memoized
-def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Forest, Fraction], ...]:
+def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Forest, int], ...]:
     # Structure constants of the product of two basis trees in one basis,
     # sorted by result: the graft multiplicity n in T, and
-    # n * alpha(result) / (alpha(left) * alpha(right)) in V.
+    # n * alpha(result) / (alpha(left) * alpha(right)) in V, which is the
+    # admissible-cut count of _structure_table and so always an integer.
     counts = graft_counts(left, bplus(right))
     if basis == T_BASIS:
-        terms = ((t, Fraction(n)) for t, n in counts.items())
+        terms = counts.items()
     else:
-        scale = Fraction(1, alpha(left) * alpha(right))
-        terms = ((t, n * automorphism_count(t) * scale) for t, n in counts.items())
+        scale = alpha(left) * alpha(right)
+        terms = []
+        for t, n in counts.items():
+            c, rem = divmod(n * automorphism_count(t), scale)
+            if rem:
+                raise ArithmeticError(
+                    f"V-basis constant of {forest_text(left)} * {forest_text(right)} "
+                    f"at {forest_text(branch_forest(t))} is not an integer"
+                )
+            terms.append((t, c))
     return tuple(sorted(((branch_forest(t), c) for t, c in terms), key=lambda kv: kv[0]._key))
+
+
+def _over_one_denominator(x: GLElem, basis: str) -> tuple[int, list[tuple[Forest, int]]]:
+    # x, checked to be written in basis, as (d, [(key, n)]) with x the sum of
+    # n/d * key and d the lcm of its denominators.
+    if type(x) is not GLElem or x.basis != basis:
+        zero(basis)._check_compatible(x)
+    d = lcm(*[c.denominator for c in x.terms.values()])
+    if d == 1:
+        return 1, [(k, c.numerator) for k, c in x.terms.items()]
+    return d, [(k, c.numerator * (d // c.denominator)) for k, c in x.terms.items()]
+
+
+def dot(pairs, basis: str = V_BASIS) -> GLElem:
+    """The sum of x * y over the (x, y) in pairs, all written in basis, built in one pass.
+
+    Every factor is brought to one common denominator, so each product of
+    numerators times an integer structure constant is summed into one int per
+    result key; each key is divided by the common denominator once.
+    """
+    factors = []
+    den = 1
+    for x, y in pairs:
+        (dx, xs), (dy, ys) = _over_one_denominator(x, basis), _over_one_denominator(y, basis)
+        factors.append((dx * dy, xs, ys))
+        den = lcm(den, dx * dy)
+    acc: dict[Forest, int] = {}
+    get = acc.get
+    for dxy, xs, ys in factors:
+        m = den // dxy
+        for fa, na in xs:
+            for fb, nb in ys:
+                nab = m * na * nb
+                for key, c in _product_table(fa, fb, basis):
+                    acc[key] = get(key, 0) + nab * c
+    # The constructor makes ints Fractions and drops zeros.
+    return GLElem(acc if den == 1 else {k: Fraction(v, den) for k, v in acc.items()}, basis)
 
 
 def mul(a: GLElem, b: GLElem) -> GLElem:
     """Grafting product; both factors must be written in the same basis."""
-    a._check_compatible(b)
-    basis = a.basis
-
-    def terms():
-        for fa, ca in a.terms.items():
-            for fb, cb in b.terms.items():
-                cab = ca * cb
-                for key, c in _product_table(fa, fb, basis):
-                    yield key, cab * c
-
-    return GLElem(terms(), basis)
+    return dot(((a, b),), a.basis)
 
 
 @memo.memoized
@@ -323,8 +359,8 @@ class GLSeriesOps:
     def scale(self, c: Fraction, x: GLElem) -> GLElem:
         return x.scale(c)
 
-    def mul(self, x: GLElem, y: GLElem) -> GLElem:
-        return mul(x, y)
+    def dot(self, pairs) -> GLElem:
+        return dot(pairs, self.basis)
 
     def eq(self, x: GLElem, y: GLElem) -> bool:
         return x == y

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from . import duality, gl, memo, nsym
 from .linear import extend_multiplicatively
@@ -438,37 +438,47 @@ def specialization_rank(labels, order: int) -> dict[int, dict[str, int]]:
         words = nsym.compositions(m)
         basis = enumerate_bplus_trees(ls, m)
         index = {branch_forest(t): i for i, t in enumerate(basis)}
-        rows = []
-        for word in words:
-            image = specialize(nsym.NSymElem({word: 1}), ls)
-            row = [Fraction(0)] * len(basis)
-            for key, c in image.terms.items():
-                row[index[key]] = c
-            rows.append(row)
-        rank = _row_reduce_rank(rows)
+        rows = [
+            {index[key]: c for key, c in specialize(nsym.NSymElem({word: 1}), ls).terms.items()}
+            for word in words
+        ]
+        rank = _sparse_rank(rows)
         out[m] = {"dimension": len(words), "target_dimension": len(basis), "rank": rank}
     return out
 
 
-def _row_reduce_rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [inv * v for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
+    """Rank of the rows {column: nonzero coefficient}, by fraction-free sparse elimination.
+
+    Each row is cleared to integers and kept divided by the gcd of its
+    entries; the sparsest rows are reduced first.  A row is reduced from its
+    lowest column c up: while c is the pivot of a kept row p, the row becomes
+    p[c] * row - row[c] * p, both factors divided by their gcd.  Every kept row
+    starts at its pivot, so each step only adds higher columns.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        den = lcm(*(c.denominator for c in row.values()))
+        row = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
+        while row:
+            content = gcd(*row.values())
+            row = {j: v // content for j, v in row.items()}
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = row
+                break
+            g = gcd(prow[col], row[col])
+            p, r = prow[col] // g, row[col] // g
+            new = {j: p * v for j, v in row.items()}
+            for j, v in prow.items():
+                w = new.get(j, 0) - r * v
+                if w:
+                    new[j] = w
+                else:
+                    new.pop(j, None)
+            row = new
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,14 @@ def generator(m: int) -> NSymElem:
 
 def mul(a: NSymElem, b: NSymElem, max_weight: int | None = None) -> NSymElem:
     """Concatenation product; words heavier than max_weight are dropped."""
+    return dot(((a, b),), max_weight)
+
+
+def dot(pairs, max_weight: int | None = None) -> NSymElem:
+    """The sum of the concatenation products x * y over the (x, y) in pairs, in one pass."""
     return NSymElem(
         (wa + wb, ca * cb)
+        for a, b in pairs
         for wa, ca in a.terms.items()
         for wb, cb in b.terms.items()
         if max_weight is None or word_weight(wa) + word_weight(wb) <= max_weight
@@ -156,8 +162,8 @@ class WordOps:
     def scale(self, c, x):
         return x.scale(c)
 
-    def mul(self, x, y):
-        return mul(x, y, self.max_weight)
+    def dot(self, pairs):
+        return dot(pairs, self.max_weight)
 
     def eq(self, x, y) -> bool:
         return x == y

@@ -2,7 +2,7 @@
 
 The parameter t is central and all arithmetic is exact modulo t**(N+1).
 The engine is generic over a small algebra interface (zero, one, sum, scale,
-mul, eq) so the same code serves rational scalars, free-algebra elements and
+dot, eq) so the same code serves rational scalars, free-algebra elements and
 tree-algebra elements.  Coefficients beyond the truncation order are silently
 dropped; that is the meaning of truncation, never an error.
 """
@@ -26,7 +26,9 @@ class AlgebraOps(Protocol):
 
     def scale(self, c: Fraction, x) -> Any: ...
 
-    def mul(self, x, y) -> Any: ...
+    def dot(self, pairs: Iterable[tuple]) -> Any:
+        """The sum of x * y over the (x, y) in pairs (zero when empty), built in one pass."""
+        ...
 
     def eq(self, x, y) -> bool: ...
 
@@ -47,8 +49,8 @@ class RationalOps:
     def scale(self, c, x):
         return c * x
 
-    def mul(self, x, y):
-        return x * y
+    def dot(self, pairs):
+        return sum((x * y for x, y in pairs), Fraction(0))
 
     def eq(self, x, y) -> bool:
         return x == y
@@ -112,8 +114,7 @@ class TruncSeries:
         return TruncSeries(
             ops,
             tuple(
-                ops.sum(ops.mul(a[k], b[n - k]) for k in range(n + 1))
-                for n in range(self.order + 1)
+                ops.dot((a[k], b[n - k]) for k in range(n + 1)) for n in range(self.order + 1)
             ),
         )
 
@@ -150,21 +151,22 @@ class TruncSeries:
 
     def inverse_right(self) -> "TruncSeries":
         """b with self * b = 1; requires unit constant term."""
-        return self._inverse(self.ops.mul)
+        return self._inverse(flip=False)
 
     def inverse_left(self) -> "TruncSeries":
         """b with b * self = 1; requires unit constant term."""
-        return self._inverse(lambda coeff, known: self.ops.mul(known, coeff))
+        return self._inverse(flip=True)
 
-    def _inverse(self, mul) -> "TruncSeries":
-        # b_n = -sum_{k=1..n} mul(self_k, b_{n-k}), where mul puts self's
-        # coefficient on the side it takes in the product being inverted.
+    def _inverse(self, flip: bool) -> "TruncSeries":
+        # b_n = -sum_{k=1..n} self_k * b_{n-k}, or b_{n-k} * self_k when flip:
+        # self's coefficient takes its side in the product being inverted.
         ops = self.ops
         if not ops.eq(self.coeffs[0], ops.one()):
             raise ValueError("inverse needs a series with unit constant term")
         out = [ops.one()]
         for n in range(1, self.order + 1):
-            acc = ops.sum(mul(self.coeffs[k], out[n - k]) for k in range(1, n + 1))
+            pairs = ((self.coeffs[k], out[n - k]) for k in range(1, n + 1))
+            acc = ops.dot((y, x) for x, y in pairs) if flip else ops.dot(pairs)
             out.append(ops.scale(Fraction(-1), acc))
         return TruncSeries(ops, tuple(out))
 
@@ -173,12 +175,7 @@ class TruncSeries:
         ops = self.ops
         if not ops.eq(self.coeffs[0], ops.zero()):
             raise ValueError("exp needs a series with zero constant term")
-        acc = TruncSeries.one(ops, self.order)
-        power = TruncSeries.one(ops, self.order)
-        for k in range(1, self.order + 1):
-            power = power * self
-            acc = acc + power.scale(Fraction(1, factorial(k)))
-        return acc
+        return self._power_sum([Fraction(1, factorial(k)) for k in range(self.order + 1)])
 
     def log(self) -> "TruncSeries":
         """Logarithm power sum; requires unit constant term."""
@@ -186,9 +183,23 @@ class TruncSeries:
         if not ops.eq(self.coeffs[0], ops.one()):
             raise ValueError("log needs a series with unit constant term")
         u = self - TruncSeries.one(ops, self.order)
-        acc = TruncSeries.zero(ops, self.order)
-        power = TruncSeries.one(ops, self.order)
-        for k in range(1, self.order + 1):
-            power = power * u
-            acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-        return acc
+        weights = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, self.order + 1)]
+        return u._power_sum(weights)
+
+    def _power_sum(self, weights: list[Fraction]) -> "TruncSeries":
+        # sum_k weights[k] * self**k for a series with zero constant term.
+        # self**k vanishes below degree k, so the coefficient of degree n is
+        # one sum over k <= n of the scaled powers.
+        ops = self.ops
+        powers = [TruncSeries.one(ops, self.order)]
+        for _ in range(self.order):
+            powers.append(powers[-1] * self)
+        return TruncSeries(
+            ops,
+            tuple(
+                ops.sum(
+                    ops.scale(weights[k], powers[k].coeffs[n]) for k in range(n + 1) if weights[k]
+                )
+                for n in range(self.order + 1)
+            ),
+        )

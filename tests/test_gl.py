@@ -7,8 +7,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import canonical_trees
-from treehopf import gl
+from treehopf import gl, ncs
+from treehopf.linear import add_all
 from treehopf.trees import (
+    EMPTY_FOREST,
     automorphism_count,
     bplus,
     branch_forest,
@@ -146,6 +148,49 @@ def test_product_routes_agree_on_combinations(a_terms, b_terms, basis):
     # scale by the coefficients and sum over the pairs of terms in each basis.
     a, b = gl.GLElem(a_terms, basis), gl.GLElem(b_terms, basis)
     assert gl.mul(a, b) == gl.mul_structure(a, b)
+
+
+_terms = st.lists(st.tuples(st.sampled_from(_forest_pool), _non_unit_coeffs), max_size=4)
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(st.tuples(_terms, _terms), min_size=1, max_size=3),
+    st.sampled_from((gl.V_BASIS, gl.T_BASIS)),
+    st.booleans(),
+)
+def test_dot_equals_the_sum_of_structure_products(raw_pairs, basis, cancel):
+    # One integer kernel over mixed denominators; a negated copy of the
+    # first pair cancels it, and an empty term list is a zero factor.
+    pairs = [(gl.GLElem(a, basis), gl.GLElem(b, basis)) for a, b in raw_pairs]
+    if cancel:
+        pairs.append((-pairs[0][0], pairs[0][1]))
+    pairs.append((gl.zero(basis), pairs[0][1]))
+    expected = add_all(gl.zero(basis), (gl.mul_structure(a, b) for a, b in pairs))
+    assert gl.dot(pairs, basis) == expected
+    assert gl.dot(iter(pairs), basis) == expected
+
+
+def test_dot_of_no_pairs_is_zero_and_refuses_a_mixed_basis():
+    assert gl.dot((), gl.T_BASIS) == gl.zero(gl.T_BASIS)
+    with pytest.raises(TypeError):
+        gl.dot([(v("0(1)"), v("0(1)")), (t_("0(1)"), t_("0(1)"))], gl.V_BASIS)
+
+
+def test_fractional_v_constant_raises(monkeypatch):
+    # A corrupted graft count gives 1 * alpha(0(7(7))) / alpha(0(7,7)) = 1/2,
+    # which is refused rather than truncated or cached.
+    left, bad = parse_forest("[7,7]"), bplus(parse_forest("[7(7)]"))
+    monkeypatch.setattr(gl, "graft_counts", lambda scions, stock: {bad: 1})
+    with pytest.raises(ArithmeticError):
+        gl.mul(gl.from_branches(left), gl.unit())
+    assert (left, EMPTY_FOREST, gl.V_BASIS) not in gl._product_table.table
+
+
+def test_cached_product_constants_are_ints():
+    assert ncs.verify_ncs(ncs.build_omega((1, 2), 6)).ok
+    values = [c for table in gl._product_table.table.values() for _, c in table]
+    assert values and all(type(c) is int for c in values)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,67 @@ def test_rank_diagnostic_shape():
     assert ranks[4]["target_dimension"] == 9
 
 
+def _dense_rank(rows: list[list[Fraction]]) -> int:
+    # Oracle: Gauss-Jordan elimination over dense Fraction rows, the
+    # diagnostic's former route.
+    rows = [row[:] for row in rows]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [inv * v for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _sparse(rows):
+    return [{j: Fraction(c) for j, c in enumerate(row) if c} for row in rows]
+
+
+def test_sparse_rank_matches_dense_on_the_specialization_rows():
+    for m in range(1, 6):
+        basis = enumerate_bplus_trees((1, 2), m)
+        index = {branch_forest(t): i for i, t in enumerate(basis)}
+        dense = []
+        for word in nsym.compositions(m):
+            row = [Fraction(0)] * len(basis)
+            for key, c in ncs.specialize(nsym.NSymElem({word: 1}), (1, 2)).terms.items():
+                row[index[key]] = c
+            dense.append(row)
+        assert ncs._sparse_rank(_sparse(dense)) == _dense_rank(dense) == 2 ** (m - 1)
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda cols: st.lists(
+            st.lists(small_fractions, min_size=cols, max_size=cols), min_size=1, max_size=4
+        )
+    ),
+    st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=3),
+)
+def test_sparse_rank_matches_dense(base, combos):
+    # Dependent rows (combinations of the base rows) and zero rows included.
+    cols = len(base[0])
+    rows = base + [
+        [sum((k * row[j] for k, row in zip(ks, base)), Fraction(0)) for j in range(cols)]
+        for ks in combos
+    ]
+    assert ncs._sparse_rank(_sparse(rows)) == _dense_rank(rows)
+
+
 # ---------------------------------------------------------------------------
 # Dual map into QSym
 # ---------------------------------------------------------------------------

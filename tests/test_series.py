@@ -1,14 +1,15 @@
 """Truncated series engine over rational, free-algebra and tree carriers."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from treehopf import gl, nsym
 from treehopf.series import RATIONAL_OPS, TruncSeries
-from treehopf.trees import parse_tree
+from treehopf.trees import enumerate_forests, parse_tree
 
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6
@@ -104,6 +105,64 @@ def test_inverses_are_two_sided(tail):
     l = s.inverse_left()
     assert s * r == one and r * s == one
     assert l * s == one and s * l == one
+
+
+_words = [w for m in range(1, 3) for w in nsym.compositions(m)]
+_branch_forests = [f for m in range(3) for f in enumerate_forests((1,), m)]
+
+
+def _combinations(keys, build):
+    return st.lists(st.tuples(st.sampled_from(keys), rationals), max_size=3).map(build)
+
+
+# carrier: (ops, product of two coefficients, strategy for a coefficient)
+CARRIERS = {
+    "rational": (RATIONAL_OPS, lambda x, y: x * y, rationals),
+    "words": (
+        nsym.WordOps(3),
+        lambda x, y: nsym.mul(x, y, 3),
+        _combinations(_words, nsym.NSymElem),
+    ),
+    **{
+        f"trees-{basis}": (
+            gl.GLSeriesOps(basis),
+            gl.mul_structure,
+            _combinations(_branch_forests, lambda ts, basis=basis: gl.GLElem(ts, basis)),
+        )
+        for basis in (gl.V_BASIS, gl.T_BASIS)
+    },
+}
+
+
+@settings(max_examples=30)
+@pytest.mark.parametrize("carrier", CARRIERS)
+@given(data=st.data())
+def test_products_and_inverses_match_pairwise_sums(carrier, data):
+    ops, mul, coeffs = CARRIERS[carrier]
+    order = 3
+    a, b = (data.draw(st.lists(coeffs, min_size=order + 1, max_size=order + 1)) for _ in "ab")
+
+    def product(x, y):
+        # The reference Cauchy product: one ops.sum of the x_k * y_(n-k).
+        return tuple(
+            ops.sum(mul(x[k], y[n - k]) for k in range(n + 1)) for n in range(order + 1)
+        )
+
+    assert TruncSeries(ops, tuple(a)) * TruncSeries(ops, tuple(b)) == TruncSeries(
+        ops, product(a, b)
+    )
+    s = TruncSeries(ops, (ops.one(), *a[1:]))
+    one = TruncSeries.one(ops, order)
+    assert TruncSeries(ops, product(s.coeffs, s.inverse_right().coeffs)) == one
+    assert TruncSeries(ops, product(s.inverse_left().coeffs, s.coeffs)) == one
+
+    # exp: the sum over k of the k-th reference power divided by k!.
+    x = (ops.zero(), *a[1:])
+    power, expected = TruncSeries.one(ops, order).coeffs, TruncSeries.one(ops, order)
+    for k in range(1, order + 1):
+        power = product(power, x)
+        expected = expected + TruncSeries(ops, power).scale(Fraction(1, factorial(k)))
+    assert TruncSeries(ops, x).exp() == expected
 
 
 def test_inverse_requires_unit_constant_term():
