@@ -26,15 +26,15 @@ from .trees import (
     EMPTY_FOREST,
     Forest,
     LabeledTree,
-    automorphism_count,
     bplus,
     branch_forest,
     cut_results,
     enumerate_bplus_trees,
     forest,
+    forest_automorphisms,
     forest_text,
-    graft_counts,
-    graft_positions,  # re-exported: the per-assignment oracle of graft_counts
+    graft_forests,
+    graft_positions,  # re-exported: the per-assignment oracle of graft_forests
     label_values,
     _require_grafting_root,
 )
@@ -108,7 +108,7 @@ def from_branches(f: Forest, basis: str = V_BASIS) -> GLElem:
 
 def alpha(f: Forest) -> int:
     """Automorphism count of the grafting-rooted tree with branch forest f."""
-    return automorphism_count(bplus(f))
+    return forest_automorphisms(f)
 
 
 def to_v_basis(a: GLElem) -> GLElem:
@@ -133,21 +133,20 @@ def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Fores
     # sorted by result: the graft multiplicity n in T, and
     # n * alpha(result) / (alpha(left) * alpha(right)) in V, which is the
     # admissible-cut count of _structure_table and so always an integer.
-    counts = graft_counts(left, bplus(right))
-    if basis == T_BASIS:
-        terms = counts.items()
-    else:
+    terms = graft_forests(left, right)
+    if basis == V_BASIS:
         scale = alpha(left) * alpha(right)
-        terms = []
-        for t, n in counts.items():
-            c, rem = divmod(n * automorphism_count(t), scale)
+        scaled = []
+        for f, n in terms:
+            c, rem = divmod(n * alpha(f), scale)
             if rem:
                 raise ArithmeticError(
                     f"V-basis constant of {forest_text(left)} * {forest_text(right)} "
-                    f"at {forest_text(branch_forest(t))} is not an integer"
+                    f"at {forest_text(f)} is not an integer"
                 )
-            terms.append((t, c))
-    return tuple(sorted(((branch_forest(t), c) for t, c in terms), key=lambda kv: kv[0]._key))
+            scaled.append((f, c))
+        terms = scaled
+    return tuple(sorted(terms, key=lambda kv: kv[0]._key))
 
 
 def _over_one_denominator(x: GLElem, basis: str) -> tuple[int, list[tuple[Forest, int]]]:

@@ -19,14 +19,19 @@ so the 3-chain over labels {1} with a grafting root prints as ``0(1(1))``.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
 from . import memo
 
 GRAFT_ROOT_LABEL = 0
+
+_canonical = operator.attrgetter("_key")  # the sort key of trees and forests
+_weight = operator.attrgetter("weight")
+_size = operator.attrgetter("size")
 
 
 class LabeledTree:
@@ -34,18 +39,20 @@ class LabeledTree:
 
     ``children`` is a tuple sorted by the canonical key (label first, then the
     recursive encoding), so structural equality coincides with labeled
-    rooted-tree isomorphism.  Construct instances through :func:`node`.
+    rooted-tree isomorphism.  The nested key only orders; the hash comes from
+    the label and the children's cached hashes, so it costs O(children).
+    Construct instances through :func:`node`.
     """
 
     __slots__ = ("label", "children", "weight", "size", "_key", "_hash", "_text")
 
-    def __init__(self, label: int, children: tuple["LabeledTree", ...], key):
+    def __init__(self, label: int, children: tuple["LabeledTree", ...]):
         self.label = label
         self.children = children
-        self.weight = label + sum(c.weight for c in children)
-        self.size = 1 + sum(c.size for c in children)
-        self._key = key
-        self._hash = hash(key)
+        self.weight = label + sum(map(_weight, children))
+        self.size = 1 + sum(map(_size, children))
+        self._key = (label, tuple(map(_canonical, children)))
+        self._hash = hash((label, children))
         self._text: str | None = None
 
     def __eq__(self, other):
@@ -68,12 +75,12 @@ _TREE_POOL = memo.table()
 
 def node(label: int, children: Iterable[LabeledTree] = ()) -> LabeledTree:
     """Intern the canonical tree with the given root label and child multiset."""
-    kids = tuple(sorted(children, key=lambda c: c._key))
-    key = (label, tuple(c._key for c in kids))
+    kids = tuple(sorted(children, key=_canonical))
+    key = (label, kids)
     got = _TREE_POOL.get(key)
     if got is not None:
         return got
-    return memo.put(_TREE_POOL, key, LabeledTree(label, kids, key))
+    return memo.put(_TREE_POOL, key, LabeledTree(label, kids))
 
 
 def leaf(label: int) -> LabeledTree:
@@ -85,12 +92,12 @@ class Forest:
 
     __slots__ = ("trees", "weight", "size", "_key", "_hash", "_text")
 
-    def __init__(self, trees: tuple[LabeledTree, ...], key):
+    def __init__(self, trees: tuple[LabeledTree, ...]):
         self.trees = trees
-        self.weight = sum(t.weight for t in trees)
-        self.size = sum(t.size for t in trees)
-        self._key = key
-        self._hash = hash(key)
+        self.weight = sum(map(_weight, trees))
+        self.size = sum(map(_size, trees))
+        self._key = tuple(map(_canonical, trees))
+        self._hash = hash(trees)
         self._text: str | None = None
 
     def __eq__(self, other):
@@ -119,12 +126,11 @@ _FOREST_POOL = memo.table()
 
 def forest(trees: Iterable[LabeledTree] = ()) -> Forest:
     """Intern the canonical forest with the given tree multiset."""
-    ts = tuple(sorted(trees, key=lambda t: t._key))
-    key = tuple(t._key for t in ts)
-    got = _FOREST_POOL.get(key)
+    ts = tuple(sorted(trees, key=_canonical))
+    got = _FOREST_POOL.get(ts)
     if got is not None:
         return got
-    return memo.put(_FOREST_POOL, key, Forest(ts, key))
+    return memo.put(_FOREST_POOL, ts, Forest(ts))
 
 
 EMPTY_FOREST = forest()
@@ -182,11 +188,13 @@ def canonicalize(raw, labels: Iterable[int] | None = None) -> LabeledTree:
     return build(raw, True)
 
 
-def _bottom_up(t: LabeledTree, cached, combine):
+def _bottom_up(t: LabeledTree, cached, combine, values=None):
     # combine(u, values of u's children) at every vertex whose value cached(u)
-    # does not hold yet, children first.  An explicit stack instead of
+    # does not hold yet, children first; values collects them (a caller's
+    # dict shares them across trees).  An explicit stack instead of
     # recursion, so a tree of any depth costs no interpreter stack.
-    values: dict[LabeledTree, object] = {}
+    if values is None:
+        values = {}
     stack = [t]
     while stack:
         u = stack[-1]
@@ -224,10 +232,11 @@ def forest_text(f: Forest) -> str:
     return f._text
 
 
-# Deepest nesting the parser accepts.  The parser, the cut extraction and
-# grafting recurse once per level; tree_text, shape, automorphism_count,
-# label_values and the cut enumeration do not.  Deeper text is refused before
-# any tree is built, so it ends in a one-line ValueError, not a RecursionError.
+# Deepest nesting the parser accepts.  The parser, nested_cut_sum and the
+# grafting oracle graft_positions recurse once per level; tree_text, shape,
+# automorphism_count, label_values, the cuts and graft_forests do not.
+# Deeper text is refused before any tree is built, so it ends in a one-line
+# ValueError, not a RecursionError.
 MAX_PARSE_DEPTH = 100
 
 
@@ -370,15 +379,31 @@ def automorphism_count(t: LabeledTree) -> int:
     got = _ALPHA_CACHE.get(t)
     if got is not None:
         return got
-    return _bottom_up(t, _ALPHA_CACHE.get, _automorphisms_of)
+    return _bottom_up(
+        t, _ALPHA_CACHE.get, lambda u, kids: memo.put(_ALPHA_CACHE, u, _automorphisms(u.children, kids))
+    )
 
 
-def _automorphisms_of(t: LabeledTree, kids: list[int]) -> int:
+_FOREST_ALPHA_CACHE = memo.table()
+
+
+def forest_automorphisms(f: Forest) -> int:
+    """Order of the automorphism group of the forest, that of bplus(f)."""
+    got = _FOREST_ALPHA_CACHE.get(f)
+    if got is not None:
+        return got
+    a = _automorphisms(f.trees, [automorphism_count(t) for t in f.trees])
+    return memo.put(_FOREST_ALPHA_CACHE, f, a)
+
+
+def _automorphisms(trees: tuple[LabeledTree, ...], counts: list[int]) -> int:
+    # Canonical order puts equal trees side by side; m equal trees with a
+    # automorphisms each contribute m! * a**m.
     a = 1
-    for _, group in itertools.groupby(zip(t.children, kids), key=lambda ck: ck[0]):
+    for _, group in itertools.groupby(zip(trees, counts), key=lambda tc: tc[0]):
         block = tuple(group)
         a *= factorial(len(block)) * block[0][1] ** len(block)
-    return memo.put(_ALPHA_CACHE, t, a)
+    return a
 
 
 def label_values(obj: LabeledTree | Forest) -> frozenset[int]:
@@ -524,7 +549,13 @@ def _antichain_sets(idx: _TreeIndex, alive: frozenset[int]) -> list[frozenset[in
 
 
 def _extract(idx: _TreeIndex, v: int, alive: frozenset[int]) -> LabeledTree:
-    return node(idx.labels[v], (_extract(idx, c, alive) for c in idx.children[v] if c in alive))
+    # The alive part of v's subtree; reverse preorder builds every child
+    # before its parent, so no recursion.
+    built: dict[int, LabeledTree] = {}
+    for u in reversed(idx.descendants(v)):
+        if u in alive:
+            built[u] = node(idx.labels[u], [built.pop(c) for c in idx.children[u] if c in alive])
+    return built[v]
 
 
 def _without_subtrees(idx: _TreeIndex, alive: frozenset[int], cut_vertices) -> frozenset[int]:
@@ -675,34 +706,160 @@ def graft_positions(scions: Forest, stock: LabeledTree) -> list[LabeledTree]:
 
 
 def graft_counts(scions: Forest, stock: LabeledTree) -> dict[LabeledTree, int]:
-    """The distinct trees of :func:`graft_positions` with their multiplicities.
-
-    Equal scions are adjacent in the canonical forest.  A class of m equal
-    scions is spread over the stock's vertices as a multiset of m vertices
-    (``combinations_with_replacement``); the m!/(k_1!...k_v!) assignments
-    that put k_i of them on vertex i all give the same tree, so the multiset
-    is built once with that weight.  The classes combine as a product.  With
-    a single class of m equal scions on v vertices that is C(v+m-1, m) trees
-    instead of v**m.
-    """
+    """The distinct trees of :func:`graft_positions` with their multiplicities."""
     if stock.label != GRAFT_ROOT_LABEL:
         raise ValueError("stock must have the 0-labeled grafting root")
-    idx = _index(stock)
-    spreads = []
-    for scion, group in itertools.groupby(scions.trees):
-        m = len(tuple(group))
-        spread = []
-        for vertices in itertools.combinations_with_replacement(range(stock.size), m):
-            ways = factorial(m)
-            for _, same in itertools.groupby(vertices):
-                ways //= factorial(len(tuple(same)))
-            spread.append((scion, vertices, ways))
-        spreads.append(spread)
-    counts: dict[LabeledTree, int] = {}
-    for placement in itertools.product(*spreads):
-        result = _grafted(idx, ((v, s) for s, vertices, _ in placement for v in vertices))
-        counts[result] = counts.get(result, 0) + prod(ways for *_, ways in placement)
-    return counts
+    return {bplus(f): n for f, n in graft_forests(scions, branch_forest(stock))}
+
+
+_GRAFT_CACHE = memo.table()
+
+
+@memo.memoized
+def _sub_multisets(mults: tuple[int, ...]):
+    # The sub-multisets of a multiset with these multiplicities, as count
+    # vectors (empty first, whole last).  sums[i][j] is (index of i + j,
+    # prod over kinds s of C(i_s + j_s, j_s)) when i + j stays inside, else
+    # None; the binomials choose the positions that part j takes.  below[k]
+    # lists the (i, j, binomials) with i + j = k.
+    vecs = list(itertools.product(*(range(m + 1) for m in mults)))
+    index = {v: i for i, v in enumerate(vecs)}
+    sums = [[None] * len(vecs) for _ in vecs]
+    below = [[] for _ in vecs]
+    for i, a in enumerate(vecs):
+        for j, b in enumerate(vecs):
+            k = index.get(tuple(x + y for x, y in zip(a, b)))
+            if k is not None:
+                sums[i][j] = k, prod(comb(x, y) for x, y in zip(vecs[k], b))
+                below[k].append((i, j, sums[i][j][1]))
+    return vecs, sums, below
+
+
+def graft_forests(scions: Forest, stock: Forest) -> tuple[tuple[Forest, int], ...]:
+    """Graft the scions onto the vertices of bplus(stock) in every way.
+
+    Returns the branch forest of each distinct result with the number of
+    assignments of scions to vertices that give it, the counts of
+    :func:`graft_positions`.  Grafting a sub-multiset X of the scions onto
+    the subtree at a vertex u keeps some X0 at u, C(x_s, x0_s) ways per
+    scion kind s, and spreads the rest over u's children.  The distinct
+    subtrees are filled bottom-up, each memoized on (X, subtree); a class of
+    k equal children takes a multiset of nonempty (part, result) options,
+    weighted by its arrangements over the k copies.
+    """
+    if not scions.trees:
+        return ((stock, 1),)
+    if not stock.trees:
+        return ((scions, 1),)
+    kinds, mults = [], []
+    for s, group in itertools.groupby(scions.trees):
+        kinds.append(s)
+        mults.append(len(tuple(group)))
+    vecs, sums, below = _sub_multisets(tuple(mults))
+    parts = [tuple(s for s, k in zip(kinds, v) for _ in range(k)) for v in vecs]
+    inner = range(1, len(vecs))
+    get = _GRAFT_CACHE.get
+
+    def cached(u):
+        # u's results for every nonempty part, when all are memoized.
+        got = [None]
+        for x in inner:
+            results = get((u,) + parts[x])
+            if results is None:
+                return None
+            got.append(results)
+        return got
+
+    def combine(u, kid_results):
+        # Keys and values are flat tuples, (u, *part) and (r1, n1, r2, ...),
+        # so that each entry holds two container objects.
+        got = [None]
+        for x, spread in zip(inner, _spread(u.children, kid_results, sums, below, parts, inner)):
+            results = itertools.chain.from_iterable(
+                _merged((node(u.label, kids), n) for kids, n in spread)
+            )
+            got.append(memo.put(_GRAFT_CACHE, (u,) + parts[x], tuple(results)))
+        return got
+
+    values: dict[LabeledTree, list] = {}
+    for t in stock.trees:
+        _bottom_up(t, cached, combine, values)
+    (spread,) = _spread(
+        stock.trees, [values[t] for t in stock.trees], sums, below, parts, (len(vecs) - 1,)
+    )
+    return tuple(_merged((forest(kids), n) for kids, n in spread))
+
+
+def _merged(pairs):
+    # The (key, count) pairs with the counts of equal keys summed.
+    counts: dict = {}
+    for key, n in pairs:
+        counts[key] = counts.get(key, 0) + n
+    return counts.items()
+
+
+def _spread(children, kid_results, sums, below, parts, targets):
+    # For each target part x: (children's results + scions kept at the
+    # vertex, count) over every way of grafting x below and at the vertex,
+    # not yet merged.  kid_results[i][y] holds the results of part y on
+    # children[i], flat (r1, n1, r2, n2, ...).  A state is (part used so
+    # far, results so far, count); each class of equal children adds its
+    # spread of a part z, times the choices of positions for z.
+    states = [(0, (), 1)]
+    start = 0
+    for c, group in itertools.groupby(children):
+        k = len(tuple(group))
+        spread = _class_spread(c, k, kid_results[start], sums)
+        start += k
+        grown = []
+        for y, kids, w in states:
+            for hit, entries in zip(sums[y], spread):
+                if hit is not None:
+                    y2, b = hit
+                    grown.extend((y2, kids + more, w * b * n) for more, n in entries)
+        states = grown
+    by_part = [[] for _ in sums]
+    for y, kids, w in states:
+        by_part[y].append((kids, w))
+    return [
+        [(kids + parts[z], w * b) for y, z, b in below[x] for kids, w in by_part[y]]
+        for x in targets
+    ]
+
+
+def _class_spread(c, k, options, sums):
+    # For each part z, the (results on k copies of c, count) that graft z
+    # below them: a multiset of nonempty options (x, r), each taken by e
+    # copies in turn: C(k - t, e) choices among the k - t copies still
+    # free, times the choices of positions for e parts x.
+    if k == 1:
+        return [(((c,), 1),)] + [
+            [((r,), n) for r, n in zip(flat[::2], flat[1::2])] for flat in options[1:]
+        ]
+    # States (part, copies taken t, results, count); open ones have t < k.
+    open_ = [(0, 0, (), 1)]
+    full = []
+    for x in range(1, len(options)):
+        flat = options[x]
+        for r, n in zip(flat[::2], flat[1::2]):
+            grown = []
+            for y, t, kids, w in open_:
+                arrangements, e = 1, 0
+                while t + e < k:
+                    hit = sums[y][x]
+                    if hit is None:
+                        break
+                    y, b = hit
+                    e += 1
+                    arrangements = arrangements * (k - t - e + 1) // e
+                    w *= b * n
+                    state = (y, t + e, kids + (r,) * e, arrangements * w)
+                    (full if t + e == k else grown).append(state)
+            open_ += grown
+    spread = [[] for _ in sums]
+    for y, t, kids, w in open_ + full:
+        spread[y].append((kids + (c,) * (k - t), w))
+    return spread
 
 
 def _grafted(idx: _TreeIndex, placed: Iterable[tuple[int, LabeledTree]]) -> LabeledTree:

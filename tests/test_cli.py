@@ -292,6 +292,23 @@ def test_memo_limit_of_one_caps_every_table():
     assert max(sizes) == 1
 
 
+def test_equal_trees_built_apart_hash_equal_under_a_memo_limit_of_one():
+    # With the intern pools capped, equal trees and forests are distinct
+    # objects; their hashes come from their children's, never from identity.
+    script = (
+        "from treehopf.trees import forest, leaf, node, parse_tree\n"
+        "a = node(0, (node(1, (leaf(2), leaf(1))), leaf(1)))\n"
+        "b = parse_tree('0(1,1(1,2))')\n"
+        "fa, fb = forest((a, leaf(3), a)), forest((b, b, leaf(3)))\n"
+        "assert a is not b and fa is not fb\n"
+        "assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1 and {b: 2}[a] == 2\n"
+        "assert fa == fb and hash(fa) == hash(fb) and {fa: 1}[fb] == 1 and {fb: 2}[fa] == 2\n"
+        "print('ok')\n"
+    )
+    proc = _python_subprocess("-c", script, TREEHOPF_MEMO_LIMIT="1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
 def _chain_text(depth: int, root: str) -> str:
     return root + "(1" * depth + ")" * depth
 

@@ -180,8 +180,8 @@ def test_dot_of_no_pairs_is_zero_and_refuses_a_mixed_basis():
 def test_fractional_v_constant_raises(monkeypatch):
     # A corrupted graft count gives 1 * alpha(0(7(7))) / alpha(0(7,7)) = 1/2,
     # which is refused rather than truncated or cached.
-    left, bad = parse_forest("[7,7]"), bplus(parse_forest("[7(7)]"))
-    monkeypatch.setattr(gl, "graft_counts", lambda scions, stock: {bad: 1})
+    left, bad = parse_forest("[7,7]"), parse_forest("[7(7)]")
+    monkeypatch.setattr(gl, "graft_forests", lambda scions, stock: ((bad, 1),))
     with pytest.raises(ArithmeticError):
         gl.mul(gl.from_branches(left), gl.unit())
     assert (left, EMPTY_FOREST, gl.V_BASIS) not in gl._product_table.table

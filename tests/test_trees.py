@@ -2,10 +2,12 @@
 
 import functools
 import itertools
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import canonical_trees, raw_trees
@@ -487,6 +489,46 @@ def test_graft_counts_group_equal_scions():
         graft_counts(forest([leaf(1)]), leaf(1))
 
 
+@st.composite
+def graft_cases(draw):
+    # A few scion kinds, each repeated, on a stock whose root has classes of
+    # equal children; the scions are trimmed so that graft_positions lists at
+    # most 2000 assignments.
+    small = canonical_trees(labels=(1, 2), max_depth=1, max_children=2)
+    scions = [t for t in draw(st.lists(small, max_size=3)) for _ in range(draw(st.integers(1, 3)))]
+    kids = [t for t in draw(st.lists(small, max_size=3)) for _ in range(draw(st.integers(1, 3)))]
+    stock = node(0, kids)
+    while stock.size ** len(scions) > 2000:
+        scions.pop()
+    return forest(scions), stock
+
+
+@given(graft_cases())
+def test_graft_counts_match_every_assignment_on_random_pairs(case):
+    scions, stock = case
+    assert graft_counts(scions, stock) == dict(Counter(graft_positions(scions, stock)))
+
+
+def test_graft_counts_take_a_600_deep_chain():
+    # One result per vertex of the stock, each from one assignment.
+    chain = leaf(1)
+    for _ in range(599):
+        chain = node(1, (chain,))
+    counts = graft_counts(forest([leaf(2)]), node(0, (chain,)))
+    assert len(counts) == 601 and set(counts.values()) == {1}
+
+
+def test_graft_counts_spread_a_scion_over_1200_equal_leaves():
+    start = time.perf_counter()
+    counts = graft_counts(forest([leaf(2)]), node(0, [leaf(1)] * 1200))
+    elapsed = time.perf_counter() - start
+    assert counts == {
+        node(0, [leaf(1)] * 1200 + [leaf(2)]): 1,
+        node(0, [leaf(1)] * 1199 + [parse_tree("1(2)")]): 1200,
+    }
+    assert elapsed < 1.0
+
+
 def test_branch_forest_inverts_bplus():
     for m in range(0, 5):
         for f in enumerate_forests((1, 2), m):
@@ -536,3 +578,6 @@ def test_label_values_and_cut_enumeration_take_a_3000_deep_chain():
     cuts = admissible_cuts(node(0, (chain,)))
     assert len(cuts) == depth + 1
     assert cuts[0].edges == frozenset() and {len(c) for c in cuts[1:]} == {1}
+    # Vertex v of the grafted chain is at depth v: the cut above it keeps v - 1.
+    cut = apply_cut(node(0, (chain,)), Cut(frozenset({1500})))
+    assert [t.size for t in cut.pruned] == [depth - 1499] and cut.trunk.size == 1500
