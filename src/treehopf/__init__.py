@@ -11,7 +11,7 @@ Submodules:
 * ``ncs``       the five generating functions, their axioms, specialization
 * ``orderpoly`` order polynomials of forest posets and tree constants
 * ``report``    the checked/failures report of the verification suites
-* ``memo``      every memo table and the ``TREEHOPF_MEMO_LIMIT`` cap
+* ``memo``      every memo table and intern pool, the ``memoized`` decorator
 * ``cli``       command-line front end
 """
 

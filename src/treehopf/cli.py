@@ -14,23 +14,17 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-try:
-    from . import ck, duality, gl, ncs, nsym, orderpoly
-    from .trees import (
-        enumerate_bplus_trees,
-        enumerate_forests,
-        enumerate_trees,
-        forest_text,
-        parse_forest,
-        parse_tree,
-        tree_text,
-    )
-except ValueError as exc:
-    # treehopf.memo refuses an invalid TREEHOPF_MEMO_LIMIT at import; main()
-    # reports it as a usage error instead of a traceback.
-    _IMPORT_ERROR: ValueError | None = exc
-else:
-    _IMPORT_ERROR = None
+from . import duality, gl, ncs, nsym, orderpoly
+from .trees import (
+    enumerate_bplus_trees,
+    enumerate_forests,
+    enumerate_trees,
+    forest_text,
+    label_values,
+    parse_forest,
+    parse_tree,
+    tree_text,
+)
 
 MAX_ORDER_CEILING = 12
 
@@ -240,6 +234,11 @@ def cmd_qsym(args) -> int:
         raise ValueError(
             f"forest weight {f.weight} exceeds --max-weight {cfg.max_weight}"
         )
+    # The image is taken over cfg.labels: a vertex with another label, the
+    # grafting label 0 included, has no letter there and would give 0.
+    outside = sorted(label_values(f).union(t.label for t in f) - set(cfg.labels))
+    if outside:
+        raise ValueError(f"label {outside[0]} outside the allowed set {sorted(cfg.labels)}")
     image = ncs.dual_specialize(f, cfg.labels)
     payload = {
         "command": "qsym",
@@ -316,9 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if _IMPORT_ERROR is not None:
-        print(f"error: {_IMPORT_ERROR}", file=sys.stderr)
-        return 2
     try:
         return args.run(args)
     except ValueError as exc:

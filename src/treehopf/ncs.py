@@ -32,7 +32,6 @@ from .trees import (
     chain_leaf,
     enumerate_bplus_trees,
     forest,
-    forest_text,
     is_chain,
     is_primitive_tree,
     is_shrub,

@@ -256,8 +256,7 @@ def elementary_in_complete(m: int) -> NSymElem:
     sigma_free = TruncSeries(ops, (unit(),) + tuple(generator(k) for k in range(1, m + 1)))
     lam_free = sigma_free.alternate().inverse_right()
     for k in range(1, m + 1):
-        if k not in _ELEM_IN_COMPLETE:
-            memo.put(_ELEM_IN_COMPLETE, k, lam_free.coeffs[k])
+        _ELEM_IN_COMPLETE.setdefault(k, lam_free.coeffs[k])
     return lam_free.coeffs[m]
 
 

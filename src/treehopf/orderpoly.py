@@ -226,7 +226,7 @@ def _root_value_vector(u: LabeledTree, n: int, strict: bool) -> tuple[int, ...]:
                 if not prod:
                     break
             out[r] = prod
-        return memo.put(_ROOT_VECTORS, (v, n, strict), tuple(out))
+        return _ROOT_VECTORS.setdefault((v, n, strict), tuple(out))
 
     return _bottom_up(u, lambda v: _ROOT_VECTORS.get((v, n, strict)), combine)
 

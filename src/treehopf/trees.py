@@ -38,13 +38,12 @@ class LabeledTree:
     """A labeled rooted tree in canonical form.
 
     ``children`` is a tuple sorted by the canonical key (label first, then the
-    recursive encoding), so structural equality coincides with labeled
-    rooted-tree isomorphism.  The nested key only orders; the hash comes from
-    the label and the children's cached hashes, so it costs O(children).
-    Construct instances through :func:`node`.
+    recursive encoding).  Every instance is interned by :func:`node`, so
+    isomorphic trees are one object: equality and hashing are identity, and
+    the nested key only orders.
     """
 
-    __slots__ = ("label", "children", "weight", "size", "_key", "_hash", "_text")
+    __slots__ = ("label", "children", "weight", "size", "_key", "_text")
 
     def __init__(self, label: int, children: tuple["LabeledTree", ...]):
         self.label = label
@@ -52,16 +51,7 @@ class LabeledTree:
         self.weight = label + sum(map(_weight, children))
         self.size = 1 + sum(map(_size, children))
         self._key = (label, tuple(map(_canonical, children)))
-        self._hash = hash((label, children))
         self._text: str | None = None
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, LabeledTree) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other: "LabeledTree"):
         return self._key < other._key
@@ -80,7 +70,7 @@ def node(label: int, children: Iterable[LabeledTree] = ()) -> LabeledTree:
     got = _TREE_POOL.get(key)
     if got is not None:
         return got
-    return memo.put(_TREE_POOL, key, LabeledTree(label, kids))
+    return _TREE_POOL.setdefault(key, LabeledTree(label, kids))
 
 
 def leaf(label: int) -> LabeledTree:
@@ -88,25 +78,20 @@ def leaf(label: int) -> LabeledTree:
 
 
 class Forest:
-    """A finite multiset of labeled rooted trees; the empty forest is the unit."""
+    """A finite multiset of labeled rooted trees; the empty forest is the unit.
 
-    __slots__ = ("trees", "weight", "size", "_key", "_hash", "_text")
+    Every instance is interned by :func:`forest`, so equality and hashing
+    are identity, as for trees.
+    """
+
+    __slots__ = ("trees", "weight", "size", "_key", "_text")
 
     def __init__(self, trees: tuple[LabeledTree, ...]):
         self.trees = trees
         self.weight = sum(map(_weight, trees))
         self.size = sum(map(_size, trees))
         self._key = tuple(map(_canonical, trees))
-        self._hash = hash(trees)
         self._text: str | None = None
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Forest) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other: "Forest"):
         return self._key < other._key
@@ -130,7 +115,7 @@ def forest(trees: Iterable[LabeledTree] = ()) -> Forest:
     got = _FOREST_POOL.get(ts)
     if got is not None:
         return got
-    return memo.put(_FOREST_POOL, ts, Forest(ts))
+    return _FOREST_POOL.setdefault(ts, Forest(ts))
 
 
 EMPTY_FOREST = forest()
@@ -188,13 +173,11 @@ def canonicalize(raw, labels: Iterable[int] | None = None) -> LabeledTree:
     return build(raw, True)
 
 
-def _bottom_up(t: LabeledTree, cached, combine, values=None):
+def _bottom_up(t: LabeledTree, cached, combine):
     # combine(u, values of u's children) at every vertex whose value cached(u)
-    # does not hold yet, children first; values collects them (a caller's
-    # dict shares them across trees).  An explicit stack instead of
+    # does not hold yet, children first.  An explicit stack instead of
     # recursion, so a tree of any depth costs no interpreter stack.
-    if values is None:
-        values = {}
+    values = {}
     stack = [t]
     while stack:
         u = stack[-1]
@@ -232,9 +215,10 @@ def forest_text(f: Forest) -> str:
     return f._text
 
 
-# Deepest nesting the parser accepts.  The parser, nested_cut_sum and the
-# grafting oracle graft_positions recurse once per level; tree_text, shape,
-# automorphism_count, label_values, the cuts and graft_forests do not.
+# Deepest nesting the parser accepts.  The parser and the grafting oracle
+# graft_positions recurse once per level; tree_text, shape,
+# automorphism_count, label_values, the cuts, graft_forests and
+# nested_cut_sum (which recurses once per cut) do not.
 # Deeper text is refused before any tree is built, so it ends in a one-line
 # ValueError, not a RecursionError.
 MAX_PARSE_DEPTH = 100
@@ -362,7 +346,7 @@ def shape(t: LabeledTree) -> LabeledTree:
     if got is not None:
         return got
     return _bottom_up(
-        t, _SHAPE_CACHE.get, lambda u, kids: memo.put(_SHAPE_CACHE, u, node(1, kids))
+        t, _SHAPE_CACHE.get, lambda u, kids: _SHAPE_CACHE.setdefault(u, node(1, kids))
     )
 
 
@@ -380,20 +364,14 @@ def automorphism_count(t: LabeledTree) -> int:
     if got is not None:
         return got
     return _bottom_up(
-        t, _ALPHA_CACHE.get, lambda u, kids: memo.put(_ALPHA_CACHE, u, _automorphisms(u.children, kids))
+        t, _ALPHA_CACHE.get, lambda u, kids: _ALPHA_CACHE.setdefault(u, _automorphisms(u.children, kids))
     )
 
 
-_FOREST_ALPHA_CACHE = memo.table()
-
-
+@memo.memoized
 def forest_automorphisms(f: Forest) -> int:
     """Order of the automorphism group of the forest, that of bplus(f)."""
-    got = _FOREST_ALPHA_CACHE.get(f)
-    if got is not None:
-        return got
-    a = _automorphisms(f.trees, [automorphism_count(t) for t in f.trees])
-    return memo.put(_FOREST_ALPHA_CACHE, f, a)
+    return _automorphisms(f.trees, [automorphism_count(t) for t in f.trees])
 
 
 def _automorphisms(trees: tuple[LabeledTree, ...], counts: list[int]) -> int:
@@ -644,20 +622,32 @@ def nested_cut_sequences(
 
 
 @memo.memoized
-def _single_edge_cuts(t: LabeledTree) -> tuple[tuple[LabeledTree, LabeledTree, int], ...]:
-    # The distinct one-edge cuts of t as (pruned subtree, trunk, multiplicity):
-    # cut the edge to a child c (one per copy of c), or an edge inside c.
-    counts: dict[tuple[LabeledTree, LabeledTree], int] = {}
-    kids = t.children
-    start = 0
-    for c, group in itertools.groupby(kids):
-        copies = len(tuple(group))
-        others = kids[:start] + kids[start + 1 :]
-        start += copies
-        inner = [(x, node(t.label, others + (rest,)), m) for x, rest, m in _single_edge_cuts(c)]
-        for x, rest, m in [(c, node(t.label, others), 1)] + inner:
-            counts[x, rest] = counts.get((x, rest), 0) + copies * m
-    return tuple((x, rest, m) for (x, rest), m in counts.items())
+def _single_edge_cuts(t: LabeledTree) -> tuple[tuple[tuple[LabeledTree, LabeledTree], int], ...]:
+    # The distinct one-edge cuts of t as ((pruned subtree, trunk), multiplicity).
+    # Walked from the root on an explicit stack, so a tree of any depth costs
+    # no interpreter stack; one child of each class of equal siblings is
+    # walked, counted with its copies.
+    cuts = []
+    stack = [(None, t, 1)]
+    while stack:
+        path, u, mult = stack.pop()
+        start = 0
+        for c, group in itertools.groupby(u.children):
+            copies = len(tuple(group))
+            to_c = (path, u, start)  # linked: (path to u, u, index of c)
+            cuts.append(((c, _trunk_without(to_c)), mult * copies))
+            stack.append((to_c, c, mult * copies))
+            start += copies
+    return tuple(_merged(cuts))
+
+
+def _trunk_without(path) -> LabeledTree:
+    # The tree at the start of path with the child at its end removed.
+    kept = ()
+    while path is not None:
+        path, u, i = path
+        kept = (node(u.label, u.children[:i] + kept + u.children[i + 1 :]),)
+    return kept[0]
 
 
 @memo.memoized
@@ -682,7 +672,7 @@ def nested_cut_sum(t: LabeledTree, k: int, piece, trunk) -> Fraction:
     if k == 0:
         return trunk(t)
     total = Fraction(0)
-    for x, rest, copies in _single_edge_cuts(t):
+    for (x, rest), copies in _single_edge_cuts(t):
         inner = nested_cut_sum(rest, k - 1, piece, trunk)
         if inner:
             total += copies * piece(x) * inner
@@ -778,15 +768,11 @@ def graft_forests(scions: Forest, stock: Forest) -> tuple[tuple[Forest, int], ..
             results = itertools.chain.from_iterable(
                 _merged((node(u.label, kids), n) for kids, n in spread)
             )
-            got.append(memo.put(_GRAFT_CACHE, (u,) + parts[x], tuple(results)))
+            got.append(_GRAFT_CACHE.setdefault((u,) + parts[x], tuple(results)))
         return got
 
-    values: dict[LabeledTree, list] = {}
-    for t in stock.trees:
-        _bottom_up(t, cached, combine, values)
-    (spread,) = _spread(
-        stock.trees, [values[t] for t in stock.trees], sums, below, parts, (len(vecs) - 1,)
-    )
+    kid_results = [_bottom_up(t, cached, combine) for t in stock.trees]
+    (spread,) = _spread(stock.trees, kid_results, sums, below, parts, (len(vecs) - 1,))
     return tuple(_merged((forest(kids), n) for kids, n in spread))
 
 

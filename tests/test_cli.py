@@ -208,9 +208,19 @@ def test_qsym_singleton(capsys):
 
 
 def test_qsym_weight_above_bound_fails(capsys):
-    code, _, err = run(capsys, "qsym", "--forest", "[1,1,1]", "--labels", "1", "--max-weight", "2")
-    assert code == 2
-    assert "exceeds" in err
+    # A vertex whose label has no letter in --labels is refused too, rather
+    # than giving an image of 0.
+    for text, labels, max_weight, named in (
+        ("[1,1,1]", "1", "2", "exceeds"),
+        ("[1(2)]", "1", "4", "label 2 "),
+        ("[0]", "1,2", "4", "label 0 "),
+        ("[0(1)]", "1", "4", "label 0 "),
+    ):
+        code, out, err = run(
+            capsys, "qsym", "--forest", text, "--labels", labels, "--max-weight", max_weight
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and named in err
 
 
 # ---------------------------------------------------------------------------
@@ -245,68 +255,6 @@ def _python_subprocess(*argv, **env_vars):
 
 def _cli_subprocess(*args, **env_vars):
     return _python_subprocess("-m", "treehopf.cli", *args, **env_vars)
-
-
-def _cli_with_memo_limit(value, *args):
-    return _cli_subprocess(*args, TREEHOPF_MEMO_LIMIT=value)
-
-
-@pytest.mark.parametrize("value", ["abc", "-5"])
-def test_invalid_memo_limit_is_a_usage_error(value):
-    proc = _cli_with_memo_limit(value, "theta", "0(1)")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: TREEHOPF_MEMO_LIMIT must be an integer >= 0, got {value!r}\n"
-
-
-@pytest.mark.parametrize("value", ["0", "3"])
-def test_valid_memo_limit_keeps_the_results(value):
-    # 0 is unbounded; 3 caps every table (the tree pool too) well below use.
-    proc = _cli_with_memo_limit(value, "theta", "0(1(1,1,1,1))")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-1/30\n", "")
-
-
-def test_memo_limit_of_one_keeps_verify_all_output(monkeypatch):
-    # Every memo table, nsym's included, is written through memo.put, so a
-    # cap of one entry per table changes the work done, never the output.
-    args = ("verify", "all", "--format", "json")
-    capped = _cli_with_memo_limit("1", *args)
-    monkeypatch.delenv("TREEHOPF_MEMO_LIMIT", raising=False)
-    unset = _cli_subprocess(*args)
-    assert (capped.returncode, capped.stderr) == (unset.returncode, unset.stderr) == (0, "")
-    assert capped.stdout == unset.stdout
-
-
-def test_memo_limit_of_one_caps_every_table():
-    # Every memo table and intern pool is made by treehopf.memo and listed there.
-    script = (
-        "from treehopf import cli, memo\n"
-        "code = cli.main(['verify', 'all', '--format', 'json'])\n"
-        "print(code, [len(table) for table in memo.TABLES])\n"
-    )
-    proc = _python_subprocess("-c", script, TREEHOPF_MEMO_LIMIT="1")
-    assert (proc.returncode, proc.stderr) == (0, "")
-    code, sizes = proc.stdout.splitlines()[-1].split(" ", 1)
-    sizes = json.loads(sizes)
-    assert code == "0" and len(sizes) > 20
-    assert max(sizes) == 1
-
-
-def test_equal_trees_built_apart_hash_equal_under_a_memo_limit_of_one():
-    # With the intern pools capped, equal trees and forests are distinct
-    # objects; their hashes come from their children's, never from identity.
-    script = (
-        "from treehopf.trees import forest, leaf, node, parse_tree\n"
-        "a = node(0, (node(1, (leaf(2), leaf(1))), leaf(1)))\n"
-        "b = parse_tree('0(1,1(1,2))')\n"
-        "fa, fb = forest((a, leaf(3), a)), forest((b, b, leaf(3)))\n"
-        "assert a is not b and fa is not fb\n"
-        "assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1 and {b: 2}[a] == 2\n"
-        "assert fa == fb and hash(fa) == hash(fb) and {fa: 1}[fb] == 1 and {fb: 2}[fa] == 2\n"
-        "print('ok')\n"
-    )
-    proc = _python_subprocess("-c", script, TREEHOPF_MEMO_LIMIT="1")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def _chain_text(depth: int, root: str) -> str:

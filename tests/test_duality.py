@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from treehopf import ck, duality, gl, memo
+from treehopf import ck, duality, gl
 from treehopf.trees import (
     EMPTY_FOREST,
     bplus,
@@ -134,7 +134,6 @@ def _every_key_of_weight_three(arg, out):
 def test_adjunction_reports_corrupted_coefficients_as_the_pairings_did(monkeypatch, fault, keys):
     # Filled memo tables keep the fault inside the checker's own calls (the
     # antipodes call mul and antipode themselves on a miss).
-    monkeypatch.setattr(memo, "LIMIT", None)
     assert duality.check_hopf_adjunction((1, 2), 4).ok
     module_name, name = fault.split(".")
     module = {"gl": gl, "ck": ck}[module_name]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from treehopf import memo, ncs, nsym, trees
+from treehopf import ncs, nsym, trees
 from treehopf.nsym import (
     NSymElem,
     complete_element,
@@ -29,7 +29,6 @@ from treehopf.nsym import (
     qsym_coproduct,
     qsym_mul,
     qsym_unit,
-    to_complete_basis,
     unit,
 )
 
@@ -43,29 +42,6 @@ def word_elem(*letters):
 # ---------------------------------------------------------------------------
 # Free algebra basics
 # ---------------------------------------------------------------------------
-
-def test_memo_tables_obey_the_memo_limit(monkeypatch):
-    # TREEHOPF_MEMO_LIMIT caps every memo table; here at one entry each.
-    monkeypatch.setattr(memo, "LIMIT", 1)
-    tables = (pi_system.table, nsym._quasi_shuffle.table, nsym._antipode_generator.table)
-    for table in tables:
-        table.clear()
-    assert pi_system(4).order == 4 and pi_system(3).order == 3
-    assert antipode(word_elem(4)) == antipode(word_elem(4))
-    assert qsym_mul(monomial((1, 2)), monomial((2, 1))) == qsym_mul(monomial((2, 1)), monomial((1, 2)))
-    assert [len(table) for table in tables] == [1, 1, 1]
-
-
-def test_elementary_table_obeys_the_memo_limit(monkeypatch):
-    a = word_elem(3, 1, 2) + word_elem(2, 2) * Fraction(1, 3)
-    nsym._ELEM_IN_COMPLETE.clear()
-    uncapped = to_complete_basis(a)
-    monkeypatch.setattr(memo, "LIMIT", 1)
-    nsym._ELEM_IN_COMPLETE.clear()
-    assert to_complete_basis(a) == uncapped
-    assert elementary_in_complete(4) == elementary_in_complete(4)
-    assert len(nsym._ELEM_IN_COMPLETE) <= 1
-
 
 def test_memoized_functions_stay_plain_public_functions():
     # The benchmark tracer wraps the public functions of each module by name.

@@ -165,10 +165,19 @@ def test_five_vertex_tree_all_parse_orders_identical():
     assert len(variants) == 1
 
 
+def _reversed_children(raw):
+    label, kids = raw
+    return (label, [_reversed_children(k) for k in reversed(kids)])
+
+
 @given(raw_trees())
 def test_canonicalize_idempotent(raw):
     t = canonicalize(raw)
     assert canonicalize(t) is t
+    # Equal trees and forests built apart are one object.
+    assert canonicalize(_reversed_children(raw)) is t
+    ts = [canonicalize(k) for k in raw[1]]
+    assert forest(ts) is forest(reversed(ts))
 
 
 @given(canonical_trees())
@@ -538,21 +547,34 @@ def test_branch_forest_inverts_bplus():
 def test_concurrent_memoized_enumeration_agrees():
     # memo tables are shared; racing readers/writers must see one canonical
     # answer per key
+    import sys
     import threading
 
     results = []
+    fresh = []
+    start = threading.Barrier(8, timeout=60)
 
     def work():
+        start.wait()
+        # Label 97 occurs in no other test, so every level is new to the pool.
+        fresh.append(node(97, (leaf(97), node(97, (leaf(98),)))))
         results.append(enumerate_bplus_trees((1, 3), 6))
 
     threads = [threading.Thread(target=work) for _ in range(8)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that interning races
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
     assert all(r == results[0] for r in results)
     first = results[0]
     assert all(a is b for a, b in zip(first, enumerate_bplus_trees((1, 3), 6)))
+    assert len(fresh) == 8 and all(t is fresh[0] for t in fresh)
 
 
 def test_tree_walks_take_a_3000_deep_chain():
@@ -581,3 +603,8 @@ def test_label_values_and_cut_enumeration_take_a_3000_deep_chain():
     # Vertex v of the grafted chain is at depth v: the cut above it keeps v - 1.
     cut = apply_cut(node(0, (chain,)), Cut(frozenset({1500})))
     assert [t.size for t in cut.pruned] == [depth - 1499] and cut.trunk.size == 1500
+
+    def one(t):
+        return Fraction(1)
+
+    assert nested_cut_sum(node(0, (chain,)), 1, one, one) == depth
