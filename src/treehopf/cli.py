@@ -20,7 +20,6 @@ from .trees import (
     enumerate_forests,
     enumerate_trees,
     forest_text,
-    label_values,
     parse_forest,
     parse_tree,
     tree_text,
@@ -234,11 +233,6 @@ def cmd_qsym(args) -> int:
         raise ValueError(
             f"forest weight {f.weight} exceeds --max-weight {cfg.max_weight}"
         )
-    # The image is taken over cfg.labels: a vertex with another label, the
-    # grafting label 0 included, has no letter there and would give 0.
-    outside = sorted(label_values(f).union(t.label for t in f) - set(cfg.labels))
-    if outside:
-        raise ValueError(f"label {outside[0]} outside the allowed set {sorted(cfg.labels)}")
     image = ncs.dual_specialize(f, cfg.labels)
     payload = {
         "command": "qsym",

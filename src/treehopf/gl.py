@@ -10,6 +10,11 @@ implementation recovers the same structure constants by scanning admissible
 cuts of candidate result trees.  The coproduct splits the branch multiset
 over all ordered bipartitions, and the antipode has a closed form as an
 alternating sum over ordered partitions of the branch multiset.
+
+Series arithmetic (``dot``, and the ``sum`` and ``scale`` of ``GLSeriesOps``)
+runs on integers: each element carries one cached form, its numerators over
+one denominator in lowest terms, and every result is built by one private
+builder that reduces once and stores both that form and the Fraction terms.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from . import memo
-from .linear import LinComb, add_all, format_linear
+from .linear import LinComb, format_linear
 from .series import TruncSeries
 from .trees import (
     EMPTY_FOREST,
@@ -75,9 +80,18 @@ class _BasisLinComb(LinComb):
 
 
 class GLElem(_BasisLinComb):
-    """Rational combination of grafting-rooted trees, keyed by branch forest."""
+    """Rational combination of grafting-rooted trees, keyed by branch forest.
 
-    __slots__ = ()
+    Besides ``terms`` it carries one derived integer form, ``(den, ((key,
+    num), ...))`` in lowest terms with the keys in ``terms`` order, which the
+    series operations read; it is computed at most once (see ``_int_form``).
+    """
+
+    __slots__ = ("_ints",)
+
+    def __init__(self, terms=None, basis: str = V_BASIS):
+        super().__init__(terms, basis)
+        self._ints = None
 
     def sorted_terms(self) -> list[tuple[Forest, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: (kv[0].weight, kv[0]._key))
@@ -149,28 +163,50 @@ def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Fores
     return tuple(sorted(terms, key=lambda kv: kv[0]._key))
 
 
-def _over_one_denominator(x: GLElem, basis: str) -> tuple[int, list[tuple[Forest, int]]]:
-    # x, checked to be written in basis, as (d, [(key, n)]) with x the sum of
-    # n/d * key and d the lcm of its denominators.
+def _over_one_denominator(terms: dict) -> tuple[int, tuple[tuple[Forest, int], ...]]:
+    # A terms map as (d, ((key, n), ...)) with terms the sum of n/d * key and
+    # d the lcm of its denominators, so gcd(d, *ns) = 1.
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, tuple([(k, c.numerator * (d // c.denominator)) for k, c in terms.items()])
+
+
+def _int_form(x: GLElem, basis: str) -> tuple[int, tuple[tuple[Forest, int], ...]]:
+    # The integer form of x, checked to be a GLElem written in basis.  Threads
+    # that fill the cache at once compute and store equal forms.
     if type(x) is not GLElem or x.basis != basis:
         zero(basis)._check_compatible(x)
-    d = lcm(*[c.denominator for c in x.terms.values()])
-    if d == 1:
-        return 1, [(k, c.numerator) for k, c in x.terms.items()]
-    return d, [(k, c.numerator * (d // c.denominator)) for k, c in x.terms.items()]
+    form = x._ints
+    if form is None:
+        form = x._ints = _over_one_denominator(x.terms)
+    return form
+
+
+def _from_ints(den: int, acc: dict[Forest, int], basis: str) -> GLElem:
+    # The element sum of n/den * key over acc (den > 0), built with its
+    # integer form: zeros dropped and one gcd division to lowest terms.
+    # Every series sum, scaling and product ends here.
+    _check_basis(basis)
+    g = gcd(den, *acc.values())
+    den //= g
+    nums = tuple([(k, n // g) for k, n in acc.items() if n])
+    out = GLElem.__new__(GLElem)
+    out.basis = basis
+    out.terms = {k: Fraction(n, den) for k, n in nums}
+    out._ints = (den, nums)
+    return out
 
 
 def dot(pairs, basis: str = V_BASIS) -> GLElem:
     """The sum of x * y over the (x, y) in pairs, all written in basis, built in one pass.
 
-    Every factor is brought to one common denominator, so each product of
-    numerators times an integer structure constant is summed into one int per
-    result key; each key is divided by the common denominator once.
+    Every factor's cached integer form is brought to one common denominator,
+    so each product of numerators times an integer structure constant is
+    summed into one int per result key; the sums are reduced once.
     """
     factors = []
     den = 1
     for x, y in pairs:
-        (dx, xs), (dy, ys) = _over_one_denominator(x, basis), _over_one_denominator(y, basis)
+        (dx, xs), (dy, ys) = _int_form(x, basis), _int_form(y, basis)
         factors.append((dx * dy, xs, ys))
         den = lcm(den, dx * dy)
     acc: dict[Forest, int] = {}
@@ -182,8 +218,7 @@ def dot(pairs, basis: str = V_BASIS) -> GLElem:
                 nab = m * na * nb
                 for key, c in _product_table(fa, fb, basis):
                     acc[key] = get(key, 0) + nab * c
-    # The constructor makes ints Fractions and drops zeros.
-    return GLElem(acc if den == 1 else {k: Fraction(v, den) for k, v in acc.items()}, basis)
+    return _from_ints(den, acc, basis)
 
 
 def mul(a: GLElem, b: GLElem) -> GLElem:
@@ -353,10 +388,21 @@ class GLSeriesOps:
         return unit(self.basis)
 
     def sum(self, xs) -> GLElem:
-        return add_all(self.zero(), xs)
+        # One integer sum over the lcm of the denominators.
+        forms = [_int_form(x, self.basis) for x in xs]
+        den = lcm(*[d for d, _ in forms])
+        acc: dict[Forest, int] = {}
+        get = acc.get
+        for d, ns in forms:
+            m = den // d
+            for k, n in ns:
+                acc[k] = get(k, 0) + m * n
+        return _from_ints(den, acc, self.basis)
 
     def scale(self, c: Fraction, x: GLElem) -> GLElem:
-        return x.scale(c)
+        d, ns = _int_form(x, self.basis)
+        c = Fraction(c)
+        return _from_ints(d * c.denominator, {k: c.numerator * n for k, n in ns}, self.basis)
 
     def dot(self, pairs) -> GLElem:
         return dot(pairs, self.basis)

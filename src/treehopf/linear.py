@@ -1,12 +1,14 @@
 """Exact linear combinations over hashable basis keys.
 
 All algebra elements in this package are finite maps ``key -> Fraction`` with
-zero coefficients dropped.  The constructor is the one place where Fraction
-terms are summed: products and coproducts hand it their ``(key, coeff)``
-stream, repeated keys included (the grafting product sums ints itself and hands
-it one term per key).  Subclasses fix the key type and add their own products; this
-module provides the vector-space operations, the multiplicative extension of a
-map on letters and a deterministic text renderer.
+zero coefficients dropped.  The constructor sums Fraction terms: coproducts,
+``+`` and the products outside the grafting algebra hand it their ``(key,
+coeff)`` stream, repeated keys included.  The grafting algebra's series sums,
+scalings and products do not come here: they run on a cached integer form
+(see :mod:`treehopf.gl`).  Subclasses fix the key type and add their own
+products; this module provides the vector-space operations, the
+multiplicative extension of a map on letters and a deterministic text
+renderer.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from .trees import (
     is_chain,
     is_primitive_tree,
     is_shrub,
+    label_values,
     leaf,
     nested_cut_sum,
     node,
@@ -357,8 +358,17 @@ def specialize(x: nsym.NSymElem, labels) -> gl.GLElem:
 
 
 def dual_specialize(f: Forest, labels) -> nsym.QSymElem:
-    """Quasi-symmetric image of a forest under the transpose of specialize."""
-    return duality.dual_image(lambda a: specialize(a, labels), f)
+    """Quasi-symmetric image of a forest under the transpose of specialize.
+
+    The image is taken over labels: a vertex with another label, the grafting
+    label 0 of a root included, has no letter there, so it is refused rather
+    than sent to 0.
+    """
+    ls = _norm_labels(labels)
+    outside = sorted(label_values(f).union(t.label for t in f) - set(ls))
+    if outside:
+        raise ValueError(f"label {outside[0]} outside the allowed set {list(ls)}")
+    return duality.dual_image(lambda a: specialize(a, ls), f)
 
 
 def specialization_check(labels, order: int) -> CheckReport:

@@ -333,6 +333,15 @@ def test_dual_map_singleton():
     assert image == nsym.monomial((1,))
 
 
+@pytest.mark.parametrize(
+    "text, named", [("[1(2)]", "label 2 "), ("[0]", "label 0 "), ("[0(1)]", "label 0 ")]
+)
+def test_dual_map_refuses_labels_outside_the_set(text, named):
+    # These have no letter over (1,); their image used to come back as 0.
+    with pytest.raises(ValueError, match=rf"^{named}outside the allowed set \[1\]$"):
+        ncs.dual_specialize(parse_forest(text), (1,))
+
+
 def test_dual_map_multiplicative_weight_three():
     from treehopf.trees import enumerate_forests, forest_union
 

@@ -1,13 +1,14 @@
 """Truncated series engine over rational, free-algebra and tree carriers."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from treehopf import gl, nsym
+from treehopf.linear import add_all
 from treehopf.series import RATIONAL_OPS, TruncSeries
 from treehopf.trees import enumerate_forests, parse_tree
 
@@ -163,6 +164,67 @@ def test_products_and_inverses_match_pairwise_sums(carrier, data):
         power = product(power, x)
         expected = expected + TruncSeries(ops, power).scale(Fraction(1, factorial(k)))
     assert TruncSeries(ops, x).exp() == expected
+
+
+def _assert_stored_form(x, basis):
+    # Nonzero lowest-terms Fractions, and a cached integer form equal to a
+    # fresh one computed from terms.
+    assert x.basis == basis
+    for c in x.terms.values():
+        assert type(c) is Fraction and c
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    assert x._ints == gl._over_one_denominator(x.terms)
+
+
+@settings(max_examples=40)
+@pytest.mark.parametrize("basis", (gl.V_BASIS, gl.T_BASIS))
+@given(data=st.data())
+def test_gl_series_ops_match_the_fraction_reference(basis, data):
+    ops = gl.GLSeriesOps(basis)
+    coeffs = st.lists(st.tuples(st.sampled_from(_branch_forests), rationals), max_size=4).map(
+        lambda ts: gl.GLElem(ts, basis)
+    )
+    xs = data.draw(st.lists(coeffs, max_size=4))
+    if xs and data.draw(st.booleans()):
+        xs.append(-xs[0])  # a sum in which every key of xs[0] may cancel
+    total = ops.sum(xs)
+    assert total == add_all(ops.zero(), xs)
+    _assert_stored_form(total, basis)
+
+    c = data.draw(rationals)
+    for x in (*xs, total):
+        scaled = ops.scale(c, x)
+        assert scaled == x.scale(c)
+        _assert_stored_form(scaled, basis)
+
+    pairs = data.draw(st.lists(st.tuples(coeffs, coeffs), max_size=3))
+    # Results of the integer path are factors again, read from their cache.
+    pairs.append((total, scaled))
+    product = ops.dot(pairs)
+    assert product == add_all(ops.zero(), (gl.mul_structure(x, y) for x, y in pairs))
+    _assert_stored_form(product, basis)
+
+
+def test_gl_series_ops_refuse_mixed_kinds():
+    ops = gl.GLSeriesOps(gl.V_BASIS)
+    v = gl.from_bplus_tree(parse_tree("0(1)"), gl.V_BASIS)
+    t = gl.from_bplus_tree(parse_tree("0(1)"), gl.T_BASIS)
+    tensor = gl.tensor_of(v, v)
+    for bad in (t, tensor):
+        with pytest.raises(TypeError):
+            ops.sum([v, bad])
+        with pytest.raises(TypeError):
+            ops.dot([(v, bad)])
+        with pytest.raises(TypeError):
+            ops.dot([(bad, v)])
+        with pytest.raises(TypeError):
+            ops.scale(Fraction(1, 2), bad)
+    for basis in (gl.V_BASIS, gl.T_BASIS):
+        empty = gl.GLSeriesOps(basis).sum([])
+        assert empty.basis == basis and empty.is_zero()
+        assert empty == gl.zero(basis)
+    with pytest.raises(ValueError, match="unknown basis"):
+        gl.GLSeriesOps("X").sum([])
 
 
 def test_inverse_requires_unit_constant_term():
