@@ -13,8 +13,10 @@ alternating sum over ordered partitions of the branch multiset.
 
 Series arithmetic (``dot``, and the ``sum`` and ``scale`` of ``GLSeriesOps``)
 runs on integers: each element carries one cached form, its numerators over
-one denominator in lowest terms, and every result is built by one private
-builder that reduces once and stores both that form and the Fraction terms.
+one denominator in lowest terms, and every result is built by one builder,
+``from_ints``, that reduces once and stores only that form.  Its Fraction
+``terms`` are built the first time something reads them, and equality and
+truth read the integer form whenever both sides hold it.
 """
 
 from __future__ import annotations
@@ -82,9 +84,13 @@ class _BasisLinComb(LinComb):
 class GLElem(_BasisLinComb):
     """Rational combination of grafting-rooted trees, keyed by branch forest.
 
-    Besides ``terms`` it carries one derived integer form, ``(den, ((key,
-    num), ...))`` in lowest terms with the keys in ``terms`` order, which the
-    series operations read; it is computed at most once (see ``_int_form``).
+    It holds at least one of two equal forms: ``terms``, the public map of
+    nonzero lowest-terms Fractions, and the integer form ``(den, ((key,
+    num), ...))`` in lowest terms, ``(1, ())`` for zero, which the series
+    operations read.  The constructor stores ``terms`` and ``_int_form``
+    fills the integer form when first needed; ``from_ints`` stores the
+    integer form and the first read of ``terms`` fills that.  Either is
+    computed at most once, and both list the keys in one order.
     """
 
     __slots__ = ("_ints",)
@@ -92,6 +98,29 @@ class GLElem(_BasisLinComb):
     def __init__(self, terms=None, basis: str = V_BASIS):
         super().__init__(terms, basis)
         self._ints = None
+
+    def __getattr__(self, name):
+        # Reached only while the terms slot of a from_ints element is unset.
+        if name != "terms":
+            raise AttributeError(name)
+        den, nums = self._ints
+        terms = self.terms = {k: Fraction(n, den) for k, n in nums}
+        return terms
+
+    def __eq__(self, other):
+        a, b = self._ints, getattr(other, "_ints", None)
+        if a is None or b is None or self.basis != other.basis:
+            return super().__eq__(other)
+        # Both forms are in lowest terms, so equal elements have equal
+        # denominators and equal key -> numerator maps, in any key order.
+        return a[0] == b[0] and (a[1] == b[1] or dict(a[1]) == dict(b[1]))
+
+    def __bool__(self):
+        ints = self._ints
+        return bool(ints[1]) if ints is not None else bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self
 
     def sorted_terms(self) -> list[tuple[Forest, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: (kv[0].weight, kv[0]._key))
@@ -181,18 +210,18 @@ def _int_form(x: GLElem, basis: str) -> tuple[int, tuple[tuple[Forest, int], ...
     return form
 
 
-def _from_ints(den: int, acc: dict[Forest, int], basis: str) -> GLElem:
-    # The element sum of n/den * key over acc (den > 0), built with its
-    # integer form: zeros dropped and one gcd division to lowest terms.
-    # Every series sum, scaling and product ends here.
+def from_ints(den: int, acc: dict[Forest, int], basis: str = V_BASIS) -> GLElem:
+    """The element sum of n/den * key over acc (den > 0), written in basis.
+
+    Zeros are dropped and one gcd division brings the form to lowest terms;
+    only that integer form is stored, and ``terms`` is built on first read.
+    Every series sum, scaling and product ends here.
+    """
     _check_basis(basis)
     g = gcd(den, *acc.values())
-    den //= g
-    nums = tuple([(k, n // g) for k, n in acc.items() if n])
     out = GLElem.__new__(GLElem)
     out.basis = basis
-    out.terms = {k: Fraction(n, den) for k, n in nums}
-    out._ints = (den, nums)
+    out._ints = (den // g, tuple([(k, n // g) for k, n in acc.items() if n]))
     return out
 
 
@@ -218,7 +247,7 @@ def dot(pairs, basis: str = V_BASIS) -> GLElem:
                 nab = m * na * nb
                 for key, c in _product_table(fa, fb, basis):
                     acc[key] = get(key, 0) + nab * c
-    return _from_ints(den, acc, basis)
+    return from_ints(den, acc, basis)
 
 
 def mul(a: GLElem, b: GLElem) -> GLElem:
@@ -397,12 +426,13 @@ class GLSeriesOps:
             m = den // d
             for k, n in ns:
                 acc[k] = get(k, 0) + m * n
-        return _from_ints(den, acc, self.basis)
+        return from_ints(den, acc, self.basis)
 
     def scale(self, c: Fraction, x: GLElem) -> GLElem:
         d, ns = _int_form(x, self.basis)
         c = Fraction(c)
-        return _from_ints(d * c.denominator, {k: c.numerator * n for k, n in ns}, self.basis)
+        a = c.numerator
+        return from_ints(d * c.denominator, {k: a * n for k, n in ns}, self.basis)
 
     def dot(self, pairs) -> GLElem:
         return dot(pairs, self.basis)

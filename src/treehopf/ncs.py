@@ -28,13 +28,13 @@ from .trees import (
     EMPTY_FOREST,
     Forest,
     LabeledTree,
+    bplus,
     branch_forest,
     chain_leaf,
     enumerate_bplus_trees,
+    enumerate_forests,
     forest,
     is_chain,
-    is_primitive_tree,
-    is_shrub,
     label_values,
     leaf,
     nested_cut_sum,
@@ -118,12 +118,16 @@ def _theta_of_branch(x: LabeledTree) -> Fraction:
 
 @memo.memoized
 def _generator_image(labels: tuple[int, ...], m: int) -> gl.GLElem:
-    # Coefficient of t^m in f: signed sum over grafting-rooted shrubs.
-    out: dict[Forest, Fraction] = {}
-    for t in enumerate_bplus_trees(labels, m):
-        if is_shrub(t):
-            out[branch_forest(t)] = Fraction((-1) ** (len(t.children) + m))
-    return gl.GLElem(out, gl.V_BASIS)
+    # Coefficient of t^m in f: signed sum over grafting-rooted shrubs, whose
+    # branch forests are the forests of leaves.
+    return gl.from_ints(
+        1,
+        {
+            f: (-1) ** (len(f.trees) + m)
+            for f in enumerate_forests(labels, m)
+            if not any(t.children for t in f.trees)
+        },
+    )
 
 
 def _f_series(labels, order: int) -> TruncSeries:
@@ -135,8 +139,7 @@ def _f_series(labels, order: int) -> TruncSeries:
 def _g_series(labels, order: int) -> TruncSeries:
     ls = _norm_labels(labels)
     coeffs = [gl.unit()] + [
-        gl.GLElem({branch_forest(t): 1 for t in enumerate_bplus_trees(ls, m)}, gl.V_BASIS)
-        for m in range(1, order + 1)
+        gl.from_ints(1, dict.fromkeys(enumerate_forests(ls, m), 1)) for m in range(1, order + 1)
     ]
     return gl.series(coeffs)
 
@@ -147,25 +150,26 @@ def build_omega(labels, order: int) -> NCSSystem:
         raise ValueError("order must be at least 1")
     ls = _norm_labels(labels)
 
+    # The trees of h, m and d are primitive: their branch forests hold one
+    # tree.  h takes the chains, weighted by the leaf label; m weights by the
+    # label of the root's child, and d by theta.
     h_coeffs = []
     m_coeffs = []
-    for k in range(order):
-        h_terms: dict[Forest, Fraction] = {}
-        m_terms: dict[Forest, Fraction] = {}
-        for t in enumerate_bplus_trees(ls, k + 1):
-            if is_chain(t):
-                h_terms[branch_forest(t)] = Fraction(chain_leaf(t).label)
-            if is_primitive_tree(t):
-                m_terms[branch_forest(t)] = Fraction(t.children[0].label)
-        h_coeffs.append(gl.GLElem(h_terms, gl.V_BASIS))
-        m_coeffs.append(gl.GLElem(m_terms, gl.V_BASIS))
-
     d_coeffs = [gl.zero()]
-    for m in range(1, order + 1):
+    for w in range(1, order + 1):
+        h_terms: dict[Forest, int] = {}
+        m_terms: dict[Forest, int] = {}
         d_terms: dict[Forest, Fraction] = {}
-        for t in enumerate_bplus_trees(ls, m):
-            if is_primitive_tree(t):
-                d_terms[branch_forest(t)] = theta_recurrence(t)
+        for f in enumerate_forests(ls, w):
+            if len(f.trees) != 1:
+                continue
+            t = f.trees[0]
+            m_terms[f] = t.label
+            d_terms[f] = theta_recurrence(bplus(f))
+            if is_chain(t):
+                h_terms[f] = chain_leaf(t).label
+        h_coeffs.append(gl.from_ints(1, h_terms))
+        m_coeffs.append(gl.from_ints(1, m_terms))
         d_coeffs.append(gl.GLElem(d_terms, gl.V_BASIS))
 
     return NCSSystem(
@@ -174,8 +178,8 @@ def build_omega(labels, order: int) -> NCSSystem:
         f=_f_series(ls, order),
         g=_g_series(ls, order),
         d=gl.series(d_coeffs),
-        h=gl.series(h_coeffs[: order]),
-        m=gl.series(m_coeffs[: order]),
+        h=gl.series(h_coeffs),
+        m=gl.series(m_coeffs),
     )
 
 

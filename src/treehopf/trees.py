@@ -319,16 +319,6 @@ def is_chain(t: LabeledTree) -> bool:
     return True
 
 
-def is_shrub(t: LabeledTree) -> bool:
-    """True when the tree has height exactly 1 (all children of the root are leaves)."""
-    return bool(t.children) and all(not c.children for c in t.children)
-
-
-def is_primitive_tree(t: LabeledTree) -> bool:
-    """True when the root has one and only one child."""
-    return len(t.children) == 1
-
-
 def chain_leaf(t: LabeledTree) -> LabeledTree:
     while t.children:
         if len(t.children) != 1:

@@ -26,6 +26,10 @@ CASES = {
         for s in ("f", "g", "d", "h", "m")
     },
     "expand-d-json": ["expand", "d", "--labels", "1", "--max-weight", "6", "--format", "json"],
+    "expand-d-234-json": [
+        "expand", "d", "--labels", "2,3,4", "--max-weight", "12", "--format", "json",
+    ],
+    "expand-h-234": ["expand", "h", "--labels", "2,3,4", "--max-weight", "12"],
     "enumerate-bplus": ["enumerate", "--labels", "1,2", "--max-weight", "3"],
     "enumerate-forests": ["enumerate", "--kind", "forests", "--labels", "1,2", "--max-weight", "4"],
     "enumerate-trees-json": [
@@ -45,6 +49,9 @@ CASES = {
     "qsym-grafting-label": ["qsym", "--forest", "[0(1)]"],
     "verify-all": ["verify", "all"],
     "verify-all-json": ["verify", "all", "--format", "json"],
+    "verify-ncs-234-json": [
+        "verify", "ncs", "--labels", "2,3,4", "--max-weight", "12", "--format", "json",
+    ],
 }
 
 

@@ -1,5 +1,6 @@
 """The five-series system over trees: axioms, constants, specialization."""
 
+import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -62,6 +63,61 @@ def test_g_series_collects_every_tree():
     omega = ncs.build_omega((1, 2), 3)
     assert len(omega.g.coeffs[3].terms) == 7
     assert all(c == 1 for c in omega.g.coeffs[3].terms.values())
+
+
+def _reference_omega(labels, order):
+    # The five series built tree by tree: every grafting-rooted tree is
+    # enumerated, tested, mapped to its branch forest and summed by the
+    # LinComb constructor, with d from theta_recurrence.
+    def coeff(m, value):
+        terms = {}
+        for t in enumerate_bplus_trees(labels, m):
+            c = value(t)
+            if c is not None:
+                terms[branch_forest(t)] = Fraction(c)
+        return gl.GLElem(terms, gl.V_BASIS)
+
+    def chain_label(t):
+        while len(t.children) == 1:
+            t = t.children[0]
+        return None if t.children else t.label
+
+    def primitive(value):
+        return lambda t: value(t) if len(t.children) == 1 else None
+
+    def shrub_sign(t, m):
+        if t.children and all(not c.children for c in t.children):
+            return (-1) ** (len(t.children) + m)
+        return None
+
+    degrees = range(1, order + 1)
+    return {
+        "f": [gl.unit()] + [coeff(m, lambda t, m=m: shrub_sign(t, m)) for m in degrees],
+        "g": [gl.unit()] + [coeff(m, lambda t: 1) for m in degrees],
+        "d": [gl.zero()] + [coeff(m, primitive(ncs.theta_recurrence)) for m in degrees],
+        "h": [coeff(m, lambda t: chain_label(t) if t.children else None) for m in degrees],
+        "m": [coeff(m, primitive(lambda t: t.children[0].label)) for m in degrees],
+    }
+
+
+def _as_map(form):
+    den, nums = form
+    return den, dict(nums)
+
+
+@pytest.mark.parametrize("labels, order", [((1,), 7), ((1, 2), 6), ((2, 3, 4), 12)])
+def test_build_omega_matches_the_tree_by_tree_reference(labels, order):
+    omega = ncs.build_omega(labels, order)
+    for name, expected in _reference_omega(labels, order).items():
+        got = omega.series_by_name(name).coeffs
+        assert len(got) == len(expected), name
+        for degree, (x, y) in enumerate(zip(got, expected)):
+            assert x.basis == gl.V_BASIS
+            assert x.terms == y.terms, (name, degree)
+            assert _as_map(gl._int_form(x, gl.V_BASIS)) == _as_map(
+                gl._over_one_denominator(y.terms)
+            ), (name, degree)
+            assert x == y
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +241,24 @@ def test_verify_detects_corruption():
     assert not report.ok
     failing = [c for c in report.checks if c.status == "fail"]
     assert failing and failing[0].first_failure["degree"] == 2
+
+
+def test_verify_failure_text_of_corrupted_d():
+    # Two coefficients of d_3 over (1,2) changed: 1/6 -> 1/7 at [1(1,1)] and
+    # 1/2 -> -1/2 at [2(1)].  Only g = exp(d) breaks, first at degree 3, and
+    # the rendered difference is exp(d)_3 - g_3 (recorded before the series
+    # kept their Fraction terms unbuilt until read).
+    omega = ncs.build_omega((1, 2), 4)
+    d = omega.d.coeffs
+    terms = dict(d[3].terms)
+    terms[parse_forest("[1(1,1)]")] = Fraction(1, 7)
+    terms[parse_forest("[2(1)]")] = Fraction(-1, 2)
+    bad_d = type(omega.d)(omega.d.ops, d[:3] + (gl.GLElem(terms, gl.V_BASIS),) + d[4:])
+    report = ncs.verify_ncs(dataclasses.replace(omega, d=bad_d))
+    assert [(c.equation, c.first_failure) for c in report.checks if c.status == "fail"] == [
+        ("exponential", {"degree": 3, "diff": "-1/42*V[1(1,1)] - V[2(1)]"})
+    ]
+    assert report.as_dict()["status"] == "fail"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Truncated series engine over rational, free-algebra and tree carriers."""
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +225,107 @@ def test_gl_series_ops_refuse_mixed_kinds():
         assert empty == gl.zero(basis)
     with pytest.raises(ValueError, match="unknown basis"):
         gl.GLSeriesOps("X").sum([])
+
+
+def _fraction_sum(*maps):
+    # The Fraction reference: coefficientwise sum of key -> Fraction maps,
+    # zeros dropped.
+    out = {}
+    for m in maps:
+        for k, c in m.items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _element(data, ref, how, basis):
+    # An element equal to the Fraction map ref, built by the constructor or
+    # by the integer builder over a random multiple of the lowest denominator,
+    # its keys in a random order, with keys of zero numerator mixed in.
+    if how == "constructor":
+        return gl.GLElem(ref, basis)
+    den = lcm(1, *[c.denominator for c in ref.values()]) * data.draw(st.integers(1, 6))
+    zeros = data.draw(st.lists(st.sampled_from(_branch_forests), max_size=2))
+    keys = data.draw(st.permutations(list(dict.fromkeys([*ref, *zeros]))))
+    return gl.from_ints(den, {k: int(ref.get(k, 0) * den) for k in keys}, basis)
+
+
+_MIXES = [(a, b) for a in ("constructor", "builder") for b in ("constructor", "builder")]
+
+
+@settings(max_examples=60)
+@pytest.mark.parametrize("basis", (gl.V_BASIS, gl.T_BASIS))
+@given(data=st.data())
+def test_lazy_terms_and_integer_equality_match_the_fraction_reference(basis, data):
+    maps = st.lists(st.tuples(st.sampled_from(_branch_forests), rationals), max_size=4).map(
+        lambda ts: _fraction_sum(*({k: v} for k, v in ts))
+    )
+    rx = data.draw(maps)
+    ry = rx if data.draw(st.booleans()) else data.draw(maps)
+    c = data.draw(rationals)
+    other = gl.T_BASIS if basis == gl.V_BASIS else gl.V_BASIS
+    for hx, hy in _MIXES:
+        x, y = _element(data, rx, hx, basis), _element(data, ry, hy, basis)
+        # Equality and truth first, while builder results hold no terms yet.
+        assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+        assert bool(x) == bool(rx) and x.is_zero() == (not rx)
+        with pytest.raises(TypeError):
+            x == _element(data, ry, hy, other)
+        assert x.terms == rx and y.terms == ry
+        for v in x.terms.values():
+            assert type(v) is Fraction and gcd(v.numerator, v.denominator) == 1
+        assert all(x.get(k) == rx.get(k, 0) for k in _branch_forests)
+        assert (x + y).terms == _fraction_sum(rx, ry)
+        assert (x - y).terms == _fraction_sum(rx, {k: -v for k, v in ry.items()})
+        scaled = {k: c * v for k, v in rx.items() if c}
+        assert x.scale(c).terms == scaled
+        assert gl.GLSeriesOps(basis).scale(c, x).terms == scaled
+        ref = gl.GLElem(rx, basis)
+        assert gl.text(x) == gl.text(ref) and gl.to_json_terms(x) == gl.to_json_terms(ref)
+
+
+@pytest.mark.parametrize("basis", (gl.V_BASIS, gl.T_BASIS))
+def test_cancelling_sums_are_the_canonical_zero(basis):
+    ops = gl.GLSeriesOps(basis)
+    x = gl.GLElem({f: Fraction(i + 1, 3) for i, f in enumerate(_branch_forests)}, basis)
+    zeros = [
+        ops.sum([x, ops.scale(Fraction(-1), x)]),
+        ops.dot([(x, ops.zero())]),
+        gl.from_ints(6, dict.fromkeys(_branch_forests, 0), basis),
+        gl.zero(basis),
+    ]
+    for z in zeros:
+        assert not z and z.is_zero() and z == ops.zero() and z != x
+        assert gl.text(z) == "0" and gl.to_json_terms(z) == [] and z.terms == {}
+    assert zeros[0]._ints == (1, ())
+
+
+def _terms_built(x) -> bool:
+    # object.__getattribute__ reads the slot without GLElem's lazy fallback.
+    try:
+        object.__getattribute__(x, "terms")
+    except AttributeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("basis", (gl.V_BASIS, gl.T_BASIS))
+def test_series_results_build_terms_on_first_read(basis):
+    ops = gl.GLSeriesOps(basis)
+    f1, f2, f3 = _branch_forests[1:4]
+    x = gl.GLElem({f1: Fraction(1, 2), f2: 3}, basis)
+    y = gl.GLElem({f2: Fraction(-2, 3), f3: 1}, basis)
+    results = [ops.sum([x, y]), ops.scale(Fraction(2, 3), x), ops.dot([(x, y), (y, x)])]
+    for out in results:
+        assert not _terms_built(out)
+        # Equality, truth and further series arithmetic read the integer form.
+        den, nums = out._ints
+        twin = gl.from_ints(2 * den, {k: 2 * n for k, n in reversed(nums)}, basis)
+        assert out == twin and out and not out.is_zero()
+        ops.dot([(out, out)]), ops.sum([out, x]), ops.scale(Fraction(5), out)
+        assert not _terms_built(out)
+        first = out.terms
+        assert _terms_built(out) and out.terms is first
+        assert gl._over_one_denominator(first) == out._ints
 
 
 def test_inverse_requires_unit_constant_term():
