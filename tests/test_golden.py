@@ -29,6 +29,7 @@ CASES = {
     "expand-d-234-json": [
         "expand", "d", "--labels", "2,3,4", "--max-weight", "12", "--format", "json",
     ],
+    "expand-d-1-8-json": ["expand", "d", "--labels", "1", "--max-weight", "8", "--format", "json"],
     "expand-h-234": ["expand", "h", "--labels", "2,3,4", "--max-weight", "12"],
     "enumerate-bplus": ["enumerate", "--labels", "1,2", "--max-weight", "3"],
     "enumerate-forests": ["enumerate", "--kind", "forests", "--labels", "1,2", "--max-weight", "4"],
@@ -39,6 +40,7 @@ CASES = {
     "theta-text": ["theta", "0(1(1),1)"],
     "theta-json": ["theta", "0(1(1(2)),2,1(1))", "--format", "json"],
     "theta-not-grafting-root": ["theta", "1(1)"],
+    "theta-bernoulli-10": ["theta", "0(1(1,1,1,1,1,1,1,1,1,1))"],
     "orderpoly-weak": ["orderpoly", "--forest", "[1(1,1),1]"],
     "orderpoly-strict-json": [
         "orderpoly", "--forest", "[1(1,1),1]", "--kind", "strict", "--format", "json",
@@ -49,6 +51,8 @@ CASES = {
     "qsym-grafting-label": ["qsym", "--forest", "[0(1)]"],
     "verify-all": ["verify", "all"],
     "verify-all-json": ["verify", "all", "--format", "json"],
+    "verify-theta-8-json": ["verify", "theta", "--max-vertices", "8", "--format", "json"],
+    "verify-orderpoly-8-json": ["verify", "orderpoly", "--max-vertices", "8", "--format", "json"],
     "verify-ncs-234-json": [
         "verify", "ncs", "--labels", "2,3,4", "--max-weight", "12", "--format", "json",
     ],
