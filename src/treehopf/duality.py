@@ -123,12 +123,15 @@ def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
                 bx = branch_forest(x)
                 for y in trees_by_weight[wy]:
                     by = branch_forest(y)
-                    prod = gl.mul(elems[x], elems[y])
-                    scale = gl.alpha(bx) * gl.alpha(by)
+                    # The product is sum n/den * f; both rows are scaled by
+                    # den, which is 1 for T-basis trees, so the left row
+                    # stays in integers.
+                    den, prod = gl.int_form(gl.mul(elems[x], elems[y]), gl.T_BASIS)
+                    scale = den * gl.alpha(bx) * gl.alpha(by)
                     _compare_rows(
                         report,
                         forests_by_weight[wx + wy],
-                        {f: c * gl.alpha(f) for f, c in prod.terms.items()},
+                        {f: n * gl.alpha(f) for f, n in prod},
                         {f: c * scale for f, c in by_split.get((bx, by), {}).items()},
                         lambda f: f"product/coproduct: x={tree_text(x)} y={tree_text(y)} "
                         f"F={forest_text(f)}",

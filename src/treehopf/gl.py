@@ -87,7 +87,7 @@ class GLElem(_BasisLinComb):
     It holds at least one of two equal forms: ``terms``, the public map of
     nonzero lowest-terms Fractions, and the integer form ``(den, ((key,
     num), ...))`` in lowest terms, ``(1, ())`` for zero, which the series
-    operations read.  The constructor stores ``terms`` and ``_int_form``
+    operations read.  The constructor stores ``terms`` and ``int_form``
     fills the integer form when first needed; ``from_ints`` stores the
     integer form and the first read of ``terms`` fills that.  Either is
     computed at most once, and both list the keys in one order.
@@ -199,9 +199,12 @@ def _over_one_denominator(terms: dict) -> tuple[int, tuple[tuple[Forest, int], .
     return d, tuple([(k, c.numerator * (d // c.denominator)) for k, c in terms.items()])
 
 
-def _int_form(x: GLElem, basis: str) -> tuple[int, tuple[tuple[Forest, int], ...]]:
-    # The integer form of x, checked to be a GLElem written in basis.  Threads
-    # that fill the cache at once compute and store equal forms.
+def int_form(x: GLElem, basis: str) -> tuple[int, tuple[tuple[Forest, int], ...]]:
+    """The integer form ``(den, ((key, num), ...))`` of x, in lowest terms.
+
+    x must be a GLElem written in basis.  The form is cached on x; threads
+    that fill the cache at once compute and store equal forms.
+    """
     if type(x) is not GLElem or x.basis != basis:
         zero(basis)._check_compatible(x)
     form = x._ints
@@ -235,7 +238,7 @@ def dot(pairs, basis: str = V_BASIS) -> GLElem:
     factors = []
     den = 1
     for x, y in pairs:
-        (dx, xs), (dy, ys) = _int_form(x, basis), _int_form(y, basis)
+        (dx, xs), (dy, ys) = int_form(x, basis), int_form(y, basis)
         factors.append((dx * dy, xs, ys))
         den = lcm(den, dx * dy)
     acc: dict[Forest, int] = {}
@@ -418,7 +421,7 @@ class GLSeriesOps:
 
     def sum(self, xs) -> GLElem:
         # One integer sum over the lcm of the denominators.
-        forms = [_int_form(x, self.basis) for x in xs]
+        forms = [int_form(x, self.basis) for x in xs]
         den = lcm(*[d for d, _ in forms])
         acc: dict[Forest, int] = {}
         get = acc.get
@@ -429,7 +432,7 @@ class GLSeriesOps:
         return from_ints(den, acc, self.basis)
 
     def scale(self, c: Fraction, x: GLElem) -> GLElem:
-        d, ns = _int_form(x, self.basis)
+        d, ns = int_form(x, self.basis)
         c = Fraction(c)
         a = c.numerator
         return from_ints(d * c.denominator, {k: a * n for k, n in ns}, self.basis)

@@ -37,7 +37,7 @@ from .trees import (
     is_chain,
     label_values,
     leaf,
-    nested_cut_sum,
+    nested_cut_terms,
     node,
     shape,
     tree_text,
@@ -83,11 +83,13 @@ def theta_recurrence(t: LabeledTree) -> Fraction:
     where S_k(u) sums, over sequences of k nested single-edge cuts, the
     product of the constants of the pieces.  It is summed by trunk shape,
     S_k(T) = sum over non-root v of theta(B+(T_v)) * S_{k-1}(T minus T_v) with
-    S_0 = theta (see :func:`trees.nested_cut_sum`), not sequence by sequence.
-    A piece is skipped when the S_{k-1} of its trunk is zero, which cuts off
-    the one self-referential term: cutting the root edge leaves the bare
-    root, whose constant is zero.  Depends only on the underlying shape, and
-    reads neither the logarithm nor the order polynomials.
+    S_0 = theta, not sequence by sequence, and one pass fills every S_k of u
+    as integers over one denominator (see :func:`trees.nested_cut_terms`).
+    A piece is skipped when its trunk's sums (theta, S_1, ...) are all zero,
+    which cuts off the one self-referential term: cutting the root edge
+    leaves the bare root, whose constant is zero.  Depends only on the
+    underlying shape, and reads neither the logarithm nor the order
+    polynomials.
     """
     _require_grafting_root(t)
     return _theta_of_shape(shape(t))
@@ -101,9 +103,8 @@ def _theta_of_shape(u: LabeledTree) -> Fraction:
     elif u.size == 2:
         val = Fraction(1)
     else:
-        val = Fraction(1)
-        for m in range(2, u.size + 1):
-            val -= nested_cut_sum(u, m - 1, _theta_of_branch, _theta_of_shape) / factorial(m)
+        terms, den = nested_cut_terms(u, _theta_of_branch, _theta_of_shape)
+        val = Fraction(den - sum(terms), den)
     return val
 
 

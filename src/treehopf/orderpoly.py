@@ -26,7 +26,7 @@ from .trees import (
     enumerate_forests,
     forest,
     forest_text,
-    nested_cut_sum,
+    nested_cut_terms,
     shape,
     tree_text,
     _bottom_up,
@@ -306,10 +306,12 @@ def phi_constants(f: Forest) -> tuple[Fraction, Fraction]:
     return strict_order_poly(f).linear_coeff, order_poly(f).linear_coeff
 
 
+@memo.memoized
 def _strict_constant(t: LabeledTree) -> Fraction:
     return _tree_poly(shape(t), True).linear_coeff
 
 
+@memo.memoized
 def _weak_constant(t: LabeledTree) -> Fraction:
     return _tree_poly(shape(t), False).linear_coeff
 
@@ -328,9 +330,9 @@ def phi_recurrence_check(t: LabeledTree) -> bool:
       * weak constant, evaluation form: phi_weak = 1 - sum_{k>=2} (1/k!) ...
       * weak reconstruction, mirroring the strict one.
     The inner sums are summed by trunk shape, S_k(T) = sum over non-root v of
-    c(T_v) * S_{k-1}(T minus T_v) with S_0 = c, skipping a piece whose trunk
-    sum is zero (see :func:`trees.nested_cut_sum`); they read the polynomial
-    of each piece, never the polynomial of the tree being checked.
+    c(T_v) * S_{k-1}(T minus T_v) with S_0 = c, all k in one pass (see
+    :func:`trees.nested_cut_terms`); they read the polynomial of each piece,
+    never the polynomial of the tree being checked.
     """
     u = shape(t)
     one_tree = forest((u,))
@@ -340,24 +342,27 @@ def phi_recurrence_check(t: LabeledTree) -> bool:
 def _recurrences_hold(u: LabeledTree, p: RationalPolynomial, q: RationalPolynomial) -> bool:
     # u is a shape, p and q its strict and weak polynomials; the terms are
     # S_{k-1}/k! for k = 2..|u|, the coefficients of s^k in p and q.
-    strict_terms = [
-        nested_cut_sum(u, k - 1, _strict_constant, _strict_constant) / factorial(k)
-        for k in range(2, u.size + 1)
-    ]
-    weak_terms = [
-        nested_cut_sum(u, k - 1, _weak_constant, _weak_constant) / factorial(k)
-        for k in range(2, u.size + 1)
-    ]
+    strict_terms, strict_den = nested_cut_terms(u, _strict_constant, _strict_constant)
+    weak_terms, weak_den = nested_cut_terms(u, _weak_constant, _weak_constant)
     phi_strict, phi_weak = p.linear_coeff, q.linear_coeff
     if u.size == 1:
         return phi_strict == 1 and phi_weak == 1
-    alternating = sum(((-1) ** k * w for k, w in enumerate(weak_terms, 2)), Fraction(0))
+    alternating = sum((-1) ** k * w for k, w in enumerate(weak_terms, 2))
     return (
-        -sum(strict_terms, Fraction(0)) == phi_strict
-        and alternating == phi_weak
-        and 1 - sum(weak_terms, Fraction(0)) == phi_weak
-        and RationalPolynomial([0, phi_strict] + strict_terms) == p
-        and RationalPolynomial([0, phi_weak] + weak_terms) == q
+        Fraction(-sum(strict_terms), strict_den) == phi_strict
+        and Fraction(alternating, weak_den) == phi_weak
+        and Fraction(weak_den - sum(weak_terms), weak_den) == phi_weak
+        and _with_linear(phi_strict, strict_terms, strict_den) == p
+        and _with_linear(phi_weak, weak_terms, weak_den) == q
+    )
+
+
+def _with_linear(phi: Fraction, terms: list[int], den: int) -> RationalPolynomial:
+    # phi*s + sum_k terms[k-2]/den * s^k.
+    both = lcm(den, phi.denominator)
+    m = both // den
+    return RationalPolynomial._from_ints(
+        [0, phi.numerator * (both // phi.denominator), *[a * m for a in terms]], both
     )
 
 

@@ -22,7 +22,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Iterator
 
 from . import memo
@@ -217,8 +217,8 @@ def forest_text(f: Forest) -> str:
 
 # Deepest nesting the parser accepts.  The parser and the grafting oracle
 # graft_positions recurse once per level; tree_text, shape,
-# automorphism_count, label_values, the cuts, graft_forests and
-# nested_cut_sum (which recurses once per cut) do not.
+# automorphism_count, label_values, the cuts and graft_forests do not, and
+# nested_cut_sums recurses once per k, not once per level.
 # Deeper text is refused before any tree is built, so it ends in a one-line
 # ValueError, not a RecursionError.
 MAX_PARSE_DEPTH = 100
@@ -640,33 +640,83 @@ def _trunk_without(path) -> LabeledTree:
     return kept[0]
 
 
-@memo.memoized
 def nested_cut_sum(t: LabeledTree, k: int, piece, trunk) -> Fraction:
-    """Sum over sequences of k nested single-edge cuts of t, summed by trunk shape.
+    """Sum over sequences of k >= 0 nested single-edge cuts of t, summed by trunk shape.
 
     Each sequence contributes piece(T_1) ... piece(T_k) * trunk(R), where T_i
-    is the subtree the i-th cut removes and R the trunk left at the end.  The
-    sum obeys
-
-        S_0(T) = trunk(T),
-        S_k(T) = sum over non-root v of piece(T_v) * S_{k-1}(T minus T_v),
-
-    so it is memoized on (T, k, piece, trunk) instead of listing sequences.
-    S_{k-1} of the trunk is evaluated first and the piece is skipped when
-    that sum is zero; a caller whose piece of T's root branch would be its own
-    unknown (the tree constant theta) relies on this.  piece and trunk must be
-    pure functions returning Fractions.  The result equals the sum over
+    is the subtree the i-th cut removes and R the trunk left at the end.  This
+    is S_k(t) of :func:`nested_cut_sums`, with S_0(t) = trunk(t); it is zero
+    once k reaches t's vertex count.  The result equals the sum over
     ``nested_cut_sequences(t, k + 1, single_edges=True)``, whose pieces are
     the removed subtrees re-rooted under a 0-labeled root.
     """
     if k == 0:
         return trunk(t)
-    total = Fraction(0)
+    if k >= t.size:
+        return Fraction(0)
+    den, nums = nested_cut_sums(t, k, piece, trunk)
+    return Fraction(nums[k - 1], den)
+
+
+def nested_cut_sums(t: LabeledTree, k: int, piece, trunk) -> tuple[int, tuple[int, ...]]:
+    """S_1(t), ..., S_k(t) as integer numerators over one denominator.
+
+    The sums obey
+
+        S_0(T) = trunk(T),
+        S_j(T) = sum over non-root v of piece(T_v) * S_{j-1}(T minus T_v),
+
+    so all of them are filled in one pass over the single-edge cuts of t,
+    memoized on the trunk: every cut reads the vector (trunk, S_1, ...,
+    S_{k-1}) of what it leaves.  The result is ``(den, nums)`` in lowest
+    terms with S_j(t) = nums[j-1] / den.  k is clipped to t's vertex count
+    minus one, beyond which every S_j is zero, so a call for every k and the
+    calls on every trunk below it share one memo entry each.  A piece is
+    skipped when the whole vector of its trunk is zero; a caller whose piece
+    of t's root branch would be its own unknown (the tree constant theta)
+    relies on this.  piece and trunk must be pure functions returning
+    Fractions.  The recursion is k levels deep.
+    """
+    k = min(k, t.size - 1)
+    return _nested_cut_sums(t, k, piece, trunk) if k > 0 else (1, ())
+
+
+def nested_cut_terms(t: LabeledTree, piece, trunk) -> tuple[list[int], int]:
+    """S_{k-1}(t) / k! for k = 2..|t| as integer numerators over one denominator.
+
+    These are the coefficients of s^k in sum_k S_{k-1}(t) s^k / k!, read from
+    one :func:`nested_cut_sums` call; the denominator is its den times |t|!.
+    """
+    n = t.size
+    den, sums = nested_cut_sums(t, n - 1, piece, trunk)
+    top = factorial(n)
+    return [s * (top // factorial(k)) for k, s in enumerate(sums, 2)], den * top
+
+
+@memo.memoized
+def _nested_cut_sums(t: LabeledTree, k: int, piece, trunk) -> tuple[int, tuple[int, ...]]:
+    rows = []
+    den = 1
     for (x, rest), copies in _single_edge_cuts(t):
-        inner = nested_cut_sum(rest, k - 1, piece, trunk)
-        if inner:
-            total += copies * piece(x) * inner
-    return total
+        c = trunk(rest)
+        inner_k = min(k - 1, rest.size - 1)
+        d, inner = _nested_cut_sums(rest, inner_k, piece, trunk) if inner_k > 0 else (1, ())
+        m = lcm(c.denominator, d)
+        vec = (c.numerator * (m // c.denominator), *[n * (m // d) for n in inner])
+        if not any(vec):
+            continue
+        p = piece(x)
+        if p:
+            row_den = p.denominator * m
+            rows.append((copies * p.numerator, row_den, vec))
+            den = lcm(den, row_den)
+    acc = [0] * k
+    for a, row_den, vec in rows:
+        a *= den // row_den
+        for j, n in enumerate(vec):
+            acc[j] += a * n
+    g = gcd(den, *acc)
+    return den // g, tuple([n // g for n in acc])
 
 
 def graft_positions(scions: Forest, stock: LabeledTree) -> list[LabeledTree]:

@@ -114,7 +114,7 @@ def test_build_omega_matches_the_tree_by_tree_reference(labels, order):
         for degree, (x, y) in enumerate(zip(got, expected)):
             assert x.basis == gl.V_BASIS
             assert x.terms == y.terms, (name, degree)
-            assert _as_map(gl._int_form(x, gl.V_BASIS)) == _as_map(
+            assert _as_map(gl.int_form(x, gl.V_BASIS)) == _as_map(
                 gl._over_one_denominator(y.terms)
             ), (name, degree)
             assert x == y

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -431,6 +432,71 @@ def test_nested_cut_sum_matches_sequence_enumeration():
                         prod *= piece(p.children[0])
                     expected += prod
                 assert nested_cut_sum(t, k, piece, trunk) == expected, (tree_text(t), k, piece)
+
+
+def _vanishing_piece(x):
+    # label-sensitive, and zero on subtrees whose root carries label 2
+    return Fraction(x.label - 2, x.size)
+
+
+def _vanishing_trunk(r):
+    # label-sensitive, and zero on trunks whose weight is a multiple of 3
+    return Fraction(r.weight % 3, r.size + 1)
+
+
+def _per_k_sum(t, k, piece, trunk, table):
+    # The recurrence one k at a time in Fractions, one value per (trunk, k).
+    key = (t, k)
+    if key not in table:
+        if k == 0:
+            table[key] = trunk(t)
+        else:
+            total = Fraction(0)
+            for (x, rest), copies in trees._single_edge_cuts(t):
+                inner = _per_k_sum(rest, k - 1, piece, trunk, table)
+                if inner:
+                    total += copies * piece(x) * inner
+            table[key] = total
+    return table[key]
+
+
+@given(
+    canonical_trees(),
+    st.sampled_from(
+        [
+            (_vanishing_piece, _vanishing_trunk),
+            (_probe, _vanishing_trunk),
+            (_vanishing_piece, _probe),
+        ]
+    ),
+)
+def test_nested_cut_sums_match_the_per_k_fraction_recurrence(t, constants):
+    piece, trunk = constants
+    table = {}
+    den, nums = trees.nested_cut_sums(t, t.size - 1, piece, trunk)
+    assert den > 0 and len(nums) == t.size - 1
+    assert math.gcd(den, *nums) == 1
+    for k in range(t.size + 2):
+        expected = _per_k_sum(t, k, piece, trunk, table)
+        assert nested_cut_sum(t, k, piece, trunk) == expected, (tree_text(t), k)
+        if 1 <= k < t.size:
+            assert Fraction(nums[k - 1], den) == expected, (tree_text(t), k)
+        # A shorter request is a prefix of the full vector.
+        d, short = trees.nested_cut_sums(t, k, piece, trunk)
+        assert [Fraction(n, d) for n in short] == [Fraction(n, den) for n in nums[:k]]
+
+
+def test_theta_fills_one_full_length_kernel_entry_per_trunk():
+    ncs._theta_of_shape.table.clear()
+    trees._nested_cut_sums.table.clear()
+    for w in range(1, 9):
+        for t in enumerate_bplus_trees((1,), w):
+            ncs.theta_recurrence(t)
+    keys = [key for key in trees._nested_cut_sums.table if key[2] is ncs._theta_of_branch]
+    assert keys
+    assert all(key[3] is ncs._theta_of_shape for key in keys)
+    assert all(k == t.size - 1 for t, k, _, _ in keys)
+    assert len({t for t, _, _, _ in keys}) == len(keys)
 
 
 def test_general_nested_sequences_extend_cut_results():
