@@ -56,6 +56,9 @@ CASES = {
     "verify-ncs-234-json": [
         "verify", "ncs", "--labels", "2,3,4", "--max-weight", "12", "--format", "json",
     ],
+    "verify-duality-12-6-json": [
+        "verify", "duality", "--labels", "1,2", "--max-weight", "6", "--format", "json",
+    ],
 }
 
 
