@@ -81,7 +81,7 @@ def tensor_unit() -> CKTensor:
 @memo.memoized
 def _tree_coproduct(t: LabeledTree) -> CKTensor:
     terms = [((forest((t,)), EMPTY_FOREST), 1)]
-    terms += (((pruned, forest((trunk,))), 1) for _cut, pruned, trunk in cut_results(t))
+    terms += (((pruned, forest((trunk,))), n) for pruned, trunk, n in cut_results(t))
     return CKTensor(terms)
 
 
@@ -100,11 +100,11 @@ def _tree_antipode(t: LabeledTree) -> CKElem:
     # of S(pruned) * trunk; the pruned part always has strictly lower weight.
     def terms():
         yield forest((t,)), -1
-        for cut, pruned, trunk in cut_results(t):
-            if cut.edges:
+        for pruned, trunk, n in cut_results(t):
+            if pruned.trees:
                 rest = forest((trunk,))
                 for f, c in antipode(from_forest(pruned)).terms.items():
-                    yield forest_union(f, rest), -c
+                    yield forest_union(f, rest), -c * n
 
     return CKElem(terms())
 

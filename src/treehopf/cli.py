@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import duality, gl, ncs, nsym, orderpoly
 from .trees import (
@@ -34,7 +34,6 @@ class RunConfig:
     max_weight: int = 4
     max_vertices: int = 6
     fmt: str = "text"
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.labels:

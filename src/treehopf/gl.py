@@ -272,10 +272,7 @@ def _structure_table(left: Forest, right: Forest) -> tuple[tuple[Forest, int], .
     stock = bplus(right)
     out = []
     for cand in enumerate_bplus_trees(sorted(labels), total):
-        count = 0
-        for _cut, pruned, trunk in cut_results(cand):
-            if pruned == left and trunk == stock:
-                count += 1
+        count = sum(n for p, tr, n in cut_results(cand) if p is left and tr is stock)
         if count:
             out.append((branch_forest(cand), count))
     return tuple(out)

@@ -108,6 +108,7 @@ def _theta_of_shape(u: LabeledTree) -> Fraction:
     return val
 
 
+@memo.memoized
 def _theta_of_branch(x: LabeledTree) -> Fraction:
     # Constant of the pruned piece: the removed subtree grafted under a root.
     return _theta_of_shape(node(1, (x,)))

@@ -6,7 +6,9 @@ Trees and forests are interned canonical values: children are kept sorted by
 a fixed total order, so two isomorphic labeled trees (isomorphism preserving
 the root and every label) are literally the same object.  Everything in this
 module is pure; the memo tables only ever store values that any racing
-computation would agree on.
+computation would agree on.  Walks over a tree (text, shape, automorphisms,
+admissible cuts, grafting) run bottom-up on its distinct interned subtrees,
+each memoized, on an explicit stack; there are no vertex ids.
 
 Serialization grammar (bit-exact, canonical child order)::
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Iterator
@@ -217,8 +218,9 @@ def forest_text(f: Forest) -> str:
 
 # Deepest nesting the parser accepts.  The parser and the grafting oracle
 # graft_positions recurse once per level; tree_text, shape,
-# automorphism_count, label_values, the cuts and graft_forests do not, and
-# nested_cut_sums recurses once per k, not once per level.
+# automorphism_count, label_values, cut_results and graft_forests do not;
+# nested_cut_sequences recurses once per cut, and nested_cut_sums once per
+# k, not once per level.
 # Deeper text is refused before any tree is built, so it ends in a one-line
 # ValueError, not a RecursionError.
 MAX_PARSE_DEPTH = 100
@@ -452,163 +454,67 @@ def enumerate_bplus_trees(labels: Iterable[int], weight: int) -> tuple[LabeledTr
 # Cuts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cut:
-    """An admissible cut; edge ids are preorder indices of the child vertex."""
-
-    edges: frozenset[int]
-
-    def __len__(self):
-        return len(self.edges)
+_CUT_CACHE = memo.table()
 
 
-@dataclass(frozen=True)
-class CutResult:
-    pruned: Forest
-    trunk: LabeledTree
+def cut_results(t: LabeledTree) -> tuple[tuple[Forest, LabeledTree, int], ...]:
+    """All admissible cuts of the tree as (pruned forest, trunk, count).
+
+    count is the number of edge sets that split the tree into that pair; the
+    empty cut comes first.  The distinct subtrees are filled bottom-up, each
+    memoized: at every child c, a cut either prunes c whole or takes a cut
+    of c, and c's empty cut keeps c whole.  States are keyed by (pruned
+    forest, forest of the trunk's children) and carry their counts.
+    """
+    got = _CUT_CACHE.get(t)
+    if got is not None:
+        return got
+    return _bottom_up(
+        t, _CUT_CACHE.get, lambda u, kids: _CUT_CACHE.setdefault(u, _cuts_at(u, kids))
+    )
 
 
-class _TreeIndex:
-    """Preorder-indexed view of a canonical tree (vertex 0 is the root)."""
-
-    __slots__ = ("labels", "parent", "children", "size")
-
-    def __init__(self, t: LabeledTree):
-        order: list[tuple[LabeledTree, int]] = []  # (vertex, parent index), preorder
-        stack = [(t, -1)]
-        while stack:
-            u, par = stack.pop()
-            order.append((u, par))
-            stack.extend((c, len(order) - 1) for c in reversed(u.children))
-        kids: list[list[int]] = [[] for _ in order]
-        for v, (_, par) in enumerate(order[1:], 1):
-            kids[par].append(v)
-        self.labels = tuple(u.label for u, _ in order)
-        self.parent = tuple(par for _, par in order)
-        self.children = tuple(map(tuple, kids))
-        self.size = tuple(u.size for u, _ in order)
-
-    def descendants(self, v: int) -> range:
-        # Preorder makes every subtree a contiguous index range.
-        return range(v, v + self.size[v])
-
-
-@memo.memoized
-def _index(t: LabeledTree) -> _TreeIndex:
-    return _TreeIndex(t)
-
-
-def _antichain_sets(idx: _TreeIndex, alive: frozenset[int]) -> list[frozenset[int]]:
-    # All admissible cut vertex sets inside `alive` (vertex = its root edge).
-    # opts[v] lists the cut sets of v's subtree, {v} itself last; preorder
-    # puts children after their parent, so reverse preorder sees them first.
-    # The first alive child's list is taken as it is, since [{}] x cs = cs.
-    opts: dict[int, list[frozenset[int]]] = {}
-    for v in sorted(alive, reverse=True):
-        acc: list[frozenset[int]] = [frozenset()]
-        for c in idx.children[v]:
-            if c in alive:
-                cs = opts.pop(c)
-                acc = cs if len(acc) == 1 else [a | o for a in acc for o in cs]
-        if v:
-            acc.append(frozenset((v,)))
-        opts[v] = acc
-    return opts[0]
-
-
-def _extract(idx: _TreeIndex, v: int, alive: frozenset[int]) -> LabeledTree:
-    # The alive part of v's subtree; reverse preorder builds every child
-    # before its parent, so no recursion.
-    built: dict[int, LabeledTree] = {}
-    for u in reversed(idx.descendants(v)):
-        if u in alive:
-            built[u] = node(idx.labels[u], [built.pop(c) for c in idx.children[u] if c in alive])
-    return built[v]
-
-
-def _without_subtrees(idx: _TreeIndex, alive: frozenset[int], cut_vertices) -> frozenset[int]:
-    dead = set()
-    for v in cut_vertices:
-        dead.update(u for u in idx.descendants(v) if u in alive)
-    return alive - dead
-
-
-def admissible_cuts(t: LabeledTree) -> tuple[Cut, ...]:
-    """Every admissible cut of the tree, the empty cut included."""
-    idx = _index(t)
-    alive = frozenset(range(t.size))
-    sets = _antichain_sets(idx, alive)
-    sets.sort(key=lambda s: (len(s), sorted(s)))
-    return tuple(Cut(s) for s in sets)
-
-
-def apply_cut(t: LabeledTree, cut: Cut) -> CutResult:
-    """Split the tree into the pruned forest and the trunk containing the root."""
-    idx = _index(t)
-    n = t.size
-    for e in cut.edges:
-        if not isinstance(e, int) or not 1 <= e < n:
-            raise ValueError(f"edge id {e!r} not in tree {tree_text(t)!r}")
-    vs = sorted(cut.edges)
-    for i, v in enumerate(vs):
-        for w in vs[i + 1 :]:
-            if w < v + idx.size[v]:
-                raise ValueError("cut is not admissible: two edges share a root-to-leaf path")
-    return CutResult(*_split(idx, vs))
-
-
-def _split(idx: _TreeIndex, vs: list[int]) -> tuple[Forest, LabeledTree]:
-    # The pruned forest and the trunk of the admissible cut at sorted vertices vs.
-    alive = frozenset(range(len(idx.labels)))
-    pruned = forest(_extract(idx, v, alive) for v in vs)
-    return pruned, _extract(idx, 0, _without_subtrees(idx, alive, vs))
-
-
-@memo.memoized
-def cut_results(t: LabeledTree) -> tuple[tuple[Cut, Forest, LabeledTree], ...]:
-    """All admissible cuts of the tree together with their pruned/trunk parts."""
-    idx = _index(t)
-    sets = sorted(_antichain_sets(idx, frozenset(range(t.size))), key=lambda s: (len(s), sorted(s)))
-    return tuple((Cut(s), *_split(idx, sorted(s))) for s in sets)
+def _cuts_at(u: LabeledTree, kid_cuts) -> tuple[tuple[Forest, LabeledTree, int], ...]:
+    states = {(EMPTY_FOREST, EMPTY_FOREST): 1}
+    for c, cuts in zip(u.children, kid_cuts):
+        grown: dict = {}
+        for (pruned, kept), n in states.items():
+            for p, trunk, m in cuts:
+                key = (forest_union(pruned, p), forest(kept.trees + (trunk,)))
+                grown[key] = grown.get(key, 0) + n * m
+            key = (forest(pruned.trees + (c,)), kept)
+            grown[key] = grown.get(key, 0) + n
+        states = grown
+    return tuple((pruned, node(u.label, kept.trees), n) for (pruned, kept), n in states.items())
 
 
 def nested_cut_sequences(
     t: LabeledTree, r: int, single_edges: bool = False
-) -> list[tuple[tuple[Cut, ...], tuple[LabeledTree, ...]]]:
-    """Sequences of r-1 successively compatible admissible cuts with their r pieces.
+) -> list[tuple[tuple[LabeledTree, ...], int]]:
+    """Sequences of r-1 successive admissible cuts as (pieces, count).
 
-    Cuts are applied outermost first: each later cut must survive on the trunk
-    left by the earlier ones (equivalently, all pairs are compatible in the
-    original tree).  The first r-1 pieces are the pruned forests re-rooted
-    under a fresh 0-labeled root, in cutting order; the last piece is the
-    remaining trunk.  Edge ids refer to the original tree throughout.  With
-    ``single_edges=True`` every cut consists of exactly one edge.
+    Each cut is taken from :func:`cut_results` of the trunk the earlier ones
+    left, the empty cut included.  The first r-1 pieces are the pruned
+    forests re-rooted under a fresh 0-labeled root, in cutting order; the
+    last piece is the remaining trunk.  count is the number of edge-set
+    sequences giving these pieces.  With ``single_edges=True`` every cut
+    consists of exactly one edge.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    idx = _index(t)
-    out: list[tuple[tuple[Cut, ...], tuple[LabeledTree, ...]]] = []
+    out: dict[tuple[LabeledTree, ...], int] = {}
 
-    def go(alive: frozenset[int], k: int, cuts: tuple, pieces: tuple):
+    def go(trunk: LabeledTree, k: int, pieces: tuple, count: int):
         if k == 0:
-            out.append((cuts, pieces + (_extract(idx, 0, alive),)))
+            key = pieces + (trunk,)
+            out[key] = out.get(key, 0) + count
             return
-        if single_edges:
-            candidates = [frozenset((v,)) for v in sorted(alive) if v != 0]
-        else:
-            candidates = sorted(_antichain_sets(idx, alive), key=lambda s: (len(s), sorted(s)))
-        for s in candidates:
-            vs = sorted(s)
-            piece = node(GRAFT_ROOT_LABEL, (_extract(idx, v, alive) for v in vs))
-            go(
-                _without_subtrees(idx, alive, vs),
-                k - 1,
-                cuts + (Cut(s),),
-                pieces + (piece,),
-            )
+        for pruned, rest, n in cut_results(trunk):
+            if not single_edges or len(pruned) == 1:
+                go(rest, k - 1, pieces + (bplus(pruned),), count * n)
 
-    go(frozenset(range(t.size)), r - 1, (), ())
-    return out
+    go(t, r - 1, (), 1)
+    return list(out.items())
 
 
 @memo.memoized
@@ -647,8 +553,9 @@ def nested_cut_sum(t: LabeledTree, k: int, piece, trunk) -> Fraction:
     is the subtree the i-th cut removes and R the trunk left at the end.  This
     is S_k(t) of :func:`nested_cut_sums`, with S_0(t) = trunk(t); it is zero
     once k reaches t's vertex count.  The result equals the sum over
-    ``nested_cut_sequences(t, k + 1, single_edges=True)``, whose pieces are
-    the removed subtrees re-rooted under a 0-labeled root.
+    ``nested_cut_sequences(t, k + 1, single_edges=True)``, weighted by
+    count, whose pieces are the removed subtrees re-rooted under a 0-labeled
+    root.
     """
     if k == 0:
         return trunk(t)
@@ -728,11 +635,21 @@ def graft_positions(scions: Forest, stock: LabeledTree) -> list[LabeledTree]:
     """
     if stock.label != GRAFT_ROOT_LABEL:
         raise ValueError("stock must have the 0-labeled grafting root")
-    idx = _index(stock)
-    return [
-        _grafted(idx, zip(assign, scions.trees))
-        for assign in itertools.product(range(stock.size), repeat=len(scions.trees))
-    ]
+    out = []
+    for assign in itertools.product(range(stock.size), repeat=len(scions.trees)):
+        extra: dict[int, list[LabeledTree]] = {}
+        for v, scion in zip(assign, scions.trees):
+            extra.setdefault(v, []).append(scion)
+        out.append(_attach(stock, itertools.count(), extra))
+    return out
+
+
+def _attach(u: LabeledTree, counter, extra: dict[int, list[LabeledTree]]) -> LabeledTree:
+    # u with each scion of extra attached at its preorder vertex.
+    v = next(counter)
+    kids = [_attach(c, counter, extra) for c in u.children]
+    kids.extend(extra.get(v, ()))
+    return node(u.label, kids)
 
 
 def graft_counts(scions: Forest, stock: LabeledTree) -> dict[LabeledTree, int]:
@@ -886,17 +803,3 @@ def _class_spread(c, k, options, sums):
     for y, t, kids, w in open_ + full:
         spread[y].append((kids + (c,) * (k - t), w))
     return spread
-
-
-def _grafted(idx: _TreeIndex, placed: Iterable[tuple[int, LabeledTree]]) -> LabeledTree:
-    # The stock of idx with each scion of placed attached at its vertex.
-    extra: dict[int, list[LabeledTree]] = {}
-    for v, scion in placed:
-        extra.setdefault(v, []).append(scion)
-    return _attach(idx, 0, extra)
-
-
-def _attach(idx: _TreeIndex, v: int, extra: dict[int, list[LabeledTree]]) -> LabeledTree:
-    kids = [_attach(idx, c, extra) for c in idx.children[v]]
-    kids.extend(extra.get(v, ()))
-    return node(idx.labels[v], kids)

@@ -237,8 +237,8 @@ def test_criterion_08_nested_cut_identity():
         for w in range(0, 5):
             for t in enumerate_bplus_trees((1,), w):
                 total = Fraction(0)
-                for _cuts, pieces in nested_cut_sequences(t, r):
-                    prod = Fraction(1)
+                for pieces, n in nested_cut_sequences(t, r):
+                    prod = Fraction(n)
                     for slot, piece in enumerate(pieces):
                         prod *= values[(slot, piece)]
                     total += prod

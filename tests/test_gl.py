@@ -106,8 +106,8 @@ def test_cut_graft_adjunction_counting_form():
                         counts[res] = counts.get(res, 0) + 1
                     for res, mult in counts.items():
                         matches = sum(
-                            1
-                            for _cut, pruned, trunk in cut_results(res)
+                            n
+                            for pruned, trunk, n in cut_results(res)
                             if bplus(pruned) == ta and trunk == tb
                         )
                         expected = Fraction(

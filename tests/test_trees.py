@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -15,14 +16,12 @@ from conftest import canonical_trees, raw_trees
 from treehopf import ncs, trees
 from treehopf.orderpoly import order_poly, strict_order_poly
 from treehopf.trees import (
-    Cut,
     EMPTY_FOREST,
-    admissible_cuts,
-    apply_cut,
     automorphism_count,
     bplus,
     branch_forest,
     canonicalize,
+    cut_results,
     enumerate_bplus_trees,
     enumerate_forests,
     enumerate_trees,
@@ -112,6 +111,30 @@ def brute_force_cuts(t):
             if ok:
                 cuts.append(frozenset(children))
     return set(cuts)
+
+
+def kept_subtree(t, top, removed):
+    """The subtree at preorder vertex top with the subtrees at removed deleted."""
+    found = []
+    counter = itertools.count()
+
+    def walk(u):
+        v = next(counter)
+        built = node(u.label, [k for k in map(walk, u.children) if k is not None])
+        if v == top:
+            found.append(built)
+        return None if v in removed else built
+
+    walk(t)
+    return found[0]
+
+
+def brute_force_cut_pairs(t):
+    """Counter of (pruned forest, trunk) over the admissible edge subsets."""
+    return Counter(
+        (forest(kept_subtree(t, v, ()) for v in cut), kept_subtree(t, 0, cut))
+        for cut in brute_force_cuts(t)
+    )
 
 
 def brute_force_automorphisms(t):
@@ -290,46 +313,44 @@ def test_enumeration_is_duplicate_free_and_graded():
 # ---------------------------------------------------------------------------
 
 def test_cut_examples():
-    assert len(admissible_cuts(leaf(1))) == 1  # empty cut only
+    # The empty cut comes first; the counts sum to the number of edge sets.
     chain3 = parse_tree("1(1(1))")
-    assert len(admissible_cuts(chain3)) == 3
     cherry = parse_tree("0(1,1)")
-    assert len(admissible_cuts(cherry)) == 4
+    for t, total in ((leaf(1), 1), (chain3, 3), (cherry, 4)):
+        cuts = cut_results(t)
+        assert cuts[0] == (EMPTY_FOREST, t, 1)
+        assert sum(n for _, _, n in cuts) == total
+    # Cutting either leaf of the cherry gives one pair, counted twice.
+    assert {(forest_text(p), tree_text(tr)): n for p, tr, n in cut_results(cherry)} == {
+        ("[]", "0(1,1)"): 1,
+        ("[1]", "0(1)"): 2,
+        ("[1,1]", "0"): 1,
+    }
 
 
 def test_cuts_match_brute_force():
     for m in range(1, 6):
         for t in enumerate_trees((1, 2), m):
-            ours = {c.edges for c in admissible_cuts(t)}
-            assert ours == brute_force_cuts(t), tree_text(t)
+            cuts = cut_results(t)
+            ours = Counter({(p, tr): n for p, tr, n in cuts})
+            assert len(ours) == len(cuts), tree_text(t)
+            assert ours == brute_force_cut_pairs(t), tree_text(t)
 
 
 def test_apply_cut_splits_vertices():
     for m in range(1, 6):
         for t in enumerate_trees((1,), m):
-            for cut in admissible_cuts(t):
-                res = apply_cut(t, cut)
-                assert res.pruned.size + res.trunk.size == t.size
-                assert res.pruned.weight + res.trunk.weight == t.weight
+            for pruned, trunk, n in cut_results(t):
+                assert pruned.size + trunk.size == t.size
+                assert pruned.weight + trunk.weight == t.weight
+                assert n >= 1
 
 
 def test_apply_cut_examples():
     chain3 = parse_tree("1(1(1))")
-    # vertex indices: 0 root, 1 middle, 2 leaf
-    deep = apply_cut(chain3, Cut(frozenset({2})))
-    assert forest_text(deep.pruned) == "[1]"
-    assert tree_text(deep.trunk) == "1(1)"
-    low = apply_cut(chain3, Cut(frozenset({1})))
-    assert forest_text(low.pruned) == "[1(1)]"
-    assert tree_text(low.trunk) == "1"
-
-
-def test_apply_cut_errors():
-    chain3 = parse_tree("1(1(1))")
-    with pytest.raises(ValueError):
-        apply_cut(chain3, Cut(frozenset({5})))
-    with pytest.raises(ValueError):
-        apply_cut(chain3, Cut(frozenset({1, 2})))  # both edges on the only path
+    pairs = {(forest_text(p), tree_text(tr)): n for p, tr, n in cut_results(chain3)}
+    assert pairs[("[1]", "1(1)")] == 1  # the edge above the leaf
+    assert pairs[("[1(1)]", "1")] == 1  # the edge above the middle vertex
 
 
 # ---------------------------------------------------------------------------
@@ -339,32 +360,30 @@ def test_apply_cut_errors():
 def test_nested_sequences_r1_is_identity():
     for t in enumerate_trees((1,), 4):
         seqs = nested_cut_sequences(t, 1)
-        assert seqs == [((), (t,))]
+        assert seqs == [((t,), 1)]
 
 
 def test_nested_sequences_three_chain():
     chain3 = parse_tree("1(1(1))")
     two = nested_cut_sequences(chain3, 2, single_edges=True)
-    assert len(two) == 2
+    assert sum(n for _, n in two) == 2
     three = nested_cut_sequences(chain3, 3, single_edges=True)
     assert len(three) == 1
-    cuts, pieces = three[0]
-    # the deep edge must be cut before the root edge
-    assert [sorted(c.edges) for c in cuts] == [[2], [1]]
+    pieces, n = three[0]
+    # one order only: the deep edge must be cut before the root edge
+    assert n == 1
     assert [tree_text(p) for p in pieces] == ["0(1)", "0(1)", "1"]
 
 
 def test_nested_single_edge_sequences_match_pairwise_filter():
     # Oracle: tuples of distinct single edges, keeping those where each later
-    # edge survives on the trunk left by each earlier one.
+    # edge survives on the trunk left by each earlier one; each cut removes
+    # its subtree less what the earlier cuts removed.
     for t in enumerate_trees((1,), 4):
         n_edges = t.size - 1
-        for r in (2, 3):
-            got = {
-                tuple(sorted(c.edges)[0] for c in cuts)
-                for cuts, _ in nested_cut_sequences(t, r, single_edges=True)
-            }
-            expected = set()
+        for r in (2, 3, 4):
+            got = Counter(dict(nested_cut_sequences(t, r, single_edges=True)))
+            expected = Counter()
             for tup in itertools.permutations(range(1, n_edges + 1), r - 1):
                 ok = True
                 for i in range(len(tup)):
@@ -373,13 +392,19 @@ def test_nested_single_edge_sequences_match_pairwise_filter():
                         ok = False
                         break
                 if ok:
-                    expected.add(tup)
+                    pieces = tuple(
+                        node(0, (kept_subtree(t, v, tup[:i]),)) for i, v in enumerate(tup)
+                    )
+                    expected[pieces + (kept_subtree(t, 0, tup),)] += 1
             assert got == expected, tree_text(t)
 
 
 def _surviving_edges(t, cut_vertex):
-    idx = trees._index(t)
-    dead = set(idx.descendants(cut_vertex))
+    # edges_of lists each parent before its children.
+    dead = {cut_vertex}
+    for parent, child in edges_of(t):
+        if parent in dead:
+            dead.add(child)
     return {v for v in range(1, t.size) if v not in dead}
 
 
@@ -424,8 +449,8 @@ def test_nested_cut_sum_matches_sequence_enumeration():
             seqs = nested_cut_sequences(t, k + 1, single_edges=True)
             for piece, trunk in constants:
                 expected = Fraction(0)
-                for _cuts, pieces in seqs:
-                    prod = trunk(pieces[-1])
+                for pieces, n in seqs:
+                    prod = n * trunk(pieces[-1])
                     for p in pieces[:-1]:
                         if not prod:
                             break
@@ -502,8 +527,10 @@ def test_theta_fills_one_full_length_kernel_entry_per_trunk():
 def test_general_nested_sequences_extend_cut_results():
     # r=2 general sequences correspond exactly to the admissible cuts.
     for t in enumerate_bplus_trees((1,), 3):
-        seqs = nested_cut_sequences(t, 2)
-        assert len(seqs) == len(admissible_cuts(t))
+        seqs = Counter(dict(nested_cut_sequences(t, 2)))
+        assert seqs == Counter(
+            {(bplus(p), tr): n for (p, tr), n in brute_force_cut_pairs(t).items()}
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -663,14 +690,19 @@ def test_label_values_and_cut_enumeration_take_a_3000_deep_chain():
         chain = node(2, (chain,))
     assert trees.label_values(chain) == {2}
     assert trees.label_values(forest((chain, leaf(5)))) == {2, 5}
-    cuts = admissible_cuts(node(0, (chain,)))
-    assert len(cuts) == depth + 1
-    assert cuts[0].edges == frozenset() and {len(c) for c in cuts[1:]} == {1}
-    # Vertex v of the grafted chain is at depth v: the cut above it keeps v - 1.
-    cut = apply_cut(node(0, (chain,)), Cut(frozenset({1500})))
-    assert [t.size for t in cut.pruned] == [depth - 1499] and cut.trunk.size == 1500
 
     def one(t):
         return Fraction(1)
 
     assert nested_cut_sum(node(0, (chain,)), 1, one, one) == depth
+    # The cut lists are quadratic in the depth, so the kernel's stack safety is
+    # shown just past the interpreter's recursion limit.
+    depth = sys.getrecursionlimit() + 100
+    for _ in range(3000 - depth):
+        chain = chain.children[0]
+    grafted = node(0, (chain,))
+    cuts = cut_results(grafted)
+    assert len(cuts) == depth + 1 and {n for _, _, n in cuts} == {1}
+    assert cuts[0] == (EMPTY_FOREST, grafted, 1)
+    assert {len(p) for p, _, _ in cuts[1:]} == {1}
+    assert {p.size + tr.size for p, tr, _ in cuts} == {depth + 1}
