@@ -5,11 +5,12 @@ forest is the unit, the bare grafting root).  Two coordinate systems are
 supported and never mixed implicitly: the plain tree basis ``T`` and the
 divided basis ``V`` whose basis vectors are trees divided by their
 automorphism count.  The product grafts the branches of the left factor onto
-the vertices of the right factor in all possible ways; a second, independent
-implementation recovers the same structure constants by scanning admissible
-cuts of candidate result trees.  The coproduct splits the branch multiset
-over all ordered bipartitions, and the antipode has a closed form as an
-alternating sum over ordered partitions of the branch multiset.
+the vertices of the right factor in all possible ways, built one branch at a
+time by the Oudom-Guin recursion of the pre-Lie insertion; a second,
+independent implementation recovers the same structure constants by scanning
+admissible cuts of candidate result trees.  The coproduct splits the branch
+multiset over all ordered bipartitions, and the antipode has a closed form as
+an alternating sum over ordered partitions of the branch multiset.
 
 Series arithmetic (``dot``, and the ``sum`` and ``scale`` of ``GLSeriesOps``)
 runs on integers: each element carries one cached form, its numerators over
@@ -40,8 +41,8 @@ from .trees import (
     forest,
     forest_automorphisms,
     forest_text,
-    graft_forests,
-    graft_positions,  # re-exported: the per-assignment oracle of graft_forests
+    graft_positions,  # re-exported: the per-assignment oracle of the product tables
+    insert_scion,
     label_values,
     _require_grafting_root,
 )
@@ -149,9 +150,8 @@ def from_branches(f: Forest, basis: str = V_BASIS) -> GLElem:
     return GLElem({f: 1}, basis)
 
 
-def alpha(f: Forest) -> int:
-    """Automorphism count of the grafting-rooted tree with branch forest f."""
-    return forest_automorphisms(f)
+# The automorphism count of the grafting-rooted tree with branch forest f.
+alpha = forest_automorphisms
 
 
 def to_v_basis(a: GLElem) -> GLElem:
@@ -172,24 +172,53 @@ def to_t_basis(a: GLElem) -> GLElem:
 
 @memo.memoized
 def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Forest, int], ...]:
-    # Structure constants of the product of two basis trees in one basis,
-    # sorted by result: the graft multiplicity n in T, and
-    # n * alpha(result) / (alpha(left) * alpha(right)) in V, which is the
-    # admissible-cut count of _structure_table and so always an integer.
-    terms = graft_forests(left, right)
-    if basis == V_BASIS:
-        scale = alpha(left) * alpha(right)
-        scaled = []
-        for f, n in terms:
-            c, rem = divmod(n * alpha(f), scale)
-            if rem:
-                raise ArithmeticError(
-                    f"V-basis constant of {forest_text(left)} * {forest_text(right)} "
-                    f"at {forest_text(f)} is not an integer"
-                )
-            scaled.append((f, c))
-        terms = scaled
-    return tuple(sorted(terms, key=lambda kv: kv[0]._key))
+    # Structure constants of the product of two basis trees in one basis:
+    # the graft count n in T, and n * alpha(result) / (alpha(left) *
+    # alpha(right)) in V, which is the admissible-cut count of
+    # _structure_table and so always an integer.  With left = rest + x, x
+    # its largest scion, attaching x at any vertex of a result of rest lands
+    # it on the stock or inside a scion of rest, and the second kind is
+    # what grafting rest with x already inserted counts:
+    #     (x rest) o right = x ~> (rest o right) - (x ~> rest) o right,
+    # where x ~> F attaches x at one vertex of F: the root of the result
+    # counts as a vertex in the first term, and rest has none.  Tables of
+    # smaller left factors are read in the same basis: with w = alpha in V
+    # and 1 in T, the constant c of l o r at f is the count c*w(l)*w(r)/w(f).
+    if not left.trees:
+        return ((right, 1),)
+    if not right.trees:
+        return ((left, 1),)
+    w = alpha if basis == V_BASIS else lambda f: 1
+    x = left.trees[-1]
+    rest = forest(left.trees[:-1])
+    w_right = w(right)
+    grafted: dict[Forest, int] = {}  # graft counts of the first term
+    get = grafted.get
+    scale = w(rest) * w_right
+    for f, c in _product_table(rest, right, basis):
+        n = c * scale // w(f)
+        flat = iter(insert_scion(x, f, True))
+        for r, m in zip(flat, flat):
+            grafted[r] = get(r, 0) + n * m
+    inner: dict[Forest, int] = {}  # the second term's counts times w(result) / w(right)
+    get = inner.get
+    flat = iter(insert_scion(x, rest, False))
+    for a, m in zip(flat, flat):
+        m *= w(a)
+        for r, c in _product_table(a, right, basis):
+            inner[r] = get(r, 0) + m * c
+    scale = w(left) * w_right
+    out = []
+    for r, n in grafted.items():
+        c, rem = divmod(n * w(r) - inner.get(r, 0) * w_right, scale)
+        if rem:
+            raise ArithmeticError(
+                f"V-basis constant of {forest_text(left)} * {forest_text(right)} "
+                f"at {forest_text(r)} is not an integer"
+            )
+        if c:
+            out.append((r, c))
+    return tuple(out)
 
 
 def _over_one_denominator(terms: dict) -> tuple[int, tuple[tuple[Forest, int], ...]]:

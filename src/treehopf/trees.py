@@ -7,8 +7,8 @@ a fixed total order, so two isomorphic labeled trees (isomorphism preserving
 the root and every label) are literally the same object.  Everything in this
 module is pure; the memo tables only ever store values that any racing
 computation would agree on.  Walks over a tree (text, shape, automorphisms,
-admissible cuts, grafting) run bottom-up on its distinct interned subtrees,
-each memoized, on an explicit stack; there are no vertex ids.
+admissible cuts, insertion of a scion) run bottom-up on its distinct interned
+subtrees, each memoized, on an explicit stack; there are no vertex ids.
 
 Serialization grammar (bit-exact, canonical child order)::
 
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 from typing import Iterable, Iterator
 
 from . import memo
@@ -85,7 +84,7 @@ class Forest:
     are identity, as for trees.
     """
 
-    __slots__ = ("trees", "weight", "size", "_key", "_text")
+    __slots__ = ("trees", "weight", "size", "_key", "_text", "_alpha")
 
     def __init__(self, trees: tuple[LabeledTree, ...]):
         self.trees = trees
@@ -93,6 +92,7 @@ class Forest:
         self.size = sum(map(_size, trees))
         self._key = tuple(map(_canonical, trees))
         self._text: str | None = None
+        self._alpha: int | None = None
 
     def __lt__(self, other: "Forest"):
         return self._key < other._key
@@ -218,9 +218,9 @@ def forest_text(f: Forest) -> str:
 
 # Deepest nesting the parser accepts.  The parser and the grafting oracle
 # graft_positions recurse once per level; tree_text, shape,
-# automorphism_count, label_values, cut_results and graft_forests do not;
-# nested_cut_sequences recurses once per cut, and nested_cut_sums once per
-# k, not once per level.
+# automorphism_count, label_values, cut_results and insert_scion do not;
+# nested_cut_sequences recurses once per cut, nested_cut_sums once per k,
+# and the GL product tables once per scion, not once per level.
 # Deeper text is refused before any tree is built, so it ends in a one-line
 # ValueError, not a RecursionError.
 MAX_PARSE_DEPTH = 100
@@ -360,10 +360,16 @@ def automorphism_count(t: LabeledTree) -> int:
     )
 
 
-@memo.memoized
 def forest_automorphisms(f: Forest) -> int:
-    """Order of the automorphism group of the forest, that of bplus(f)."""
-    return _automorphisms(f.trees, [automorphism_count(t) for t in f.trees])
+    """Order of the automorphism group of the forest, that of bplus(f).
+
+    Cached on the forest, as its text is: the product tables read it for
+    every result they convert between the bases.
+    """
+    a = f._alpha
+    if a is None:
+        a = f._alpha = _automorphisms(f.trees, [automorphism_count(t) for t in f.trees])
+    return a
 
 
 def _automorphisms(trees: tuple[LabeledTree, ...], counts: list[int]) -> int:
@@ -537,6 +543,14 @@ def _single_edge_cuts(t: LabeledTree) -> tuple[tuple[tuple[LabeledTree, LabeledT
     return tuple(_merged(cuts))
 
 
+def _merged(pairs):
+    # The (key, count) pairs with the counts of equal keys summed.
+    counts: dict = {}
+    for key, n in pairs:
+        counts[key] = counts.get(key, 0) + n
+    return counts.items()
+
+
 def _trunk_without(path) -> LabeledTree:
     # The tree at the start of path with the child at its end removed.
     kept = ()
@@ -544,25 +558,6 @@ def _trunk_without(path) -> LabeledTree:
         path, u, i = path
         kept = (node(u.label, u.children[:i] + kept + u.children[i + 1 :]),)
     return kept[0]
-
-
-def nested_cut_sum(t: LabeledTree, k: int, piece, trunk) -> Fraction:
-    """Sum over sequences of k >= 0 nested single-edge cuts of t, summed by trunk shape.
-
-    Each sequence contributes piece(T_1) ... piece(T_k) * trunk(R), where T_i
-    is the subtree the i-th cut removes and R the trunk left at the end.  This
-    is S_k(t) of :func:`nested_cut_sums`, with S_0(t) = trunk(t); it is zero
-    once k reaches t's vertex count.  The result equals the sum over
-    ``nested_cut_sequences(t, k + 1, single_edges=True)``, weighted by
-    count, whose pieces are the removed subtrees re-rooted under a 0-labeled
-    root.
-    """
-    if k == 0:
-        return trunk(t)
-    if k >= t.size:
-        return Fraction(0)
-    den, nums = nested_cut_sums(t, k, piece, trunk)
-    return Fraction(nums[k - 1], den)
 
 
 def nested_cut_sums(t: LabeledTree, k: int, piece, trunk) -> tuple[int, tuple[int, ...]]:
@@ -652,154 +647,52 @@ def _attach(u: LabeledTree, counter, extra: dict[int, list[LabeledTree]]) -> Lab
     return node(u.label, kids)
 
 
-def graft_counts(scions: Forest, stock: LabeledTree) -> dict[LabeledTree, int]:
-    """The distinct trees of :func:`graft_positions` with their multiplicities."""
-    if stock.label != GRAFT_ROOT_LABEL:
-        raise ValueError("stock must have the 0-labeled grafting root")
-    return {bplus(f): n for f, n in graft_forests(scions, branch_forest(stock))}
+_INSERT_CACHE = memo.table()
 
 
-_GRAFT_CACHE = memo.table()
+def insert_scion(scion: LabeledTree, f: Forest, at_root: bool) -> tuple:
+    """Attach the scion at each vertex of the trees of f, one vertex at a time.
 
-
-@memo.memoized
-def _sub_multisets(mults: tuple[int, ...]):
-    # The sub-multisets of a multiset with these multiplicities, as count
-    # vectors (empty first, whole last).  sums[i][j] is (index of i + j,
-    # prod over kinds s of C(i_s + j_s, j_s)) when i + j stays inside, else
-    # None; the binomials choose the positions that part j takes.  below[k]
-    # lists the (i, j, binomials) with i + j = k.
-    vecs = list(itertools.product(*(range(m + 1) for m in mults)))
-    index = {v: i for i, v in enumerate(vecs)}
-    sums = [[None] * len(vecs) for _ in vecs]
-    below = [[] for _ in vecs]
-    for i, a in enumerate(vecs):
-        for j, b in enumerate(vecs):
-            k = index.get(tuple(x + y for x, y in zip(a, b)))
-            if k is not None:
-                sums[i][j] = k, prod(comb(x, y) for x, y in zip(vecs[k], b))
-                below[k].append((i, j, sums[i][j][1]))
-    return vecs, sums, below
-
-
-def graft_forests(scions: Forest, stock: Forest) -> tuple[tuple[Forest, int], ...]:
-    """Graft the scions onto the vertices of bplus(stock) in every way.
-
-    Returns the branch forest of each distinct result with the number of
-    assignments of scions to vertices that give it, the counts of
-    :func:`graft_positions`.  Grafting a sub-multiset X of the scions onto
-    the subtree at a vertex u keeps some X0 at u, C(x_s, x0_s) ways per
-    scion kind s, and spreads the rest over u's children.  The distinct
-    subtrees are filled bottom-up, each memoized on (X, subtree); a class of
-    k equal children takes a multiset of nonempty (part, result) options,
-    weighted by its arrangements over the k copies.
+    With ``at_root`` the root of bplus(f) is a vertex too, which adds the
+    scion to f as a new tree.  Returns the distinct resulting forests with
+    the number of vertices giving each, flat: ``(r1, n1, r2, n2, ...)``.
+    Results are distinct without merging: they differ in which tree of f
+    grew, or where below it.  Memoized on (scion, f, at_root), and the
+    insertion into each tree on (scion, subtree), filled bottom-up.
     """
-    if not scions.trees:
-        return ((stock, 1),)
-    if not stock.trees:
-        return ((scions, 1),)
-    kinds, mults = [], []
-    for s, group in itertools.groupby(scions.trees):
-        kinds.append(s)
-        mults.append(len(tuple(group)))
-    vecs, sums, below = _sub_multisets(tuple(mults))
-    parts = [tuple(s for s, k in zip(kinds, v) for _ in range(k)) for v in vecs]
-    inner = range(1, len(vecs))
-    get = _GRAFT_CACHE.get
-
-    def cached(u):
-        # u's results for every nonempty part, when all are memoized.
-        got = [None]
-        for x in inner:
-            results = get((u,) + parts[x])
-            if results is None:
-                return None
-            got.append(results)
+    key = (scion, f, at_root)
+    got = _INSERT_CACHE.get(key)
+    if got is not None:
         return got
+    out = [forest(f.trees + (scion,)), 1] if at_root else []
+    trees = f.trees
+    start = 0
+    for t, group in itertools.groupby(trees):
+        k = len(tuple(group))
+        rest = trees[:start] + trees[start + 1 :]
+        start += k
+        flat = iter(_insert_into_tree(scion, t))
+        for r, n in zip(flat, flat):
+            out += (forest(rest + (r,)), k * n)
+    return _INSERT_CACHE.setdefault(key, tuple(out))
+
+
+def _insert_into_tree(scion: LabeledTree, t: LabeledTree) -> tuple:
+    # The trees with the scion attached at one vertex of t, flat (r1, n1, ...).
+    def cached(u):
+        return _INSERT_CACHE.get((scion, u))
 
     def combine(u, kid_results):
-        # Keys and values are flat tuples, (u, *part) and (r1, n1, r2, ...),
-        # so that each entry holds two container objects.
-        got = [None]
-        for x, spread in zip(inner, _spread(u.children, kid_results, sums, below, parts, inner)):
-            results = itertools.chain.from_iterable(
-                _merged((node(u.label, kids), n) for kids, n in spread)
-            )
-            got.append(_GRAFT_CACHE.setdefault((u,) + parts[x], tuple(results)))
-        return got
+        kids = u.children
+        out = [node(u.label, kids + (scion,)), 1]
+        start = 0
+        for _, group in itertools.groupby(kids):
+            k = len(tuple(group))
+            rest = kids[:start] + kids[start + 1 :]
+            flat = iter(kid_results[start])
+            start += k
+            for r, n in zip(flat, flat):
+                out += (node(u.label, rest + (r,)), k * n)
+        return _INSERT_CACHE.setdefault((scion, u), tuple(out))
 
-    kid_results = [_bottom_up(t, cached, combine) for t in stock.trees]
-    (spread,) = _spread(stock.trees, kid_results, sums, below, parts, (len(vecs) - 1,))
-    return tuple(_merged((forest(kids), n) for kids, n in spread))
-
-
-def _merged(pairs):
-    # The (key, count) pairs with the counts of equal keys summed.
-    counts: dict = {}
-    for key, n in pairs:
-        counts[key] = counts.get(key, 0) + n
-    return counts.items()
-
-
-def _spread(children, kid_results, sums, below, parts, targets):
-    # For each target part x: (children's results + scions kept at the
-    # vertex, count) over every way of grafting x below and at the vertex,
-    # not yet merged.  kid_results[i][y] holds the results of part y on
-    # children[i], flat (r1, n1, r2, n2, ...).  A state is (part used so
-    # far, results so far, count); each class of equal children adds its
-    # spread of a part z, times the choices of positions for z.
-    states = [(0, (), 1)]
-    start = 0
-    for c, group in itertools.groupby(children):
-        k = len(tuple(group))
-        spread = _class_spread(c, k, kid_results[start], sums)
-        start += k
-        grown = []
-        for y, kids, w in states:
-            for hit, entries in zip(sums[y], spread):
-                if hit is not None:
-                    y2, b = hit
-                    grown.extend((y2, kids + more, w * b * n) for more, n in entries)
-        states = grown
-    by_part = [[] for _ in sums]
-    for y, kids, w in states:
-        by_part[y].append((kids, w))
-    return [
-        [(kids + parts[z], w * b) for y, z, b in below[x] for kids, w in by_part[y]]
-        for x in targets
-    ]
-
-
-def _class_spread(c, k, options, sums):
-    # For each part z, the (results on k copies of c, count) that graft z
-    # below them: a multiset of nonempty options (x, r), each taken by e
-    # copies in turn: C(k - t, e) choices among the k - t copies still
-    # free, times the choices of positions for e parts x.
-    if k == 1:
-        return [(((c,), 1),)] + [
-            [((r,), n) for r, n in zip(flat[::2], flat[1::2])] for flat in options[1:]
-        ]
-    # States (part, copies taken t, results, count); open ones have t < k.
-    open_ = [(0, 0, (), 1)]
-    full = []
-    for x in range(1, len(options)):
-        flat = options[x]
-        for r, n in zip(flat[::2], flat[1::2]):
-            grown = []
-            for y, t, kids, w in open_:
-                arrangements, e = 1, 0
-                while t + e < k:
-                    hit = sums[y][x]
-                    if hit is None:
-                        break
-                    y, b = hit
-                    e += 1
-                    arrangements = arrangements * (k - t - e + 1) // e
-                    w *= b * n
-                    state = (y, t + e, kids + (r,) * e, arrangements * w)
-                    (full if t + e == k else grown).append(state)
-            open_ += grown
-    spread = [[] for _ in sums]
-    for y, t, kids, w in open_ + full:
-        spread[y].append((kids + (c,) * (k - t), w))
-    return spread
+    return _bottom_up(t, cached, combine)

@@ -178,13 +178,14 @@ def test_dot_of_no_pairs_is_zero_and_refuses_a_mixed_basis():
 
 
 def test_fractional_v_constant_raises(monkeypatch):
-    # A corrupted graft count gives 1 * alpha(0(7(7))) / alpha(0(7,7)) = 1/2,
+    # A corrupted insertion gives the graft count 1 at [7(7(7))], so the
+    # V constant 1 * alpha(0(7(7(7)))) / (alpha(0(7)) * alpha(0(7,7))) = 1/2,
     # which is refused rather than truncated or cached.
-    left, bad = parse_forest("[7,7]"), parse_forest("[7(7)]")
-    monkeypatch.setattr(gl, "graft_forests", lambda scions, stock: ((bad, 1),))
+    left, right, bad = parse_forest("[7]"), parse_forest("[7,7]"), parse_forest("[7(7(7))]")
+    monkeypatch.setattr(gl, "insert_scion", lambda scion, f, at_root: (bad, 1) if at_root else ())
     with pytest.raises(ArithmeticError):
-        gl.mul(gl.from_branches(left), gl.unit())
-    assert (left, EMPTY_FOREST, gl.V_BASIS) not in gl._product_table.table
+        gl.mul(gl.from_branches(left), gl.from_branches(right))
+    assert (left, right, gl.V_BASIS) not in gl._product_table.table
 
 
 def test_cached_product_constants_are_ints():

@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import canonical_trees, raw_trees
-from treehopf import ncs, trees
+from treehopf import gl, ncs, trees
 from treehopf.orderpoly import order_poly, strict_order_poly
 from treehopf.trees import (
     EMPTY_FOREST,
@@ -27,11 +27,9 @@ from treehopf.trees import (
     enumerate_trees,
     forest,
     forest_text,
-    graft_counts,
     graft_positions,
     leaf,
     nested_cut_sequences,
-    nested_cut_sum,
     node,
     parse_forest,
     parse_tree,
@@ -434,6 +432,15 @@ def _probe(t):
     return Fraction(t.weight + 2, 3 * t.size + 1)
 
 
+def nested_cut_sum(t, k, piece, trunk):
+    # S_k(t) read from nested_cut_sums: S_0(t) is trunk(t), and S_k(t) is 0
+    # once k reaches t's vertex count.
+    if k == 0:
+        return trunk(t)
+    den, nums = trees.nested_cut_sums(t, k, piece, trunk)
+    return Fraction(nums[k - 1], den) if k < t.size else Fraction(0)
+
+
 def test_nested_cut_sum_matches_sequence_enumeration():
     # Oracle: list every sequence and multiply the constants of its pieces.
     # The pruned pieces come re-rooted under 0; the sum takes the bare subtree.
@@ -563,10 +570,16 @@ def test_graft_requires_grafting_root():
         graft_positions(forest([leaf(1)]), leaf(1))
 
 
+def graft_counts(scions, stock):
+    # The T-basis product table of bplus(scions) * stock, keyed by result tree.
+    table = gl._product_table(scions, branch_forest(stock), gl.T_BASIS)
+    return {bplus(f): n for f, n in table}
+
+
 @pytest.mark.parametrize("labels, max_weight", [((1,), 8), ((1, 2), 7)])
 def test_graft_counts_match_every_assignment(labels, max_weight):
-    # Every scion forest and stock of total weight <= max_weight: the grouped
-    # placements give each result tree as often as the v**m assignments do.
+    # Every scion forest and stock of total weight <= max_weight: the product
+    # table gives each result tree as often as the v**m assignments do.
     pairs = repeated = 0
     for ws in range(max_weight + 1):
         for scions in enumerate_forests(labels, ws):
@@ -587,18 +600,20 @@ def test_graft_counts_group_equal_scions():
     assert sum(counts.values()) == 81
     assert counts[parse_tree("0(1,1,1,1,1,1)")] == 1
     assert counts[parse_tree("0(1(1,1),1(1,1))")] == 4 * 3 // 2
-    with pytest.raises(ValueError):
-        graft_counts(forest([leaf(1)]), leaf(1))
 
 
 @st.composite
-def graft_cases(draw):
+def graft_cases(draw, max_weight=None):
     # A few scion kinds, each repeated, on a stock whose root has classes of
-    # equal children; the scions are trimmed so that graft_positions lists at
-    # most 2000 assignments.
+    # equal children and may hold one deeper tree.  Trees are dropped, from
+    # the longer side, until the total weight is at most max_weight, and
+    # scions until graft_positions lists at most 2000 assignments.
     small = canonical_trees(labels=(1, 2), max_depth=1, max_children=2)
     scions = [t for t in draw(st.lists(small, max_size=3)) for _ in range(draw(st.integers(1, 3)))]
     kids = [t for t in draw(st.lists(small, max_size=3)) for _ in range(draw(st.integers(1, 3)))]
+    kids += draw(st.lists(canonical_trees(labels=(1, 2)), max_size=1))
+    while max_weight is not None and sum(t.weight for t in scions + kids) > max_weight:
+        (scions if len(scions) > len(kids) else kids).pop()
     stock = node(0, kids)
     while stock.size ** len(scions) > 2000:
         scions.pop()
@@ -611,13 +626,28 @@ def test_graft_counts_match_every_assignment_on_random_pairs(case):
     assert graft_counts(scions, stock) == dict(Counter(graft_positions(scions, stock)))
 
 
-def test_graft_counts_take_a_600_deep_chain():
-    # One result per vertex of the stock, each from one assignment.
+@given(graft_cases(max_weight=8))
+def test_product_tables_match_both_oracles_on_random_pairs(case):
+    # T against every assignment, and V against the admissible-cut counts of
+    # candidate results, which share no code with the insertion recursion.
+    scions, stock = case
+    right = branch_forest(stock)
+    assert graft_counts(scions, stock) == dict(Counter(graft_positions(scions, stock)))
+    v_table = gl._product_table(scions, right, gl.V_BASIS)
+    assert dict(v_table) == dict(gl._structure_table(scions, right))
+
+
+def test_graft_counts_take_a_chain_past_the_recursion_limit():
+    # One result per vertex of the stock, each from one assignment.  The
+    # results hold a quadratic number of vertices, so depth 3000 would intern
+    # about 4.5 M trees; the kernel's stack safety is shown just past the
+    # interpreter's recursion limit.
+    depth = sys.getrecursionlimit() + 100
     chain = leaf(1)
-    for _ in range(599):
+    for _ in range(depth - 1):
         chain = node(1, (chain,))
     counts = graft_counts(forest([leaf(2)]), node(0, (chain,)))
-    assert len(counts) == 601 and set(counts.values()) == {1}
+    assert len(counts) == depth + 1 and set(counts.values()) == {1}
 
 
 def test_graft_counts_spread_a_scion_over_1200_equal_leaves():
@@ -629,6 +659,19 @@ def test_graft_counts_spread_a_scion_over_1200_equal_leaves():
         node(0, [leaf(1)] * 1199 + [parse_tree("1(2)")]): 1200,
     }
     assert elapsed < 1.0
+
+
+def test_twelve_equal_scions_graft_in_well_under_a_second():
+    # One scion at a time, twelve equal scions pass through every forest that
+    # inserting leaves into leaves builds; the cancellation stays cheap at
+    # the CLI's weight ceiling.  Cold tables, so the time is the kernel's.
+    gl._product_table.table.clear()
+    trees._INSERT_CACHE.clear()
+    start = time.perf_counter()
+    counts = graft_counts(forest([leaf(1)] * 12), parse_tree("0(1(1),2)"))
+    elapsed = time.perf_counter() - start
+    assert sum(counts.values()) == 4 ** 12
+    assert elapsed < 1.0, elapsed
 
 
 def test_branch_forest_inverts_bplus():
@@ -694,7 +737,7 @@ def test_label_values_and_cut_enumeration_take_a_3000_deep_chain():
     def one(t):
         return Fraction(1)
 
-    assert nested_cut_sum(node(0, (chain,)), 1, one, one) == depth
+    assert trees.nested_cut_sums(node(0, (chain,)), 1, one, one) == (1, (depth,))
     # The cut lists are quadratic in the depth, so the kernel's stack safety is
     # shown just past the interpreter's recursion limit.
     depth = sys.getrecursionlimit() + 100
