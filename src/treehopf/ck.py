@@ -3,7 +3,9 @@
 Free commutative algebra on tree variables: basis monomials are forests,
 multiplication is disjoint union, the coproduct sums over admissible cuts
 (pruned part on the left, trunk on the right), and the antipode is computed
-through the recurrence available in any connected graded bialgebra.
+through the recurrence available in any connected graded bialgebra.  Every
+coefficient is an integer combination of the inputs' numerators (see
+:mod:`treehopf.linear`).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import memo
-from .linear import LinComb, extend_multiplicatively, format_linear
+from .linear import LinComb, bilinear, combine, extend_multiplicatively, format_linear
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -45,44 +47,40 @@ class CKTensor(LinComb):
 
 
 def unit() -> CKElem:
-    return CKElem({EMPTY_FOREST: 1})
+    return from_forest(EMPTY_FOREST)
 
 
 def from_tree(t: LabeledTree) -> CKElem:
-    return CKElem({forest((t,)): 1})
+    return from_forest(forest((t,)))
 
 
 def from_forest(f: Forest) -> CKElem:
-    return CKElem({f: 1})
+    return CKElem.from_ints(1, {f: 1})
 
 
 def mul(a: CKElem, b: CKElem) -> CKElem:
     """Bilinear extension of disjoint union of forests."""
-    return CKElem(
-        (forest_union(fa, fb), ca * cb)
-        for fa, ca in a.terms.items()
-        for fb, cb in b.terms.items()
-    )
+    return bilinear(a, ((a, b),), lambda fa, fb: ((forest_union(fa, fb), 1),))
 
 
 def tensor_mul(a: CKTensor, b: CKTensor) -> CKTensor:
     """Componentwise product on the tensor square."""
-    return CKTensor(
-        ((forest_union(la, lb), forest_union(ra, rb)), ca * cb)
-        for (la, ra), ca in a.terms.items()
-        for (lb, rb), cb in b.terms.items()
+    return bilinear(
+        a, ((a, b),), lambda x, y: (((forest_union(x[0], y[0]), forest_union(x[1], y[1])), 1),)
     )
 
 
 def tensor_unit() -> CKTensor:
-    return CKTensor({(EMPTY_FOREST, EMPTY_FOREST): 1})
+    return CKTensor.from_ints(1, {(EMPTY_FOREST, EMPTY_FOREST): 1})
 
 
 @memo.memoized
 def _tree_coproduct(t: LabeledTree) -> CKTensor:
-    terms = [((forest((t,)), EMPTY_FOREST), 1)]
-    terms += (((pruned, forest((trunk,))), n) for pruned, trunk, n in cut_results(t))
-    return CKTensor(terms)
+    acc = {(forest((t,)), EMPTY_FOREST): 1}
+    for pruned, trunk, n in cut_results(t):
+        key = pruned, forest((trunk,))
+        acc[key] = acc.get(key, 0) + n
+    return CKTensor.from_ints(1, acc)
 
 
 def coproduct(a: CKElem) -> CKTensor:
@@ -98,15 +96,13 @@ def counit(a: CKElem) -> Fraction:
 def _tree_antipode(t: LabeledTree) -> CKElem:
     # From m(S x id)Delta = unit*counit: S(T) = -T - sum over nonempty cuts
     # of S(pruned) * trunk; the pruned part always has strictly lower weight.
-    def terms():
-        yield forest((t,)), -1
-        for pruned, trunk, n in cut_results(t):
-            if pruned.trees:
-                rest = forest((trunk,))
-                for f, c in antipode(from_forest(pruned)).terms.items():
-                    yield forest_union(f, rest), -c * n
-
-    return CKElem(terms())
+    parts = [(-1, from_tree(t))]
+    parts += (
+        (-n, mul(antipode(from_forest(pruned)), from_tree(trunk)))
+        for pruned, trunk, n in cut_results(t)
+        if pruned.trees
+    )
+    return combine(CKElem(), parts)
 
 
 def antipode(a: CKElem) -> CKElem:

@@ -19,43 +19,38 @@ from . import ck, gl, nsym
 from .report import CheckReport
 from .trees import (
     Forest,
-    LabeledTree,
-    automorphism_count,
     branch_forest,
     enumerate_bplus_trees,
     enumerate_forests,
     forest_text,
     forest_union,
     tree_text,
-    _require_grafting_root,
 )
-
-
-def pair_tree_forest(t: LabeledTree, f: Forest) -> int:
-    """Pairing of a basis grafting-rooted tree with a basis forest."""
-    _require_grafting_root(t)
-    return automorphism_count(t) if branch_forest(t) == f else 0
 
 
 def pair(a: gl.GLElem, b: ck.CKElem) -> Fraction:
     """Bilinear extension; zero across different weights by construction."""
-    total = Fraction(0)
-    for f, c in a.terms.items():
-        cb = b.get(f)
-        if cb:
-            weight_factor = 1 if a.basis == gl.V_BASIS else gl.alpha(f)
-            total += c * cb * weight_factor
-    return total
+    (da, xs), (db, ys) = a.ints, b.ints
+    ys = dict(ys)
+    divided = a.basis == gl.V_BASIS
+    total = 0
+    for f, n in xs:
+        nb = ys.get(f)
+        if nb:
+            total += n * nb if divided else n * nb * gl.alpha(f)
+    return Fraction(total, da * db)
 
 
 def pair_tensor(a: gl.GLTensor, b: ck.CKTensor) -> Fraction:
-    total = Fraction(0)
-    for (fa1, fa2), ca in a.terms.items():
-        cb = b.terms.get((fa1, fa2))
-        if cb:
-            factor = 1 if a.basis == gl.V_BASIS else gl.alpha(fa1) * gl.alpha(fa2)
-            total += ca * cb * factor
-    return total
+    (da, xs), (db, ys) = a.ints, b.ints
+    ys = dict(ys)
+    divided = a.basis == gl.V_BASIS
+    total = 0
+    for (f, g), n in xs:
+        nb = ys.get((f, g))
+        if nb:
+            total += n * nb if divided else n * nb * gl.alpha(f) * gl.alpha(g)
+    return Fraction(total, da * db)
 
 
 def _compare_rows(report: CheckReport, keys, lhs: dict, rhs: dict, describe) -> None:
@@ -72,11 +67,13 @@ def _compare_rows(report: CheckReport, keys, lhs: dict, rhs: dict, describe) -> 
 
 
 def _transpose(images) -> dict:
-    # {source: {result: c}} turned into {result: {source: c}}.
+    # Integer forms {source: (den, ((result, n), ...))} as {result: {source:
+    # coefficient}}.  CK coproducts, unions and antipodes of a basis forest
+    # have den 1, so the entries are ints.
     table: dict = {}
-    for source, image in images:
-        for key, c in image.items():
-            table.setdefault(key, {})[source] = c
+    for source, (den, nums) in images:
+        for key, n in nums:
+            table.setdefault(key, {})[source] = n if den == 1 else Fraction(n, den)
     return table
 
 
@@ -111,11 +108,11 @@ def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
     }
     elems = {x: gl.from_bplus_tree(x, gl.T_BASIS) for m in weights for x in trees_by_weight[m]}
 
-    by_split = _transpose((f, ck.coproduct(ck.from_forest(f)).terms) for f in forests)
+    by_split = _transpose((f, ck.coproduct(ck.from_forest(f)).ints) for f in forests)
     by_union = _transpose(
-        (fg, {forest_union(*fg): 1}) for m in weights for fg in pairs_by_weight[m]
+        (fg, (1, ((forest_union(*fg), 1),))) for m in weights for fg in pairs_by_weight[m]
     )
-    by_image = _transpose((f, ck.antipode(ck.from_forest(f)).terms) for f in forests)
+    by_image = _transpose((f, ck.antipode(ck.from_forest(f)).ints) for f in forests)
 
     for wx in weights:
         for wy in range(max_weight + 1 - wx):
@@ -126,7 +123,7 @@ def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
                     # The product is sum n/den * f; both rows are scaled by
                     # den, which is 1 for T-basis trees, so the left row
                     # stays in integers.
-                    den, prod = gl.int_form(gl.mul(elems[x], elems[y]), gl.T_BASIS)
+                    den, prod = gl.mul(elems[x], elems[y]).ints
                     scale = den * gl.alpha(bx) * gl.alpha(by)
                     _compare_rows(
                         report,
@@ -140,14 +137,12 @@ def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
     for wx in weights:
         for x in trees_by_weight[wx]:
             bx = branch_forest(x)
-            scale = gl.alpha(bx)
+            den, split = gl.coproduct(elems[x]).ints
+            scale = den * gl.alpha(bx)
             _compare_rows(
                 report,
                 pairs_by_weight[wx],
-                {
-                    (f, g): c * gl.alpha(f) * gl.alpha(g)
-                    for (f, g), c in gl.coproduct(elems[x]).terms.items()
-                },
+                {(f, g): n * gl.alpha(f) * gl.alpha(g) for (f, g), n in split},
                 {fg: c * scale for fg, c in by_union.get(bx, {}).items()},
                 lambda fg: f"coproduct/product: x={tree_text(x)} F={forest_text(fg[0])} "
                 f"G={forest_text(fg[1])}",
@@ -156,26 +151,17 @@ def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
     for wx in weights:
         for x in trees_by_weight[wx]:
             bx = branch_forest(x)
-            scale = gl.alpha(bx)
+            den, image = gl.antipode(elems[x]).ints
+            scale = den * gl.alpha(bx)
             _compare_rows(
                 report,
                 forests_by_weight[wx],
-                {f: c * gl.alpha(f) for f, c in gl.antipode(elems[x]).terms.items()},
+                {f: n * gl.alpha(f) for f, n in image},
                 {f: c * scale for f, c in by_image.get(bx, {}).items()},
                 lambda f: f"antipode: x={tree_text(x)} F={forest_text(f)}",
             )
 
     return report
-
-
-def pairing_matrix(labels, weight: int) -> list[list[Fraction]]:
-    """Matrix of the divided basis against forests of one weight, both sorted."""
-    trees = enumerate_bplus_trees(labels, weight)
-    forests = enumerate_forests(labels, weight)
-    return [
-        [pair(gl.from_bplus_tree(t, gl.V_BASIS), ck.from_forest(f)) for f in forests]
-        for t in trees
-    ]
 
 
 def dual_image(linmap: Callable[[nsym.NSymElem], gl.GLElem], f: Forest) -> nsym.QSymElem:

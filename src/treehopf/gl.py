@@ -12,12 +12,11 @@ admissible cuts of candidate result trees.  The coproduct splits the branch
 multiset over all ordered bipartitions, and the antipode has a closed form as
 an alternating sum over ordered partitions of the branch multiset.
 
-Series arithmetic (``dot``, and the ``sum`` and ``scale`` of ``GLSeriesOps``)
-runs on integers: each element carries one cached form, its numerators over
-one denominator in lowest terms, and every result is built by one builder,
-``from_ints``, that reduces once and stores only that form.  Its Fraction
-``terms`` are built the first time something reads them, and equality and
-truth read the integer form whenever both sides hold it.
+Every operation here runs on the integer form of :mod:`treehopf.linear`:
+products sum numerators times integer structure constants, the coproduct
+reads a table of branch splits, the basis changes scale numerators by
+automorphism counts over one denominator, and both antipodes sum products
+with integer signs.  Only ``mul_structure``, the oracle, sums Fractions.
 """
 
 from __future__ import annotations
@@ -25,10 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 
 from . import memo
-from .linear import LinComb, format_linear
+from .linear import LinComb, add_all, combine, format_linear
 from .series import TruncSeries
 from .trees import (
     EMPTY_FOREST,
@@ -66,12 +65,19 @@ class _BasisLinComb(LinComb):
         super().__init__(terms)
         self.basis = basis
 
-    def _build(self, terms):
-        return type(self)(terms, self.basis)
+    @classmethod
+    def from_ints(cls, den: int, acc: dict, basis: str = V_BASIS):
+        _check_basis(basis)
+        out = super().from_ints(den, acc)
+        out.basis = basis
+        return out
+
+    def _like(self, den, acc):
+        return self.from_ints(den, acc, self.basis)
 
     def _check_compatible(self, other):
-        super()._check_compatible(other)
-        if self.basis != other.basis:
+        if type(self) is not type(other) or self.basis != other.basis:
+            super()._check_compatible(other)
             raise TypeError(f"basis mismatch: {self.basis} vs {other.basis}")
 
     def __eq__(self, other):
@@ -79,49 +85,13 @@ class _BasisLinComb(LinComb):
             return NotImplemented
         if self.basis != other.basis:
             raise TypeError(f"cannot compare {self.basis}-basis with {other.basis}-basis")
-        return self.terms == other.terms
+        return super().__eq__(other)
 
 
 class GLElem(_BasisLinComb):
-    """Rational combination of grafting-rooted trees, keyed by branch forest.
+    """Rational combination of grafting-rooted trees, keyed by branch forest."""
 
-    It holds at least one of two equal forms: ``terms``, the public map of
-    nonzero lowest-terms Fractions, and the integer form ``(den, ((key,
-    num), ...))`` in lowest terms, ``(1, ())`` for zero, which the series
-    operations read.  The constructor stores ``terms`` and ``int_form``
-    fills the integer form when first needed; ``from_ints`` stores the
-    integer form and the first read of ``terms`` fills that.  Either is
-    computed at most once, and both list the keys in one order.
-    """
-
-    __slots__ = ("_ints",)
-
-    def __init__(self, terms=None, basis: str = V_BASIS):
-        super().__init__(terms, basis)
-        self._ints = None
-
-    def __getattr__(self, name):
-        # Reached only while the terms slot of a from_ints element is unset.
-        if name != "terms":
-            raise AttributeError(name)
-        den, nums = self._ints
-        terms = self.terms = {k: Fraction(n, den) for k, n in nums}
-        return terms
-
-    def __eq__(self, other):
-        a, b = self._ints, getattr(other, "_ints", None)
-        if a is None or b is None or self.basis != other.basis:
-            return super().__eq__(other)
-        # Both forms are in lowest terms, so equal elements have equal
-        # denominators and equal key -> numerator maps, in any key order.
-        return a[0] == b[0] and (a[1] == b[1] or dict(a[1]) == dict(b[1]))
-
-    def __bool__(self):
-        ints = self._ints
-        return bool(ints[1]) if ints is not None else bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self
+    __slots__ = ()
 
     def sorted_terms(self) -> list[tuple[Forest, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: (kv[0].weight, kv[0]._key))
@@ -134,20 +104,20 @@ class GLTensor(_BasisLinComb):
 
 
 def unit(basis: str = V_BASIS) -> GLElem:
-    return GLElem({EMPTY_FOREST: 1}, basis)
+    return GLElem.from_ints(1, {EMPTY_FOREST: 1}, basis)
 
 
 def zero(basis: str = V_BASIS) -> GLElem:
-    return GLElem({}, basis)
+    return GLElem.from_ints(1, {}, basis)
 
 
 def from_bplus_tree(t: LabeledTree, basis: str = V_BASIS) -> GLElem:
     _require_grafting_root(t)
-    return GLElem({branch_forest(t): 1}, basis)
+    return GLElem.from_ints(1, {branch_forest(t): 1}, basis)
 
 
 def from_branches(f: Forest, basis: str = V_BASIS) -> GLElem:
-    return GLElem({f: 1}, basis)
+    return GLElem.from_ints(1, {f: 1}, basis)
 
 
 # The automorphism count of the grafting-rooted tree with branch forest f.
@@ -157,13 +127,16 @@ alpha = forest_automorphisms
 def to_v_basis(a: GLElem) -> GLElem:
     if a.basis == V_BASIS:
         return a
-    return GLElem({f: c * alpha(f) for f, c in a.terms.items()}, V_BASIS)
+    den, nums = a.ints
+    return GLElem.from_ints(den, {f: n * alpha(f) for f, n in nums}, V_BASIS)
 
 
 def to_t_basis(a: GLElem) -> GLElem:
     if a.basis == T_BASIS:
         return a
-    return GLElem({f: c / alpha(f) for f, c in a.terms.items()}, T_BASIS)
+    den, nums = a.ints
+    scale = lcm(*[alpha(f) for f, _ in nums])
+    return GLElem.from_ints(den * scale, {f: n * (scale // alpha(f)) for f, n in nums}, T_BASIS)
 
 
 # ---------------------------------------------------------------------------
@@ -221,53 +194,24 @@ def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Fores
     return tuple(out)
 
 
-def _over_one_denominator(terms: dict) -> tuple[int, tuple[tuple[Forest, int], ...]]:
-    # A terms map as (d, ((key, n), ...)) with terms the sum of n/d * key and
-    # d the lcm of its denominators, so gcd(d, *ns) = 1.
-    d = lcm(*[c.denominator for c in terms.values()])
-    return d, tuple([(k, c.numerator * (d // c.denominator)) for k, c in terms.items()])
-
-
-def int_form(x: GLElem, basis: str) -> tuple[int, tuple[tuple[Forest, int], ...]]:
-    """The integer form ``(den, ((key, num), ...))`` of x, in lowest terms.
-
-    x must be a GLElem written in basis.  The form is cached on x; threads
-    that fill the cache at once compute and store equal forms.
-    """
+def _ints_in(x: GLElem, basis: str) -> tuple[int, tuple[tuple[Forest, int], ...]]:
+    # The integer form of x, which must be a GLElem written in basis.
     if type(x) is not GLElem or x.basis != basis:
         zero(basis)._check_compatible(x)
-    form = x._ints
-    if form is None:
-        form = x._ints = _over_one_denominator(x.terms)
-    return form
-
-
-def from_ints(den: int, acc: dict[Forest, int], basis: str = V_BASIS) -> GLElem:
-    """The element sum of n/den * key over acc (den > 0), written in basis.
-
-    Zeros are dropped and one gcd division brings the form to lowest terms;
-    only that integer form is stored, and ``terms`` is built on first read.
-    Every series sum, scaling and product ends here.
-    """
-    _check_basis(basis)
-    g = gcd(den, *acc.values())
-    out = GLElem.__new__(GLElem)
-    out.basis = basis
-    out._ints = (den // g, tuple([(k, n // g) for k, n in acc.items() if n]))
-    return out
+    return x.ints
 
 
 def dot(pairs, basis: str = V_BASIS) -> GLElem:
     """The sum of x * y over the (x, y) in pairs, all written in basis, built in one pass.
 
-    Every factor's cached integer form is brought to one common denominator,
-    so each product of numerators times an integer structure constant is
+    Every factor's integer form is brought to one common denominator, so
+    each product of numerators times an integer structure constant is
     summed into one int per result key; the sums are reduced once.
     """
     factors = []
     den = 1
     for x, y in pairs:
-        (dx, xs), (dy, ys) = int_form(x, basis), int_form(y, basis)
+        (dx, xs), (dy, ys) = _ints_in(x, basis), _ints_in(y, basis)
         factors.append((dx * dy, xs, ys))
         den = lcm(den, dx * dy)
     acc: dict[Forest, int] = {}
@@ -279,7 +223,7 @@ def dot(pairs, basis: str = V_BASIS) -> GLElem:
                 nab = m * na * nb
                 for key, c in _product_table(fa, fb, basis):
                     acc[key] = get(key, 0) + nab * c
-    return from_ints(den, acc, basis)
+    return GLElem.from_ints(den, acc, basis)
 
 
 def mul(a: GLElem, b: GLElem) -> GLElem:
@@ -330,23 +274,40 @@ def mul_structure(a: GLElem, b: GLElem) -> GLElem:
 # Coproduct, counit, antipode
 # ---------------------------------------------------------------------------
 
+def _groups(f: Forest) -> list[tuple[LabeledTree, int]]:
+    # The distinct branches of f with their multiplicities; canonical order
+    # puts equal trees side by side.
+    return [(t, len(tuple(g))) for t, g in itertools.groupby(f.trees)]
+
+
+@memo.memoized
+def _split_table(f: Forest) -> tuple[tuple[tuple[Forest, Forest], int], ...]:
+    # The distinct splits (lf, rf) of the branch multiset of f, each with the
+    # number of bipartitions of the branch positions that give it: the
+    # product over distinct branches of comb(m, k).
+    groups = _groups(f)
+    out = []
+    for take in itertools.product(*(range(m + 1) for _, m in groups)):
+        lf = forest(t for (t, _), k in zip(groups, take) for _ in range(k))
+        rf = forest(t for (t, m), k in zip(groups, take) for _ in range(m - k))
+        out.append(((lf, rf), prod(comb(m, k) for (_, m), k in zip(groups, take))))
+    return tuple(out)
+
+
 def coproduct(a: GLElem) -> GLTensor:
-    """Split the branch multiset over all ordered bipartitions of positions."""
+    """Split the branch multiset over all ordered bipartitions of positions.
+
+    In T each split counts its bipartitions; in V the count times
+    alpha(lf) * alpha(rf) / alpha(f) is 1, so every split has coefficient 1.
+    """
     divided = a.basis == V_BASIS
-
-    def terms():
-        for f, c in a.terms.items():
-            base = c / alpha(f) if divided else c
-            trees = f.trees
-            for bits in itertools.product((0, 1), repeat=len(trees)):
-                lf = forest(t for t, b in zip(trees, bits) if b == 0)
-                rf = forest(t for t, b in zip(trees, bits) if b == 1)
-                coeff = base
-                if divided:
-                    coeff = coeff * alpha(lf) * alpha(rf)
-                yield (lf, rf), coeff
-
-    return GLTensor(terms(), a.basis)
+    den, nums = a.ints
+    acc: dict[tuple[Forest, Forest], int] = {}
+    get = acc.get
+    for f, n in nums:
+        for key, c in _split_table(f):
+            acc[key] = get(key, 0) + (n if divided else n * c)
+    return GLTensor.from_ints(den, acc, a.basis)
 
 
 def counit(a: GLElem) -> Fraction:
@@ -355,8 +316,9 @@ def counit(a: GLElem) -> Fraction:
 
 def tensor_of(a: GLElem, b: GLElem) -> GLTensor:
     a._check_compatible(b)
-    return GLTensor(
-        (((fa, fb), ca * cb) for fa, ca in a.terms.items() for fb, cb in b.terms.items()), a.basis
+    (da, xs), (db, ys) = a.ints, b.ints
+    return GLTensor.from_ints(
+        da * db, {(fa, fb): na * nb for fa, na in xs for fb, nb in ys}, a.basis
     )
 
 
@@ -374,32 +336,32 @@ def _antipode_basis_t(f: Forest) -> GLElem:
     # the branch positions that it groups, i.e. prod over distinct branches
     # of the multinomial of their multiplicity.  Sequences with a common
     # prefix share its product; no antipode of a remainder is reused.
-    groups = [(t, len(tuple(g))) for t, g in itertools.groupby(f.trees)]
+    groups = _groups(f)
+    parts: list[tuple[int, GLElem]] = []
 
-    def terms(prefix: GLElem, rest: tuple[int, ...], coeff: int):
+    def expand(prefix: GLElem, rest: tuple[int, ...], coeff: int):
         if not any(rest):
-            yield from ((k, coeff * c) for k, c in prefix.terms.items())
+            parts.append((coeff, prefix))
             return
         for take in itertools.product(*(range(m + 1) for m in rest)):
             if not any(take):
                 continue
             block = forest(t for (t, _), k in zip(groups, take) for _ in range(k))
             ways = prod(comb(m, k) for m, k in zip(rest, take))
-            yield from terms(
+            expand(
                 mul(prefix, from_branches(block, T_BASIS)),
                 tuple(m - k for m, k in zip(rest, take)),
                 -coeff * ways,
             )
 
-    return GLElem(terms(unit(T_BASIS), tuple(m for _, m in groups), 1), T_BASIS)
+    expand(unit(T_BASIS), tuple(m for _, m in groups), 1)
+    return combine(zero(T_BASIS), parts)
 
 
 def _on_t_basis(a: GLElem, image) -> GLElem:
     # The linear map sending each T-basis key f to image(f), in a's basis.
-    out = GLElem(
-        ((k, c * v) for f, c in to_t_basis(a).terms.items() for k, v in image(f).terms.items()),
-        T_BASIS,
-    )
+    den, nums = to_t_basis(a).ints
+    out = combine(zero(T_BASIS), [(n, image(f)) for f, n in nums], den)
     return out if a.basis == T_BASIS else to_v_basis(out)
 
 
@@ -417,14 +379,13 @@ def antipode_by_recurrence(a: GLElem) -> GLElem:
         # of S(B(L)) * B(R); each such L has fewer branches than f.
         if not f.trees:
             return unit(T_BASIS)
-
-        def terms():
-            for (left, right), c in coproduct(from_branches(f, T_BASIS)).terms.items():
-                if right.trees:
-                    part = mul(on_branches(left), from_branches(right, T_BASIS))
-                    yield from ((k, -c * v) for k, v in part.terms.items())
-
-        return GLElem(terms(), T_BASIS)
+        den, nums = coproduct(from_branches(f, T_BASIS)).ints
+        parts = [
+            (-n, mul(on_branches(left), from_branches(right, T_BASIS)))
+            for (left, right), n in nums
+            if right.trees
+        ]
+        return combine(zero(T_BASIS), parts, den)
 
     return _on_t_basis(a, on_branches)
 
@@ -440,28 +401,17 @@ class GLSeriesOps:
     basis: str = V_BASIS
 
     def zero(self) -> GLElem:
-        return GLElem({}, self.basis)
+        return zero(self.basis)
 
     def one(self) -> GLElem:
         return unit(self.basis)
 
     def sum(self, xs) -> GLElem:
-        # One integer sum over the lcm of the denominators.
-        forms = [int_form(x, self.basis) for x in xs]
-        den = lcm(*[d for d, _ in forms])
-        acc: dict[Forest, int] = {}
-        get = acc.get
-        for d, ns in forms:
-            m = den // d
-            for k, n in ns:
-                acc[k] = get(k, 0) + m * n
-        return from_ints(den, acc, self.basis)
+        return add_all(self.zero(), xs)
 
     def scale(self, c: Fraction, x: GLElem) -> GLElem:
-        d, ns = int_form(x, self.basis)
-        c = Fraction(c)
-        a = c.numerator
-        return from_ints(d * c.denominator, {k: a * n for k, n in ns}, self.basis)
+        _ints_in(x, self.basis)
+        return x.scale(c)
 
     def dot(self, pairs) -> GLElem:
         return dot(pairs, self.basis)

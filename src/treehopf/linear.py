@@ -1,41 +1,41 @@
 """Exact linear combinations over hashable basis keys.
 
-All algebra elements in this package are finite maps ``key -> Fraction`` with
-zero coefficients dropped.  The constructor sums Fraction terms: coproducts,
-``+`` and the products outside the grafting algebra hand it their ``(key,
-coeff)`` stream, repeated keys included.  The grafting algebra's series sums,
-scalings and products do not come here: they run on a cached integer form
-(see :mod:`treehopf.gl`).  Subclasses fix the key type and add their own
-products; this module provides the vector-space operations, the
-multiplicative extension of a map on letters and a deterministic text
-renderer.
+Every algebra element in this package is stored in one integer form, ``(den,
+((key, num), ...))``: numerators over one positive denominator in lowest
+terms, no zero numerator, ``(1, ())`` for zero.  Sums, scalings, products and
+the multiplicative extension of a map on letters sum integer numerators and
+end in one builder, ``from_ints``, which drops zeros and reduces by one gcd;
+the constructor sums ``(key, coeff)`` pairs given by hand.  ``terms``, the
+public map ``key -> nonzero Fraction``, is built on first read; equality and
+truth read the integer form.  Subclasses fix the key type and add their own
+products; this module also renders a deterministic text form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from math import gcd, lcm
 from typing import Callable, Iterable
 
 Scalar = int | Fraction
 
-
 class LinComb:
-    """Finite rational linear combination; the empty map is zero."""
+    """Finite rational linear combination; ``terms`` lists the keys of ``ints`` in order."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "ints")
 
     def __init__(self, terms: dict | Iterable[tuple] | None = None):
         """Sum a mapping or a stream of ``(key, coeff)`` pairs, dropping zeros.
 
-        Coefficients that are not Fractions already are converted, so every
-        stored coefficient is a nonzero Fraction.
+        Coefficients that are neither ints nor Fractions are converted to
+        Fractions.  A key whose sum cancels is dropped, and moves to the end
+        if it comes back, as under repeated ``+``.
         """
         data: dict = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for key, coeff in items:
-                if type(coeff) is not Fraction:
+                if type(coeff) is not int and type(coeff) is not Fraction:
                     coeff = Fraction(coeff)
                 old = data.get(key)
                 if old is not None:
@@ -44,12 +44,30 @@ class LinComb:
                     data[key] = coeff
                 elif old is not None:
                     del data[key]
-        self.terms = data
+        # The lcm of lowest-terms denominators leaves gcd(den, *nums) = 1.
+        d = lcm(*[c.denominator for c in data.values()])
+        self.ints = (d, tuple([(k, c.numerator * (d // c.denominator)) for k, c in data.items()]))
 
-    # Subclass hook: rebuild an element of the same kind (carrying any extra
-    # state such as a basis flag) from a terms mapping.
-    def _build(self, terms) -> "LinComb":
-        return type(self)(terms)
+    def __getattr__(self, name):
+        # Reached only while the terms slot is unset: build it once.
+        if name != "terms":
+            raise AttributeError(name)
+        den, nums = self.ints
+        terms = self.terms = {k: Fraction(n, den) for k, n in nums}
+        return terms
+
+    @classmethod
+    def from_ints(cls, den: int, acc: dict):
+        """The element sum of ``n/den * key`` over acc (den > 0), zeros dropped, in lowest terms."""
+        out = object.__new__(cls)
+        g = gcd(den, *acc.values())
+        out.ints = (den // g, tuple([(k, n // g) for k, n in acc.items() if n]))
+        return out
+
+    # Subclass hook: from_ints for an element of the same kind as self,
+    # carrying any extra state such as a basis flag.
+    def _like(self, den: int, acc: dict):
+        return type(self).from_ints(den, acc)
 
     def _check_compatible(self, other):
         if type(self) is not type(other):
@@ -59,26 +77,26 @@ class LinComb:
         return self.terms.get(key, Fraction(0))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints[1]
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.ints[1])
 
     def __add__(self, other):
-        self._check_compatible(other)
-        return self._build(chain(self.terms.items(), other.terms.items()))
+        return add_all(self, (other,))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._build({k: -c for k, c in self.terms.items()})
+        den, nums = self.ints
+        return self._like(den, {k: -n for k, n in nums})
 
     def scale(self, scalar: Scalar):
         s = Fraction(scalar)
-        if not s:
-            return self._build({})
-        return self._build({k: s * c for k, c in self.terms.items()})
+        den, nums = self.ints
+        a = s.numerator
+        return self._like(den * s.denominator, {k: a * n for k, n in nums})
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -88,12 +106,15 @@ class LinComb:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return self.scale(Fraction(1, 1) / Fraction(scalar))
+        return self.scale(1 / Fraction(scalar))
 
     def __eq__(self, other):
         if type(self) is not type(other):
             return NotImplemented
-        return self.terms == other.terms
+        # Both forms are in lowest terms, so equal elements have equal
+        # denominators and equal key -> numerator maps, in any key order.
+        (da, a), (db, b) = self.ints, other.ints
+        return da == db and (a == b or dict(a) == dict(b))
 
     # defining __eq__ leaves instances unhashable, which is intended
 
@@ -101,22 +122,64 @@ class LinComb:
         return f"{type(self).__name__}({self.terms!r})"
 
 
+def combine(zero: LinComb, parts: Iterable[tuple[int, LinComb]], den: int = 1) -> LinComb:
+    """The sum of ``n/den * x`` over the ``(n, x)`` in parts, of the kind of zero.
+
+    n is an int and den > 0; each x must be compatible with zero, as for
+    ``+``.  The numerators are summed over the lcm of the denominators; a
+    key whose sum cancels is dropped and moves to the end if it comes back,
+    so summing with n = den = 1 keeps the key order of the repeated ``+``.
+    A single part with coefficient 1 is returned as it is.
+    """
+    forms = []
+    for n, x in parts:
+        zero._check_compatible(x)
+        forms.append((n, x.ints))
+    if len(forms) == 1 and forms[0][0] == den == 1:
+        return x
+    total = lcm(*[d for _, (d, _) in forms])
+    acc: dict = {}
+    get = acc.get
+    for n, (d, nums) in forms:
+        m = n * (total // d)
+        for k, v in nums:
+            v = get(k, 0) + m * v
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+    return zero._like(den * total, acc)
+
+
+def bilinear(zero: LinComb, pairs, table: Callable) -> LinComb:
+    """The sum of the products x * y over the (x, y) in pairs, of the kind of zero.
+
+    ``table(kx, ky)`` lists the product of two keys as ``((key, n), ...)``
+    with int n; the numerators are summed over one common denominator.
+    """
+    factors = [(*x.ints, *y.ints) for x, y in pairs]
+    den = lcm(*[dx * dy for dx, _, dy, _ in factors])
+    acc: dict = {}
+    get = acc.get
+    for dx, xs, dy, ys in factors:
+        m = den // (dx * dy)
+        for kx, nx in xs:
+            for ky, ny in ys:
+                nxy = m * nx * ny
+                for key, c in table(kx, ky):
+                    acc[key] = get(key, 0) + nxy * c
+    return zero._like(den, acc)
+
+
 def add_all(zero: LinComb, xs: Iterable[LinComb]) -> LinComb:
-    """``zero + x_1 + ... + x_n`` in one construction.
+    """``zero + x_1 + ... + x_n`` in one integer sum.
 
     ``zero`` fixes the kind of the result (and any basis); each ``x_i`` must
-    be compatible with it, as for ``+``.  The result, insertion order
-    included, is that of the repeated ``+``, without rebuilding the growing
-    sum once per term.
+    be compatible with it, as for ``+``.  The result, key order included, is
+    that of the repeated ``+``, without rebuilding the growing sum once per
+    term.
     """
-
-    def terms():
-        yield from zero.terms.items()
-        for x in xs:
-            zero._check_compatible(x)
-            yield from x.terms.items()
-
-    return zero._build(terms())
+    return combine(zero, [(1, zero), *((1, x) for x in xs)])
 
 
 def extend_multiplicatively(
@@ -125,17 +188,21 @@ def extend_multiplicatively(
     """Apply to ``a`` the linear map that is multiplicative over the letters of a key.
 
     Every key of ``a`` is a sequence of letters (the trees of a forest, the
-    indices of a word).  It is sent to ``mul(...mul(mul(one, image(l1)),
-    image(l2))..., image(lk))``; an anti-homomorphism passes a flipped ``mul``.
-    The result has the kind of ``one``.
+    indices of a word).  It is sent to ``mul(...mul(image(l1), image(l2))...,
+    image(lk))``, the empty key to ``one``; an anti-homomorphism passes a
+    flipped ``mul``.  The result has the kind of ``one``.
     """
-    terms: list[tuple] = []
-    for key, c in a.terms.items():
+    den, nums = a.ints
+    parts = []
+    for key, n in nums:
         part = one
-        for letter in key:
-            part = mul(part, image(letter))
-        terms += ((k, c * v) for k, v in part.terms.items())
-    return one._build(terms)
+        if key:
+            letters = iter(key)
+            part = image(next(letters))
+            for letter in letters:
+                part = mul(part, image(letter))
+        parts.append((n, part))
+    return combine(one, parts, den)
 
 
 def format_linear(items: list[tuple[Fraction, str]]) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from . import duality, gl, memo, nsym
 from .linear import extend_multiplicatively
@@ -122,7 +122,7 @@ def _theta_of_branch(x: LabeledTree) -> Fraction:
 def _generator_image(labels: tuple[int, ...], m: int) -> gl.GLElem:
     # Coefficient of t^m in f: signed sum over grafting-rooted shrubs, whose
     # branch forests are the forests of leaves.
-    return gl.from_ints(
+    return gl.GLElem.from_ints(
         1,
         {
             f: (-1) ** (len(f.trees) + m)
@@ -141,7 +141,8 @@ def _f_series(labels, order: int) -> TruncSeries:
 def _g_series(labels, order: int) -> TruncSeries:
     ls = _norm_labels(labels)
     coeffs = [gl.unit()] + [
-        gl.from_ints(1, dict.fromkeys(enumerate_forests(ls, m), 1)) for m in range(1, order + 1)
+        gl.GLElem.from_ints(1, dict.fromkeys(enumerate_forests(ls, m), 1))
+        for m in range(1, order + 1)
     ]
     return gl.series(coeffs)
 
@@ -170,8 +171,8 @@ def build_omega(labels, order: int) -> NCSSystem:
             d_terms[f] = theta_recurrence(bplus(f))
             if is_chain(t):
                 h_terms[f] = chain_leaf(t).label
-        h_coeffs.append(gl.from_ints(1, h_terms))
-        m_coeffs.append(gl.from_ints(1, m_terms))
+        h_coeffs.append(gl.GLElem.from_ints(1, h_terms))
+        m_coeffs.append(gl.GLElem.from_ints(1, m_terms))
         d_coeffs.append(gl.GLElem(d_terms, gl.V_BASIS))
 
     return NCSSystem(
@@ -454,7 +455,7 @@ def specialization_rank(labels, order: int) -> dict[int, dict[str, int]]:
         basis = enumerate_bplus_trees(ls, m)
         index = {branch_forest(t): i for i, t in enumerate(basis)}
         rows = [
-            {index[key]: c for key, c in specialize(nsym.NSymElem({word: 1}), ls).terms.items()}
+            {index[key]: n for key, n in specialize(nsym.NSymElem({word: 1}), ls).ints[1]}
             for word in words
         ]
         rank = _sparse_rank(rows)
@@ -462,22 +463,22 @@ def specialization_rank(labels, order: int) -> dict[int, dict[str, int]]:
     return out
 
 
-def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank of the rows {column: nonzero coefficient}, by fraction-free sparse elimination.
+def _sparse_rank(rows: list[dict[int, int]]) -> int:
+    """Rank of the rows {column: nonzero integer}, by fraction-free sparse elimination.
 
-    Each row is cleared to integers and kept divided by the gcd of its
-    entries; the sparsest rows are reduced first.  A row is reduced from its
-    lowest column c up: while c is the pivot of a kept row p, the row becomes
-    p[c] * row - row[c] * p, both factors divided by their gcd.  Every kept row
-    starts at its pivot, so each step only adds higher columns.
+    Each row is kept divided by the gcd of its entries; the sparsest rows
+    are reduced first.  A row is reduced from its lowest column c up: while c
+    is the pivot of a kept row p, the row becomes p[c] * row - row[c] * p,
+    both factors divided by their gcd.  Every kept row starts at its pivot,
+    so each step only adds higher columns.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
-        den = lcm(*(c.denominator for c in row.values()))
-        row = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
+        row = dict(row)
         while row:
             content = gcd(*row.values())
-            row = {j: v // content for j, v in row.items()}
+            if content != 1:
+                row = {j: v // content for j, v in row.items()}
             col = min(row)
             prow = pivots.get(col)
             if prow is None:
@@ -485,14 +486,15 @@ def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
                 break
             g = gcd(prow[col], row[col])
             p, r = prow[col] // g, row[col] // g
-            new = {j: p * v for j, v in row.items()}
+            if p != 1:
+                row = {j: p * v for j, v in row.items()}
             for j, v in prow.items():
-                w = new.get(j, 0) - r * v
+                # r * v is nonzero, so a zero sum means j was in row.
+                w = row.get(j, 0) - r * v
                 if w:
-                    new[j] = w
+                    row[j] = w
                 else:
-                    new.pop(j, None)
-            row = new
+                    del row[j]
     return len(pivots)
 
 

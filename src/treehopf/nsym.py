@@ -8,7 +8,8 @@ defining series equations by truncated arithmetic, never by transcribing
 closed formulas.  QSym, the graded dual, is carried in the monomial basis
 indexed by compositions, with the quasi-shuffle product and deconcatenation
 coproduct; the duality pairing matches products of complete functions with
-monomials.
+monomials.  Products, coproducts and the pairing sum integer numerators
+(see :mod:`treehopf.linear`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import memo
-from .linear import LinComb, add_all, extend_multiplicatively, format_linear
+from .linear import LinComb, add_all, bilinear, extend_multiplicatively, format_linear
 from .series import TruncSeries
 
 Word = tuple[int, ...]
@@ -85,21 +86,17 @@ def mul(a: NSymElem, b: NSymElem, max_weight: int | None = None) -> NSymElem:
 
 def dot(pairs, max_weight: int | None = None) -> NSymElem:
     """The sum of the concatenation products x * y over the (x, y) in pairs, in one pass."""
-    return NSymElem(
-        (wa + wb, ca * cb)
-        for a, b in pairs
-        for wa, ca in a.terms.items()
-        for wb, cb in b.terms.items()
-        if max_weight is None or word_weight(wa) + word_weight(wb) <= max_weight
-    )
+
+    def concat(wa: Word, wb: Word):
+        if max_weight is None or word_weight(wa) + word_weight(wb) <= max_weight:
+            return ((wa + wb, 1),)
+        return ()
+
+    return bilinear(NSymElem(), pairs, concat)
 
 
 def tensor_mul(a: NSymTensor, b: NSymTensor) -> NSymTensor:
-    return NSymTensor(
-        ((la + lb, ra + rb), ca * cb)
-        for (la, ra), ca in a.terms.items()
-        for (lb, rb), cb in b.terms.items()
-    )
+    return bilinear(a, ((a, b),), lambda x, y: (((x[0] + y[0], x[1] + y[1]), 1),))
 
 
 def tensor_unit() -> NSymTensor:
@@ -107,8 +104,8 @@ def tensor_unit() -> NSymTensor:
 
 
 def _generator_coproduct(m: int) -> NSymTensor:
-    return NSymTensor(
-        {((k,) if k else EMPTY_WORD, (m - k,) if m - k else EMPTY_WORD): 1 for k in range(m + 1)}
+    return NSymTensor.from_ints(
+        1, {((k,) if k else EMPTY_WORD, (m - k,) if m - k else EMPTY_WORD): 1 for k in range(m + 1)}
     )
 
 
@@ -137,7 +134,8 @@ def antipode(a: NSymElem) -> NSymElem:
 
 def omega_lambda(a: NSymElem) -> NSymElem:
     """The anti-involution fixing every elementary generator: reverse words."""
-    return NSymElem({tuple(reversed(w)): c for w, c in a.terms.items()})
+    den, nums = a.ints
+    return NSymElem.from_ints(den, {w[::-1]: n for w, n in nums})
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +297,14 @@ def _quasi_shuffle(left: Composition, right: Composition) -> tuple[tuple[Composi
 
 def qsym_mul(a: QSymElem, b: QSymElem) -> QSymElem:
     """Quasi-shuffle (overlapping shuffle) product on the monomial basis."""
-    return QSymElem(
-        (comp, ca * cb * n)
-        for ia, ca in a.terms.items()
-        for ib, cb in b.terms.items()
-        for comp, n in _quasi_shuffle(ia, ib)
-    )
+    return bilinear(a, ((a, b),), _quasi_shuffle)
 
 
 def qsym_coproduct(a: QSymElem) -> QSymTensor:
     """Deconcatenation coproduct."""
-    return QSymTensor(
-        ((comp[:k], comp[k:]), c) for comp, c in a.terms.items() for k in range(len(comp) + 1)
+    den, nums = a.ints
+    return QSymTensor.from_ints(
+        den, {(comp[:k], comp[k:]): n for comp, n in nums for k in range(len(comp) + 1)}
     )
 
 
@@ -336,8 +330,9 @@ def compositions(n: int) -> tuple[Composition, ...]:
 
 def duality_pairing(a: NSymElem, q: QSymElem) -> Fraction:
     """Graded pairing with products of complete functions dual to monomials."""
-    in_complete = to_complete_basis(a)
-    return sum((c * q.get(w) for w, c in in_complete.terms.items()), Fraction(0))
+    (da, xs), (dq, ys) = to_complete_basis(a).ints, q.ints
+    ys = dict(ys)
+    return Fraction(sum([n * ys.get(w, 0) for w, n in xs]), da * dq)
 
 
 # ---------------------------------------------------------------------------

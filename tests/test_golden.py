@@ -59,6 +59,9 @@ CASES = {
     "verify-duality-12-6-json": [
         "verify", "duality", "--labels", "1,2", "--max-weight", "6", "--format", "json",
     ],
+    "verify-hopf-12-6-json": [
+        "verify", "hopf", "--labels", "1,2", "--max-weight", "6", "--format", "json",
+    ],
 }
 
 

@@ -1,19 +1,22 @@
-"""The LinComb constructor is the one place where terms are summed.
+"""Every element holds one integer form, and reads it out as nonzero Fractions.
 
-Every product, coproduct and antipode hands it a stream of (key, coeff) pairs
-with repeated keys; what comes back must hold each key once, with a nonzero
-Fraction coefficient.  An int left in place would turn a later ``c / alpha``
-into a float, and a zero entry would break equality.
+The constructor sums (key, coeff) streams with repeated keys, and every sum,
+scaling, product, coproduct and antipode sums integer numerators over one
+denominator.  What comes back must hold each key once, with a nonzero
+numerator, in lowest terms, and its ``terms`` must be nonzero Fractions: an
+int there would turn a later ``c / alpha`` into a float, and a zero entry or
+an unreduced form would break equality.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from treehopf import ck, gl, nsym
-from treehopf.linear import add_all
+from treehopf import ck, duality, gl, ncs, nsym
+from treehopf.linear import add_all, extend_multiplicatively
 from treehopf.trees import enumerate_forests
 
 FORESTS = [f for w in range(4) for f in enumerate_forests((1, 2), w)]
@@ -99,3 +102,155 @@ def test_add_all_refuses_mixed_kinds():
         add_all(gl.zero(gl.V_BASIS), [gl.unit(gl.T_BASIS)])
     with pytest.raises(TypeError):
         add_all(ck.CKElem(), [nsym.unit()])
+
+
+# ---------------------------------------------------------------------------
+# The integer form against a Fraction reference
+# ---------------------------------------------------------------------------
+
+def assert_int_form(x, ref: dict):
+    """x's integer form is in lowest terms and equals the Fraction map ref."""
+    den, nums = x.ints
+    assert type(den) is int and den > 0, x.ints
+    assert all(type(n) is int and n != 0 for _, n in nums), x.ints
+    assert gcd(den, *(n for _, n in nums)) == 1, x.ints
+    assert {k: Fraction(n, den) for k, n in nums} == ref and len(nums) == len(ref)
+    assert x.terms == ref and list(x.terms) == [k for k, _ in nums]
+
+
+def linear_reference(a: dict, op, build) -> dict:
+    # op extended by Fraction linearity from its values on basis keys.
+    return summed(
+        (k, c * v) for key, c in a.items() for k, v in op(build([(key, 1)])).terms.items()
+    )
+
+
+def bilinear_reference(a: dict, b: dict, mul, build) -> dict:
+    return summed(
+        (k, ca * cb * v)
+        for ka, ca in a.items()
+        for kb, cb in b.items()
+        for k, v in mul(build([(ka, 1)]), build([(kb, 1)])).terms.items()
+    )
+
+
+PAIRS = [(f, g) for f in FORESTS[:6] for g in FORESTS[:6]]
+WORD_PAIRS = [(u, v) for u in WORDS[:5] for v in WORDS[:5]]
+
+
+def _gl(basis, tensor=False):
+    kind = gl.GLTensor if tensor else gl.GLElem
+    return lambda terms: kind(terms, basis)
+
+
+# name -> (keys, build, {name: product}, {name: linear map})
+CARRIERS = {
+    "ck": (
+        FORESTS,
+        ck.CKElem,
+        {"mul": ck.mul},
+        {"coproduct": ck.coproduct, "antipode": ck.antipode},
+    ),
+    **{
+        f"gl-{basis}": (
+            FORESTS,
+            _gl(basis),
+            {"mul": gl.mul, "dot": lambda a, b: gl.dot([(a, b), (b, a)], a.basis),
+             "tensor_of": gl.tensor_of},
+            {
+                "coproduct": gl.coproduct,
+                "antipode": gl.antipode,
+                "antipode_by_recurrence": gl.antipode_by_recurrence,
+                "to_t_basis": gl.to_t_basis,
+                "to_v_basis": gl.to_v_basis,
+            },
+        )
+        for basis in (gl.T_BASIS, gl.V_BASIS)
+    },
+    "nsym": (
+        WORDS,
+        nsym.NSymElem,
+        {"mul": nsym.mul, "dot": lambda a, b: nsym.dot([(a, b), (b, a)], 4)},
+        {
+            "coproduct": nsym.coproduct,
+            "antipode": nsym.antipode,
+            "omega_lambda": nsym.omega_lambda,
+            "to_complete_basis": nsym.to_complete_basis,
+            "specialize": lambda a: ncs.specialize(a, (1, 2)),
+        },
+    ),
+    "qsym": (WORDS, nsym.QSymElem, {"mul": nsym.qsym_mul}, {"coproduct": nsym.qsym_coproduct}),
+    "ck-tensor": (PAIRS, ck.CKTensor, {"mul": ck.tensor_mul}, {}),
+    "gl-T-tensor": (PAIRS, _gl(gl.T_BASIS, True), {}, {}),
+    "gl-V-tensor": (PAIRS, _gl(gl.V_BASIS, True), {}, {}),
+    "nsym-tensor": (WORD_PAIRS, nsym.NSymTensor, {"mul": nsym.tensor_mul}, {}),
+    "qsym-tensor": (WORD_PAIRS, nsym.QSymTensor, {}, {}),
+}
+
+
+@pytest.mark.parametrize("keys, build, products, maps", CARRIERS.values(), ids=CARRIERS.keys())
+@settings(max_examples=30)
+@given(data=st.data())
+def test_integer_forms_match_the_fraction_reference(keys, build, products, maps, data):
+    a_terms, b_terms = data.draw(cancelling_terms(keys)), data.draw(cancelling_terms(keys))
+    a, b = build(a_terms), build(b_terms)
+    ra, rb = summed(a_terms), summed(b_terms)
+    c = data.draw(COEFFS)
+    assert_int_form(a, ra)
+    assert_int_form(a + b, summed([*ra.items(), *rb.items()]))
+    assert_int_form(a - b, summed([*ra.items(), *((k, -v) for k, v in rb.items())]))
+    assert_int_form(-a, {k: -v for k, v in ra.items()})
+    assert_int_form(a.scale(c), summed((k, c * v) for k, v in ra.items()))
+    assert_int_form(c * a, summed((k, c * v) for k, v in ra.items()))
+    if c:
+        assert_int_form(a / c, {k: v / c for k, v in ra.items()})
+    xs = [build(data.draw(cancelling_terms(keys))) for _ in range(data.draw(st.integers(0, 3)))]
+    assert_int_form(
+        add_all(a, xs), summed([*ra.items(), *(kv for x in xs for kv in x.terms.items())])
+    )
+    for mul in products.values():
+        assert_int_form(mul(a, b), bilinear_reference(ra, rb, mul, build))
+    for op in maps.values():
+        assert_int_form(op(a), linear_reference(ra, op, build))
+
+
+def test_extend_multiplicatively_sums_each_key_s_product():
+    # A map on letters: the image of letter m is m/2 * [m] + 1/3 * unit.
+    def image(m):
+        return nsym.NSymElem([((m,), Fraction(m, 2)), ((), Fraction(1, 3))])
+
+    a = nsym.NSymElem([((1, 2), Fraction(3, 4)), ((), -2), ((3,), Fraction(5, 6))])
+    out = extend_multiplicatively(a, image, nsym.unit(), nsym.mul)
+    expected = summed(
+        [
+            ((1, 2), Fraction(3, 4) * Fraction(1, 2) * 1),
+            ((1,), Fraction(3, 4) * Fraction(1, 2) * Fraction(1, 3)),
+            ((2,), Fraction(3, 4) * Fraction(1, 3) * 1),
+            ((), Fraction(3, 4) * Fraction(1, 9) - 2 + Fraction(5, 6) * Fraction(1, 3)),
+            ((3,), Fraction(5, 6) * Fraction(3, 2)),
+        ]
+    )
+    assert_int_form(out, expected)
+
+
+@given(data=st.data())
+def test_pairings_sum_numerators_to_the_fraction_reference(data):
+    basis = data.draw(st.sampled_from((gl.T_BASIS, gl.V_BASIS)))
+    x_terms, f_terms = data.draw(cancelling_terms(FORESTS)), data.draw(cancelling_terms(FORESTS))
+    x, f = gl.GLElem(x_terms, basis), ck.CKElem(f_terms)
+    weight = (lambda k: 1) if basis == gl.V_BASIS else gl.alpha
+    expected = sum(
+        (c * f.get(k) * weight(k) for k, c in x.terms.items()), Fraction(0)
+    )
+    assert type(duality.pair(x, f)) is Fraction and duality.pair(x, f) == expected
+    xx, ff = gl.tensor_of(x, x), ck.coproduct(f)
+    expected = sum(
+        (c * ff.get(k) * weight(k[0]) * weight(k[1]) for k, c in xx.terms.items()), Fraction(0)
+    )
+    assert type(duality.pair_tensor(xx, ff)) is Fraction and duality.pair_tensor(xx, ff) == expected
+    w_terms, q_terms = data.draw(cancelling_terms(WORDS)), data.draw(cancelling_terms(WORDS))
+    w, q = nsym.NSymElem(w_terms), nsym.QSymElem(q_terms)
+    in_complete = nsym.to_complete_basis(w)
+    expected = sum((c * q.get(k) for k, c in in_complete.terms.items()), Fraction(0))
+    pairing = nsym.duality_pairing(w, q)
+    assert type(pairing) is Fraction and pairing == expected

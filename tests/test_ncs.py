@@ -2,7 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import hypothesis.strategies as st
 import pytest
@@ -114,9 +114,7 @@ def test_build_omega_matches_the_tree_by_tree_reference(labels, order):
         for degree, (x, y) in enumerate(zip(got, expected)):
             assert x.basis == gl.V_BASIS
             assert x.terms == y.terms, (name, degree)
-            assert _as_map(gl.int_form(x, gl.V_BASIS)) == _as_map(
-                gl._over_one_denominator(y.terms)
-            ), (name, degree)
+            assert _as_map(x.ints) == _as_map(gl.GLElem(y.terms, gl.V_BASIS).ints), (name, degree)
             assert x == y
 
 
@@ -356,7 +354,12 @@ def _dense_rank(rows: list[list[Fraction]]) -> int:
 
 
 def _sparse(rows):
-    return [{j: Fraction(c) for j, c in enumerate(row) if c} for row in rows]
+    # Each row cleared to integers, which keeps the rank.
+    out = []
+    for row in rows:
+        den = lcm(1, *(c.denominator for c in row))
+        out.append({j: int(c * den) for j, c in enumerate(row) if c})
+    return out
 
 
 def test_sparse_rank_matches_dense_on_the_specialization_rows():
