@@ -76,10 +76,9 @@ def tensor_unit() -> CKTensor:
 
 @memo.memoized
 def _tree_coproduct(t: LabeledTree) -> CKTensor:
+    # The pairs of cut_results are distinct.
     acc = {(forest((t,)), EMPTY_FOREST): 1}
-    for pruned, trunk, n in cut_results(t):
-        key = pruned, forest((trunk,))
-        acc[key] = acc.get(key, 0) + n
+    acc.update(((pruned, forest((trunk,))), n) for pruned, trunk, n in cut_results(t))
     return CKTensor.from_ints(1, acc)
 
 

@@ -32,25 +32,15 @@ def pair(a: gl.GLElem, b: ck.CKElem) -> Fraction:
     """Bilinear extension; zero across different weights by construction."""
     (da, xs), (db, ys) = a.ints, b.ints
     ys = dict(ys)
-    divided = a.basis == gl.V_BASIS
-    total = 0
-    for f, n in xs:
-        nb = ys.get(f)
-        if nb:
-            total += n * nb if divided else n * nb * gl.alpha(f)
-    return Fraction(total, da * db)
+    w = (lambda f: 1) if a.basis == gl.V_BASIS else gl.alpha
+    return Fraction(sum([n * ys[f] * w(f) for f, n in xs if f in ys]), da * db)
 
 
 def pair_tensor(a: gl.GLTensor, b: ck.CKTensor) -> Fraction:
     (da, xs), (db, ys) = a.ints, b.ints
     ys = dict(ys)
-    divided = a.basis == gl.V_BASIS
-    total = 0
-    for (f, g), n in xs:
-        nb = ys.get((f, g))
-        if nb:
-            total += n * nb if divided else n * nb * gl.alpha(f) * gl.alpha(g)
-    return Fraction(total, da * db)
+    w = (lambda f: 1) if a.basis == gl.V_BASIS else gl.alpha
+    return Fraction(sum([n * ys[fg] * w(fg[0]) * w(fg[1]) for fg, n in xs if fg in ys]), da * db)
 
 
 def _compare_rows(report: CheckReport, keys, lhs: dict, rhs: dict, describe) -> None:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Iterable
 
 Scalar = int | Fraction
+
 
 class LinComb:
     """Finite rational linear combination; ``terms`` lists the keys of ``ints`` in order."""
@@ -35,7 +37,7 @@ class LinComb:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for key, coeff in items:
-                if type(coeff) is not int and type(coeff) is not Fraction:
+                if type(coeff) is not Fraction and type(coeff) is not int:
                     coeff = Fraction(coeff)
                 old = data.get(key)
                 if old is not None:
@@ -45,8 +47,10 @@ class LinComb:
                 elif old is not None:
                     del data[key]
         # The lcm of lowest-terms denominators leaves gcd(den, *nums) = 1.
-        d = lcm(*[c.denominator for c in data.values()])
-        self.ints = (d, tuple([(k, c.numerator * (d // c.denominator)) for k, c in data.items()]))
+        dens = [c.denominator for c in data.values()]
+        d = lcm(*dens)
+        nums = [(k, c.numerator * (d // e)) for (k, c), e in zip(data.items(), dens)]
+        self.ints = (d, tuple(nums))
 
     def __getattr__(self, name):
         # Reached only while the terms slot is unset: build it once.
@@ -61,7 +65,10 @@ class LinComb:
         """The element sum of ``n/den * key`` over acc (den > 0), zeros dropped, in lowest terms."""
         out = object.__new__(cls)
         g = gcd(den, *acc.values())
-        out.ints = (den // g, tuple([(k, n // g) for k, n in acc.items() if n]))
+        if g == 1:
+            out.ints = (den, tuple(filter(itemgetter(1), acc.items())))
+        else:
+            out.ints = (den // g, tuple([(k, n // g) for k, n in acc.items() if n]))
         return out
 
     # Subclass hook: from_ints for an element of the same kind as self,
@@ -93,10 +100,11 @@ class LinComb:
         return self._like(den, {k: -n for k, n in nums})
 
     def scale(self, scalar: Scalar):
-        s = Fraction(scalar)
+        if type(scalar) is not Fraction and type(scalar) is not int:
+            scalar = Fraction(scalar)
         den, nums = self.ints
-        a = s.numerator
-        return self._like(den * s.denominator, {k: a * n for k, n in nums})
+        a = scalar.numerator
+        return self._like(den * scalar.denominator, {k: a * n for k, n in nums})
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -179,7 +187,7 @@ def add_all(zero: LinComb, xs: Iterable[LinComb]) -> LinComb:
     that of the repeated ``+``, without rebuilding the growing sum once per
     term.
     """
-    return combine(zero, [(1, zero), *((1, x) for x in xs)])
+    return combine(zero, [(1, zero)] + [(1, x) for x in xs])
 
 
 def extend_multiplicatively(
