@@ -22,13 +22,12 @@ with integer signs.  Only ``mul_structure``, the oracle, sums Fractions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, prod
 
 from . import memo
-from .linear import LinComb, add_all, combine, format_linear
-from .series import TruncSeries
+from .linear import LinComb, combine, format_linear
+from .series import LinCombOps, TruncSeries
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -391,41 +390,8 @@ def antipode_by_recurrence(a: GLElem) -> GLElem:
 
 
 # ---------------------------------------------------------------------------
-# Series coefficients and rendering
+# Rendering and the series interface
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GLSeriesOps:
-    """Algebra interface over GLElem for the truncated-series engine."""
-
-    basis: str = V_BASIS
-
-    def zero(self) -> GLElem:
-        return zero(self.basis)
-
-    def one(self) -> GLElem:
-        return unit(self.basis)
-
-    def sum(self, xs) -> GLElem:
-        return add_all(self.zero(), xs)
-
-    def scale(self, c: Fraction, x: GLElem) -> GLElem:
-        _ints_in(x, self.basis)
-        return x.scale(c)
-
-    def dot(self, pairs) -> GLElem:
-        return dot(pairs, self.basis)
-
-    def eq(self, x: GLElem, y: GLElem) -> bool:
-        return x == y
-
-    def describe(self, x: GLElem) -> str:
-        return text(x)
-
-
-def series(coeffs: list[GLElem], basis: str = V_BASIS) -> TruncSeries:
-    return TruncSeries(GLSeriesOps(basis), tuple(coeffs))
-
 
 def text(a: GLElem) -> str:
     return format_linear(
@@ -441,3 +407,16 @@ def to_json_terms(a: GLElem) -> list[dict[str, str]]:
         {"coeff": str(c), "basis": a.basis, "branches": forest_text(f)}
         for f, c in a.sorted_terms()
     ]
+
+
+# One ops instance per basis, so V and T series never mix.  The lambda
+# reads dot at call time, so a tracer that rebinds gl.dot sees them.
+SERIES_OPS = {
+    b: LinCombOps(zero(b), unit(b), lambda pairs, b=b: dot(pairs, b), text)
+    for b in (V_BASIS, T_BASIS)
+}
+
+
+def series(coeffs: list[GLElem], basis: str = V_BASIS) -> TruncSeries:
+    _check_basis(basis)
+    return TruncSeries(SERIES_OPS[basis], tuple(coeffs))

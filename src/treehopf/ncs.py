@@ -237,11 +237,6 @@ class NCSReport:
         }
 
 
-def _describe(ops, value) -> str:
-    describe = getattr(ops, "describe", None)
-    return describe(value) if describe else str(value)
-
-
 def _compare(name: str, lhs: TruncSeries, rhs: TruncSeries) -> EquationCheck:
     order = min(lhs.order, rhs.order)
     lhs = lhs.truncate(order)
@@ -250,9 +245,7 @@ def _compare(name: str, lhs: TruncSeries, rhs: TruncSeries) -> EquationCheck:
     for degree in range(order + 1):
         if not ops.eq(lhs.coeffs[degree], rhs.coeffs[degree]):
             diff = ops.sum((lhs.coeffs[degree], ops.scale(Fraction(-1), rhs.coeffs[degree])))
-            return EquationCheck(
-                name, "fail", {"degree": degree, "diff": _describe(ops, diff)}
-            )
+            return EquationCheck(name, "fail", {"degree": degree, "diff": ops.describe(diff)})
     return EquationCheck(name, "pass")
 
 
@@ -269,7 +262,7 @@ def verify_ncs(system: NCSSystem) -> NCSReport:
             EquationCheck(
                 "unit-constant-term",
                 "fail",
-                {"degree": 0, "diff": _describe(ops, system.f.coeffs[0])},
+                {"degree": 0, "diff": ops.describe(system.f.coeffs[0])},
             )
         )
 
@@ -284,7 +277,7 @@ def verify_ncs(system: NCSSystem) -> NCSReport:
             EquationCheck(
                 "exponential",
                 "fail",
-                {"degree": 0, "diff": _describe(ops, system.d.coeffs[0])},
+                {"degree": 0, "diff": ops.describe(system.d.coeffs[0])},
             )
         )
 

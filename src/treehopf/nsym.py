@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import memo
-from .linear import LinComb, add_all, bilinear, extend_multiplicatively, format_linear
-from .series import TruncSeries
+from .linear import LinComb, bilinear, extend_multiplicatively, format_linear
+from .series import LinCombOps, TruncSeries
 
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -38,9 +38,6 @@ class NSymElem(LinComb):
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: (word_weight(kv[0]), kv[0]))
-
-    def max_weight(self) -> int:
-        return max((word_weight(w) for w in self.terms), default=0)
 
 
 class NSymTensor(LinComb):
@@ -79,20 +76,14 @@ def generator(m: int) -> NSymElem:
     return NSymElem({(m,): 1})
 
 
-def mul(a: NSymElem, b: NSymElem, max_weight: int | None = None) -> NSymElem:
-    """Concatenation product; words heavier than max_weight are dropped."""
-    return dot(((a, b),), max_weight)
+def mul(a: NSymElem, b: NSymElem) -> NSymElem:
+    """Concatenation product."""
+    return dot(((a, b),))
 
 
-def dot(pairs, max_weight: int | None = None) -> NSymElem:
+def dot(pairs) -> NSymElem:
     """The sum of the concatenation products x * y over the (x, y) in pairs, in one pass."""
-
-    def concat(wa: Word, wb: Word):
-        if max_weight is None or word_weight(wa) + word_weight(wb) <= max_weight:
-            return ((wa + wb, 1),)
-        return ()
-
-    return bilinear(NSymElem(), pairs, concat)
+    return bilinear(NSymElem(), pairs, lambda wa, wb: ((wa + wb, 1),))
 
 
 def tensor_mul(a: NSymTensor, b: NSymTensor) -> NSymTensor:
@@ -143,34 +134,6 @@ def omega_lambda(a: NSymElem) -> NSymElem:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WordOps:
-    """Algebra interface over NSymElem for the truncated-series engine."""
-
-    max_weight: int | None = None
-
-    def zero(self) -> NSymElem:
-        return NSymElem()
-
-    def one(self) -> NSymElem:
-        return unit()
-
-    def sum(self, xs):
-        return add_all(NSymElem(), xs)
-
-    def scale(self, c, x):
-        return x.scale(c)
-
-    def dot(self, pairs):
-        return dot(pairs, self.max_weight)
-
-    def eq(self, x, y) -> bool:
-        return x == y
-
-    def describe(self, x) -> str:
-        return text(x)
-
-
-@dataclass(frozen=True)
 class PiSystem:
     """The five classical generating functions over NSym, truncated at `order`.
 
@@ -195,8 +158,7 @@ def pi_system(order: int) -> PiSystem:
     """Solve the defining equations over NSym by truncated-series arithmetic."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    ops = WordOps()
-    lam = TruncSeries(ops, (unit(),) + tuple(generator(m) for m in range(1, order + 1)))
+    lam = TruncSeries(SERIES_OPS, (unit(),) + tuple(generator(m) for m in range(1, order + 1)))
     sigma = lam.alternate().inverse_right()
     power_second = sigma.log()
     sigma_prime = sigma.derivative()
@@ -250,8 +212,7 @@ def elementary_in_complete(m: int) -> NSymElem:
     got = _ELEM_IN_COMPLETE.get(m)
     if got is not None:
         return got
-    ops = WordOps()
-    sigma_free = TruncSeries(ops, (unit(),) + tuple(generator(k) for k in range(1, m + 1)))
+    sigma_free = TruncSeries(SERIES_OPS, (unit(),) + tuple(generator(k) for k in range(1, m + 1)))
     lam_free = sigma_free.alternate().inverse_right()
     for k in range(1, m + 1):
         _ELEM_IN_COMPLETE.setdefault(k, lam_free.coeffs[k])
@@ -336,7 +297,7 @@ def duality_pairing(a: NSymElem, q: QSymElem) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# Rendering and the series interface
 # ---------------------------------------------------------------------------
 
 def text(a: NSymElem) -> str:
@@ -349,3 +310,8 @@ def qsym_text(a: QSymElem) -> str:
     return format_linear(
         [(c, "" if not w else "M[" + ",".join(map(str, w)) + "]") for w, c in a.sorted_terms()]
     )
+
+
+# The lambda reads dot at call time, so a tracer that rebinds nsym.dot
+# sees the series products.
+SERIES_OPS = LinCombOps(NSymElem(), unit(), lambda pairs: dot(pairs), text)

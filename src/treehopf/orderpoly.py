@@ -171,11 +171,6 @@ class RationalPolynomial:
 ONE_POLY = RationalPolynomial((1,))
 
 
-def binomial_poly(k: int) -> RationalPolynomial:
-    """The polynomial s(s-1)...(s-k+1)/k!."""
-    return interpolate_integer_nodes([0] * k + [1])
-
-
 def interpolate_integer_nodes(values) -> RationalPolynomial:
     """Exact Newton forward-difference interpolation at nodes 0, 1, ..., n.
 
@@ -275,35 +270,19 @@ def _forest_poly(f: Forest, strict: bool) -> RationalPolynomial:
 # Identities
 # ---------------------------------------------------------------------------
 
-def reciprocity_check(f: Forest) -> bool:
-    """Weak polynomial equals (-1)^|F| times the strict one at -s."""
-    return _reciprocity_holds(f.size, strict_order_poly(f), order_poly(f))
-
-
-def _reciprocity_holds(size: int, p: RationalPolynomial, q: RationalPolynomial) -> bool:
+def reciprocity_holds(size: int, p: RationalPolynomial, q: RationalPolynomial) -> bool:
+    """The weak polynomial q equals (-1)^size times the strict one p at -s."""
     return q == (-1) ** size * p.reflected()
 
 
-def delta_nabla_check(t: LabeledTree) -> bool:
-    """Forward/backward difference of a tree polynomial gives its branch forest.
+def differences_hold(p, q, p_branches, q_branches) -> bool:
+    """Forward/backward differences of a tree's polynomials give its branch forest's.
 
     For the strict polynomial p of the tree, p(s+1) - p(s) is the strict
     polynomial of the branch forest; for the weak polynomial q, the backward
     difference q(s) - q(s-1) is the weak polynomial of the branch forest.
     """
-    one_tree = forest((t,))
-    branches = branch_forest(shape(t))
-    p, q = strict_order_poly(one_tree), order_poly(one_tree)
-    return _differences_hold(p, q, strict_order_poly(branches), order_poly(branches))
-
-
-def _differences_hold(p, q, p_branches, q_branches) -> bool:
     return p.shifted(1) - p == p_branches and q - q.shifted(-1) == q_branches
-
-
-def phi_constants(f: Forest) -> tuple[Fraction, Fraction]:
-    """Linear coefficients (strict, weak) of the two order polynomials."""
-    return strict_order_poly(f).linear_coeff, order_poly(f).linear_coeff
 
 
 @memo.memoized
@@ -316,32 +295,24 @@ def _weak_constant(t: LabeledTree) -> Fraction:
     return _tree_poly(shape(t), False).linear_coeff
 
 
-def phi_recurrence_check(t: LabeledTree) -> bool:
-    """Nested-cut recurrences and reconstructions for one tree.
+def recurrences_hold(u: LabeledTree, p: RationalPolynomial, q: RationalPolynomial) -> bool:
+    """Nested-cut recurrences and reconstructions for one shape u.
 
-    Checks, with v the vertex count and S_{k-1} the sum over sequences of k-1
-    nested single-edge cuts (outermost first) of the products of the
-    constants of the pieces (each pruned subtree and the final trunk):
+    p and q are the strict and weak polynomials of u.  With S_{k-1} the sum
+    over sequences of k-1 nested single-edge cuts (outermost first) of the
+    products of the constants of the pieces (each pruned subtree and the
+    final trunk), checks:
       * strict constant: phi = -sum_{k>=2} (1/k!) S_{k-1} with strict
         constants (singleton: phi = 1);
-      * strict reconstruction: the strict polynomial equals phi*s plus
-        sum_{k>=2} (s^k/k!) times the same inner sums;
+      * strict reconstruction: p equals phi*s plus sum_{k>=2} (s^k/k!)
+        times the same inner sums;
       * weak constant, alternating form: phi_weak = sum_{k>=2} ((-1)^k/k!) ...
       * weak constant, evaluation form: phi_weak = 1 - sum_{k>=2} (1/k!) ...
       * weak reconstruction, mirroring the strict one.
-    The inner sums are summed by trunk shape, S_k(T) = sum over non-root v of
-    c(T_v) * S_{k-1}(T minus T_v) with S_0 = c, all k in one pass (see
-    :func:`trees.nested_cut_terms`); they read the polynomial of each piece,
-    never the polynomial of the tree being checked.
+    The inner sums come by trunk shape from :func:`trees.nested_cut_terms`,
+    which reads the polynomial of each piece, never those of u; the terms
+    S_{k-1}/k! for k = 2..|u| are the coefficients of s^k in p and q.
     """
-    u = shape(t)
-    one_tree = forest((u,))
-    return _recurrences_hold(u, strict_order_poly(one_tree), order_poly(one_tree))
-
-
-def _recurrences_hold(u: LabeledTree, p: RationalPolynomial, q: RationalPolynomial) -> bool:
-    # u is a shape, p and q its strict and weak polynomials; the terms are
-    # S_{k-1}/k! for k = 2..|u|, the coefficients of s^k in p and q.
     strict_terms, strict_den = nested_cut_terms(u, _strict_constant, _strict_constant)
     weak_terms, weak_den = nested_cut_terms(u, _weak_constant, _weak_constant)
     phi_strict, phi_weak = p.linear_coeff, q.linear_coeff
@@ -395,7 +366,7 @@ def orderpoly_suite(max_vertices: int = 6) -> CheckReport:
         for f in enumerate_forests((1,), n):
             ftxt = forest_text(f)
             p, q = polys[f] = strict_order_poly(f), order_poly(f)
-            run("reciprocity", ftxt, _reciprocity_holds(f.size, p, q))
+            run("reciprocity", ftxt, reciprocity_holds(f.size, p, q))
             prod = ONE_POLY
             for t in f.trees:
                 prod = prod * polys[forest((t,))][0]
@@ -416,7 +387,7 @@ def orderpoly_suite(max_vertices: int = 6) -> CheckReport:
             continue
         t = f.trees[0]
         ttxt = tree_text(t)
-        run("difference-identities", ttxt, _differences_hold(p, q, *polys[branch_forest(t)]))
-        run("nested-cut-recurrences", ttxt, _recurrences_hold(t, p, q))
+        run("difference-identities", ttxt, differences_hold(p, q, *polys[branch_forest(t)]))
+        run("nested-cut-recurrences", ttxt, recurrences_hold(t, p, q))
 
     return report

@@ -2,9 +2,10 @@
 
 The parameter t is central and all arithmetic is exact modulo t**(N+1).
 The engine is generic over a small algebra interface (zero, one, sum, scale,
-dot, eq) so the same code serves rational scalars, free-algebra elements and
-tree-algebra elements.  Coefficients beyond the truncation order are silently
-dropped; that is the meaning of truncation, never an error.
+dot, eq, describe): :class:`LinCombOps` serves every ``LinComb`` carrier
+(free-algebra and tree-algebra elements), :class:`RationalOps` rational
+scalars.  Coefficients beyond the truncation order are silently dropped;
+that is the meaning of truncation, never an error.
 """
 
 from __future__ import annotations
@@ -12,30 +13,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Any, Iterable, Protocol
+from typing import Any, Callable
+
+from .linear import LinComb, add_all
 
 
-class AlgebraOps(Protocol):
-    def zero(self) -> Any: ...
+class LinCombOps:
+    """The algebra interface of the series engine over one LinComb carrier.
 
-    def one(self) -> Any: ...
+    ``zero`` and ``one`` are elements of the carrier, ``dot(pairs)`` sums the
+    products x * y over the pairs in one pass, and ``describe`` renders an
+    element.  Series compare their ops by identity, so each carrier keeps one
+    instance and series over different carriers never mix.
+    """
 
-    def sum(self, xs: Iterable) -> Any:
+    __slots__ = ("_zero", "_one", "dot", "describe")
+
+    def __init__(self, zero: LinComb, one: LinComb, dot: Callable, describe: Callable):
+        self._zero, self._one, self.dot, self.describe = zero, one, dot, describe
+
+    def zero(self) -> LinComb:
+        return self._zero
+
+    def one(self) -> LinComb:
+        return self._one
+
+    def sum(self, xs) -> LinComb:
         """The sum of all of xs (zero when empty), built in one pass."""
-        ...
+        return add_all(self._zero, xs)
 
-    def scale(self, c: Fraction, x) -> Any: ...
+    def scale(self, c: Fraction, x: LinComb) -> LinComb:
+        self._zero._check_compatible(x)
+        return x.scale(c)
 
-    def dot(self, pairs: Iterable[tuple]) -> Any:
-        """The sum of x * y over the (x, y) in pairs (zero when empty), built in one pass."""
-        ...
-
-    def eq(self, x, y) -> bool: ...
+    def eq(self, x, y) -> bool:
+        return x == y
 
 
 @dataclass(frozen=True)
 class RationalOps:
-    """The base case: exact rational scalars."""
+    """The base case: exact rational scalars, the tests' reference carrier."""
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -82,7 +99,7 @@ class TruncSeries:
         return cls(ops, (ops.one(),) + tuple(ops.zero() for _ in range(order)))
 
     def _require_same(self, other: "TruncSeries"):
-        if self.ops != other.ops:
+        if self.ops is not other.ops:
             raise ValueError("series are defined over different algebras")
         if self.order != other.order:
             raise ValueError(f"truncation order mismatch: {self.order} vs {other.order}")

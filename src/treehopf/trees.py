@@ -145,35 +145,6 @@ def branch_forest(t: LabeledTree) -> Forest:
 GRAFT_UNIT = bplus(EMPTY_FOREST)
 
 
-def canonicalize(raw, labels: Iterable[int] | None = None) -> LabeledTree:
-    """Canonical tree for a possibly unordered description.
-
-    Accepts an existing :class:`LabeledTree`, a bare integer (a leaf), or a
-    nested pair ``(label, [child, ...])`` whose children may appear in any
-    order.  Labels must be nonnegative integers; 0 is allowed only at the
-    root.  When ``labels`` is given, every nonzero label must belong to it.
-    Idempotent: canonical input comes back unchanged.
-    """
-    allowed = frozenset(labels) if labels is not None else None
-
-    def build(item, at_root: bool) -> LabeledTree:
-        if isinstance(item, LabeledTree):
-            lab, kids = item.label, item.children
-        elif isinstance(item, int):
-            lab, kids = item, ()
-        else:
-            lab, kids = item
-        if not isinstance(lab, int) or lab < 0:
-            raise ValueError(f"label {lab!r} is not a nonnegative integer")
-        if lab == GRAFT_ROOT_LABEL and not at_root:
-            raise ValueError("label 0 is reserved for the root of grafting trees")
-        if lab != GRAFT_ROOT_LABEL and allowed is not None and lab not in allowed:
-            raise ValueError(f"label {lab} outside the allowed set {sorted(allowed)}")
-        return node(lab, (build(k, False) for k in kids))
-
-    return build(raw, True)
-
-
 def _bottom_up(t: LabeledTree, cached, combine):
     # combine(u, values of u's children) at every vertex whose value cached(u)
     # does not hold yet, children first.  An explicit stack instead of
@@ -219,8 +190,8 @@ def forest_text(f: Forest) -> str:
 # Deepest nesting the parser accepts.  The parser and the grafting oracle
 # graft_positions recurse once per level; tree_text, shape,
 # automorphism_count, label_values, cut_results and insert_scion do not;
-# nested_cut_sequences recurses once per cut, nested_cut_sums once per k,
-# and the GL product tables once per scion, not once per level.
+# nested_cut_sums recurses once per k and the GL product tables once per
+# scion, not once per level.
 # Deeper text is refused before any tree is built, so it ends in a one-line
 # ValueError, not a RecursionError.
 MAX_PARSE_DEPTH = 100
@@ -492,35 +463,6 @@ def _cuts_at(u: LabeledTree, kid_cuts) -> tuple[tuple[Forest, LabeledTree, int],
             grown[key] = grown.get(key, 0) + n
         states = grown
     return tuple((pruned, node(u.label, kept.trees), n) for (pruned, kept), n in states.items())
-
-
-def nested_cut_sequences(
-    t: LabeledTree, r: int, single_edges: bool = False
-) -> list[tuple[tuple[LabeledTree, ...], int]]:
-    """Sequences of r-1 successive admissible cuts as (pieces, count).
-
-    Each cut is taken from :func:`cut_results` of the trunk the earlier ones
-    left, the empty cut included.  The first r-1 pieces are the pruned
-    forests re-rooted under a fresh 0-labeled root, in cutting order; the
-    last piece is the remaining trunk.  count is the number of edge-set
-    sequences giving these pieces.  With ``single_edges=True`` every cut
-    consists of exactly one edge.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    out: dict[tuple[LabeledTree, ...], int] = {}
-
-    def go(trunk: LabeledTree, k: int, pieces: tuple, count: int):
-        if k == 0:
-            key = pieces + (trunk,)
-            out[key] = out.get(key, 0) + count
-            return
-        for pruned, rest, n in cut_results(trunk):
-            if not single_edges or len(pruned) == 1:
-                go(rest, k - 1, pieces + (bplus(pruned),), count * n)
-
-    go(t, r - 1, (), 1)
-    return list(out.items())
 
 
 @memo.memoized

@@ -19,5 +19,11 @@ def raw_trees(max_depth=3, max_children=3, labels=(1, 2, 3)):
     )
 
 
+def build_tree(raw):
+    """The interned tree of a nested (label, [children]) description."""
+    label, kids = raw
+    return trees.node(label, [build_tree(k) for k in kids])
+
+
 def canonical_trees(labels=(1, 2, 3), max_depth=3, max_children=3):
-    return raw_trees(max_depth, max_children, labels).map(trees.canonicalize)
+    return raw_trees(max_depth, max_children, labels).map(build_tree)

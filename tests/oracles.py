@@ -4,12 +4,15 @@ on basis elements, so the tests can check the package against it."""
 from fractions import Fraction
 
 from treehopf import ck, duality, gl
+from treehopf.orderpoly import RationalPolynomial, interpolate_integer_nodes
 from treehopf.trees import (
     Forest,
     LabeledTree,
     _require_grafting_root,
     automorphism_count,
+    bplus,
     branch_forest,
+    cut_results,
     enumerate_bplus_trees,
     enumerate_forests,
 )
@@ -29,3 +32,37 @@ def pairing_matrix(labels, weight: int) -> list[list[Fraction]]:
         [duality.pair(gl.from_bplus_tree(t, gl.V_BASIS), ck.from_forest(f)) for f in forests]
         for t in trees
     ]
+
+
+def nested_cut_sequences(
+    t: LabeledTree, r: int, single_edges: bool = False
+) -> list[tuple[tuple[LabeledTree, ...], int]]:
+    """Sequences of r-1 successive admissible cuts as (pieces, count).
+
+    Each cut is taken from :func:`cut_results` of the trunk the earlier ones
+    left, the empty cut included.  The first r-1 pieces are the pruned
+    forests re-rooted under a fresh 0-labeled root, in cutting order; the
+    last piece is the remaining trunk.  count is the number of edge-set
+    sequences giving these pieces.  With ``single_edges=True`` every cut
+    consists of exactly one edge.
+    """
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    out: dict[tuple[LabeledTree, ...], int] = {}
+
+    def go(trunk: LabeledTree, k: int, pieces: tuple, count: int):
+        if k == 0:
+            key = pieces + (trunk,)
+            out[key] = out.get(key, 0) + count
+            return
+        for pruned, rest, n in cut_results(trunk):
+            if not single_edges or len(pruned) == 1:
+                go(rest, k - 1, pieces + (bplus(pruned),), count * n)
+
+    go(t, r - 1, (), 1)
+    return list(out.items())
+
+
+def binomial_poly(k: int) -> RationalPolynomial:
+    """The polynomial s(s-1)...(s-k+1)/k!."""
+    return interpolate_integer_nodes([0] * k + [1])

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from oracles import pairing_matrix
+from oracles import nested_cut_sequences, pairing_matrix
 from treehopf import ck, duality, gl, ncs, nsym, orderpoly
 from treehopf.cli import main as cli_main
 from treehopf.trees import (
@@ -17,7 +17,6 @@ from treehopf.trees import (
     enumerate_forests,
     forest_union,
     leaf,
-    nested_cut_sequences,
     node,
     parse_forest,
 )

@@ -170,7 +170,7 @@ CARRIERS = {
     "nsym": (
         WORDS,
         nsym.NSymElem,
-        {"mul": nsym.mul, "dot": lambda a, b: nsym.dot([(a, b), (b, a)], 4)},
+        {"mul": nsym.mul, "dot": lambda a, b: nsym.dot([(a, b), (b, a)])},
         {
             "coproduct": nsym.coproduct,
             "antipode": nsym.antipode,

@@ -62,10 +62,6 @@ def test_free_product_keeps_order():
     assert word_elem(1, 2) != word_elem(2, 1)
 
 
-def test_truncation_drops_heavy_words():
-    assert mul(generator(2), generator(2), max_weight=3).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # The five generating functions
 # ---------------------------------------------------------------------------

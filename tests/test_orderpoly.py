@@ -9,28 +9,29 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from oracles import binomial_poly
 from treehopf import orderpoly
 from treehopf.linear import format_linear
 from treehopf.orderpoly import (
     RationalPolynomial,
-    binomial_poly,
-    delta_nabla_check,
+    differences_hold,
     interpolate_integer_nodes,
     order_poly,
     orderpoly_suite,
-    phi_constants,
-    phi_recurrence_check,
-    reciprocity_check,
+    reciprocity_holds,
+    recurrences_hold,
     strict_order_poly,
     theta_via_orderpoly,
 )
 from treehopf.trees import (
+    branch_forest,
     enumerate_forests,
     forest,
     leaf,
     node,
     parse_forest,
     parse_tree,
+    shape,
 )
 
 
@@ -326,14 +327,31 @@ def test_weak_shrub_via_reciprocity_of_the_integral():
 # Identities
 # ---------------------------------------------------------------------------
 
+def _polys(f):
+    return strict_order_poly(f), order_poly(f)
+
+
+def _reciprocity(f):
+    return reciprocity_holds(f.size, *_polys(f))
+
+
+def _differences(t):
+    return differences_hold(*_polys(forest((t,))), *_polys(branch_forest(t)))
+
+
+def _recurrences(t):
+    u = shape(t)
+    return recurrences_hold(u, *_polys(forest((u,))))
+
+
 def test_reciprocity_singleton():
-    assert reciprocity_check(parse_forest("[1]"))
+    assert _reciprocity(parse_forest("[1]"))
 
 
 def test_reciprocity_exhaustive():
     for size in range(1, 7):
         for f in enumerate_forests((1,), size):
-            assert reciprocity_check(f), f
+            assert _reciprocity(f), f
 
 
 def test_chain_three_reciprocity_explicitly():
@@ -348,27 +366,31 @@ def test_difference_identity_examples():
     # strict chain-2: s(s-1)/2; forward difference gives s
     p = strict_order_poly(chain_forest(2))
     assert p.shifted(1) - p == RationalPolynomial((0, 1))
-    assert delta_nabla_check(chain_forest(2).trees[0])
-    assert delta_nabla_check(node(1, (shrub_forest(2).trees[0],)))
+    assert _differences(chain_forest(2).trees[0])
+    assert _differences(node(1, (shrub_forest(2).trees[0],)))
 
 
 def test_difference_identities_exhaustive():
     for size in range(1, 7):
         for f in enumerate_forests((1,), size):
             if len(f.trees) == 1:
-                assert delta_nabla_check(f.trees[0])
+                assert _differences(f.trees[0])
 
 
 def test_linear_constants_examples():
-    assert phi_constants(parse_forest("[1]")) == (1, 1)
-    assert phi_constants(parse_forest("[1,1]")) == (0, 0)
-    assert phi_constants(chain_forest(2)) == (Fraction(-1, 2), Fraction(1, 2))
+    for f, strict, weak in (
+        (parse_forest("[1]"), 1, 1),
+        (parse_forest("[1,1]"), 0, 0),
+        (chain_forest(2), Fraction(-1, 2), Fraction(1, 2)),
+    ):
+        p, q = _polys(f)
+        assert (p.linear_coeff, q.linear_coeff) == (strict, weak)
 
 
 def test_phi_recurrence_examples():
-    assert phi_recurrence_check(chain_forest(2).trees[0])
-    assert phi_recurrence_check(chain_forest(3).trees[0])
-    assert phi_recurrence_check(shrub_forest(2).trees[0])
+    assert _recurrences(chain_forest(2).trees[0])
+    assert _recurrences(chain_forest(3).trees[0])
+    assert _recurrences(shrub_forest(2).trees[0])
 
 
 def test_theta_route_examples():

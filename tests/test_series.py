@@ -40,7 +40,7 @@ def test_ring_axioms_over_rationals(a, b, c):
 
 
 def test_ring_axioms_over_trees():
-    ops = gl.GLSeriesOps()
+    ops = gl.SERIES_OPS[gl.V_BASIS]
     x = gl.from_bplus_tree(parse_tree("0(1)"))
     y = gl.from_bplus_tree(parse_tree("0(1,1)"))
     a = TruncSeries(ops, (gl.unit(), x, y, gl.zero()))
@@ -52,7 +52,7 @@ def test_ring_axioms_over_trees():
 
 def test_noncommuting_difference_of_squares():
     # (1 + at)(1 - at) = 1 - a^2 t^2 even when a does not commute
-    ops = nsym.WordOps()
+    ops = nsym.SERIES_OPS
     a = nsym.generator(1)
     s = TruncSeries(ops, (nsym.unit(), a, nsym.NSymElem()))
     r = TruncSeries(ops, (nsym.unit(), -a, nsym.NSymElem()))
@@ -119,14 +119,10 @@ def _combinations(keys, build):
 # carrier: (ops, product of two coefficients, strategy for a coefficient)
 CARRIERS = {
     "rational": (RATIONAL_OPS, lambda x, y: x * y, rationals),
-    "words": (
-        nsym.WordOps(3),
-        lambda x, y: nsym.mul(x, y, 3),
-        _combinations(_words, nsym.NSymElem),
-    ),
+    "words": (nsym.SERIES_OPS, nsym.mul, _combinations(_words, nsym.NSymElem)),
     **{
         f"trees-{basis}": (
-            gl.GLSeriesOps(basis),
+            gl.SERIES_OPS[basis],
             gl.mul_structure,
             _combinations(_branch_forests, lambda ts, basis=basis: gl.GLElem(ts, basis)),
         )
@@ -180,7 +176,7 @@ def _assert_stored_form(x, basis):
 @pytest.mark.parametrize("basis", (gl.V_BASIS, gl.T_BASIS))
 @given(data=st.data())
 def test_gl_series_ops_match_the_fraction_reference(basis, data):
-    ops = gl.GLSeriesOps(basis)
+    ops = gl.SERIES_OPS[basis]
     coeffs = st.lists(st.tuples(st.sampled_from(_branch_forests), rationals), max_size=4).map(
         lambda ts: gl.GLElem(ts, basis)
     )
@@ -206,7 +202,7 @@ def test_gl_series_ops_match_the_fraction_reference(basis, data):
 
 
 def test_gl_series_ops_refuse_mixed_kinds():
-    ops = gl.GLSeriesOps(gl.V_BASIS)
+    ops = gl.SERIES_OPS[gl.V_BASIS]
     v = gl.from_bplus_tree(parse_tree("0(1)"), gl.V_BASIS)
     t = gl.from_bplus_tree(parse_tree("0(1)"), gl.T_BASIS)
     tensor = gl.tensor_of(v, v)
@@ -220,11 +216,32 @@ def test_gl_series_ops_refuse_mixed_kinds():
         with pytest.raises(TypeError):
             ops.scale(Fraction(1, 2), bad)
     for basis in (gl.V_BASIS, gl.T_BASIS):
-        empty = gl.GLSeriesOps(basis).sum([])
+        empty = gl.SERIES_OPS[basis].sum([])
         assert empty.basis == basis and empty.is_zero()
         assert empty == gl.zero(basis)
     with pytest.raises(ValueError, match="unknown basis"):
-        gl.GLSeriesOps("X").sum([])
+        gl.series([], "X")
+
+
+def test_series_over_different_carriers_refuse_to_mix():
+    x = gl.from_bplus_tree(parse_tree("0(1)"))
+    v = gl.series([gl.unit(), x])
+    t = gl.series([gl.unit(gl.T_BASIS), gl.to_t_basis(x)], gl.T_BASIS)
+    w = TruncSeries(nsym.SERIES_OPS, (nsym.unit(), nsym.generator(1)))
+    for a, b in ((v, t), (t, v), (v, w), (w, v), (t, w)):
+        with pytest.raises(ValueError, match="different algebras"):
+            a + b
+        with pytest.raises(ValueError, match="different algebras"):
+            a * b
+        with pytest.raises(ValueError, match="different algebras"):
+            a == b
+    # Series built apart over one basis share its ops and combine.
+    for basis in (gl.V_BASIS, gl.T_BASIS):
+        y = gl.from_bplus_tree(parse_tree("0(1,2)"), basis)
+        a, b = gl.series([gl.unit(basis), y], basis), gl.series([gl.unit(basis), -y], basis)
+        assert a.ops is b.ops is gl.SERIES_OPS[basis]
+        assert a + b == gl.series([gl.unit(basis).scale(2), gl.zero(basis)], basis)
+        assert a * b == gl.series([gl.unit(basis), gl.zero(basis)], basis)
 
 
 def _fraction_sum(*maps):
@@ -278,14 +295,14 @@ def test_lazy_terms_and_integer_equality_match_the_fraction_reference(basis, dat
         assert (x - y).terms == _fraction_sum(rx, {k: -v for k, v in ry.items()})
         scaled = {k: c * v for k, v in rx.items() if c}
         assert x.scale(c).terms == scaled
-        assert gl.GLSeriesOps(basis).scale(c, x).terms == scaled
+        assert gl.SERIES_OPS[basis].scale(c, x).terms == scaled
         ref = gl.GLElem(rx, basis)
         assert gl.text(x) == gl.text(ref) and gl.to_json_terms(x) == gl.to_json_terms(ref)
 
 
 @pytest.mark.parametrize("basis", (gl.V_BASIS, gl.T_BASIS))
 def test_cancelling_sums_are_the_canonical_zero(basis):
-    ops = gl.GLSeriesOps(basis)
+    ops = gl.SERIES_OPS[basis]
     x = gl.GLElem({f: Fraction(i + 1, 3) for i, f in enumerate(_branch_forests)}, basis)
     zeros = [
         ops.sum([x, ops.scale(Fraction(-1), x)]),
@@ -310,7 +327,7 @@ def _terms_built(x) -> bool:
 
 @pytest.mark.parametrize("basis", (gl.V_BASIS, gl.T_BASIS))
 def test_series_results_build_terms_on_first_read(basis):
-    ops = gl.GLSeriesOps(basis)
+    ops = gl.SERIES_OPS[basis]
     f1, f2, f3 = _branch_forests[1:4]
     x = gl.GLElem({f1: Fraction(1, 2), f2: 3}, basis)
     y = gl.GLElem({f2: Fraction(-2, 3), f3: 1}, basis)
@@ -334,7 +351,7 @@ def test_inverse_requires_unit_constant_term():
 
 
 def test_noncommutative_inverse_two_sided():
-    ops = nsym.WordOps()
+    ops = nsym.SERIES_OPS
     lam = TruncSeries(ops, (nsym.unit(),) + tuple(nsym.generator(m) for m in (1, 2, 3)))
     inv = lam.inverse_right()
     one = TruncSeries.one(ops, 3)

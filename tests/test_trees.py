@@ -12,7 +12,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
-from conftest import canonical_trees, raw_trees
+from conftest import build_tree, canonical_trees, raw_trees
+from oracles import nested_cut_sequences
 from treehopf import gl, ncs, trees
 from treehopf.orderpoly import order_poly, strict_order_poly
 from treehopf.trees import (
@@ -20,7 +21,6 @@ from treehopf.trees import (
     automorphism_count,
     bplus,
     branch_forest,
-    canonicalize,
     cut_results,
     enumerate_bplus_trees,
     enumerate_forests,
@@ -29,7 +29,6 @@ from treehopf.trees import (
     forest_text,
     graft_positions,
     leaf,
-    nested_cut_sequences,
     node,
     parse_forest,
     parse_tree,
@@ -167,24 +166,23 @@ def brute_force_automorphisms(t):
 # ---------------------------------------------------------------------------
 
 def test_singleton_is_fixed_point():
-    t = canonicalize(1)
-    assert canonicalize(t) is t
+    t = leaf(1)
+    assert node(t.label, t.children) is t
     assert tree_text(t) == "1"
 
 
 def test_child_order_is_irrelevant():
-    assert canonicalize((1, [2, 1])) is canonicalize((1, [1, 2]))
+    assert node(1, (leaf(2), leaf(1))) is node(1, (leaf(1), leaf(2)))
 
 
 def test_five_vertex_tree_all_parse_orders_identical():
     # 1(2, 1(3, 1)): permute children at every level by brute force.
     variants = set()
-    for top in itertools.permutations([2, (1, [3, 1])]):
-        for inner in itertools.permutations([3, 1]):
-            desc = (1, [top[0] if top[0] != (1, [3, 1]) else (1, list(inner)),
-                        top[1] if top[1] != (1, [3, 1]) else (1, list(inner))])
-            variants.add(tree_text(canonicalize(desc)))
+    for inner in itertools.permutations([leaf(3), leaf(1)]):
+        for top in itertools.permutations([leaf(2), node(1, inner)]):
+            variants.add(node(1, top))
     assert len(variants) == 1
+    assert tree_text(variants.pop()) == "1(1(1,3),2)"
 
 
 def _reversed_children(raw):
@@ -193,29 +191,18 @@ def _reversed_children(raw):
 
 
 @given(raw_trees())
-def test_canonicalize_idempotent(raw):
-    t = canonicalize(raw)
-    assert canonicalize(t) is t
+def test_node_is_idempotent_and_ignores_child_order(raw):
+    t = build_tree(raw)
+    assert node(t.label, t.children) is t
     # Equal trees and forests built apart are one object.
-    assert canonicalize(_reversed_children(raw)) is t
-    ts = [canonicalize(k) for k in raw[1]]
+    assert build_tree(_reversed_children(raw)) is t
+    ts = [build_tree(k) for k in raw[1]]
     assert forest(ts) is forest(reversed(ts))
 
 
 @given(canonical_trees())
 def test_serialize_parse_round_trip(t):
     assert parse_tree(tree_text(t)) is t
-
-
-def test_canonicalize_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        canonicalize((1, [0]))
-    with pytest.raises(ValueError):
-        canonicalize((-1, []))
-    with pytest.raises(ValueError):
-        canonicalize((1, [3]), labels=(1, 2))
-    # 0 allowed at the root only
-    assert canonicalize((0, [1])).label == 0
 
 
 def test_parse_rejects_zero_off_root():
