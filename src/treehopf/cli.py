@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from . import duality, gl, ncs, nsym, orderpoly
+from . import duality, gl, memo, ncs, nsym, orderpoly
 from .trees import (
     enumerate_bplus_trees,
     enumerate_forests,
@@ -28,24 +27,30 @@ from .trees import (
 MAX_ORDER_CEILING = 12
 
 
-@dataclass
 class RunConfig:
-    labels: tuple[int, ...] = (1,)
-    max_weight: int = 4
-    max_vertices: int = 6
-    fmt: str = "text"
+    __slots__ = ("labels", "max_weight", "max_vertices", "fmt")
 
-    def __post_init__(self):
-        if not self.labels:
+    def __init__(
+        self,
+        labels: tuple[int, ...] = (1,),
+        max_weight: int = 4,
+        max_vertices: int = 6,
+        fmt: str = "text",
+    ):
+        if not labels:
             raise ValueError("label set must be nonempty")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
-        if any(x < 1 for x in self.labels):
+        if any(x < 1 for x in labels):
             raise ValueError("labels must be positive integers")
-        if not 1 <= self.max_weight <= MAX_ORDER_CEILING:
+        if not 1 <= max_weight <= MAX_ORDER_CEILING:
             raise ValueError(f"max weight must be between 1 and {MAX_ORDER_CEILING}")
-        if not 1 <= self.max_vertices <= MAX_ORDER_CEILING:
+        if not 1 <= max_vertices <= MAX_ORDER_CEILING:
             raise ValueError(f"max vertices must be between 1 and {MAX_ORDER_CEILING}")
+        self.labels = labels
+        self.max_weight = max_weight
+        self.max_vertices = max_vertices
+        self.fmt = fmt
 
 
 def _parse_labels(text: str) -> tuple[int, ...]:
@@ -257,7 +262,9 @@ def _add_common(p: argparse.ArgumentParser, max_weight_default: int = 4):
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@memo.memoized
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="treehopf",
         description="Exact Hopf-algebra computations on labeled rooted trees.",

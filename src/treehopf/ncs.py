@@ -16,9 +16,9 @@ quasi-symmetric functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd
+from typing import NamedTuple
 
 from . import duality, gl, memo, nsym
 from .linear import extend_multiplicatively
@@ -46,8 +46,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class NCSSystem:
+class NCSSystem(NamedTuple):
     """A 5-tuple of truncated series sharing one carrier algebra."""
 
     carrier: str
@@ -204,11 +203,11 @@ def pi_ncs_system(order: int) -> NCSSystem:
 # Verifying the defining equations
 # ---------------------------------------------------------------------------
 
-@dataclass
 class EquationCheck:
-    equation: str
-    status: str
-    first_failure: dict | None = None
+    __slots__ = ("equation", "status", "first_failure")
+
+    def __init__(self, equation: str, status: str, first_failure: dict | None = None):
+        self.equation, self.status, self.first_failure = equation, status, first_failure
 
     def as_dict(self) -> dict:
         return {
@@ -218,11 +217,12 @@ class EquationCheck:
         }
 
 
-@dataclass
 class NCSReport:
-    carrier: str
-    order: int
-    checks: list[EquationCheck] = field(default_factory=list)
+    __slots__ = ("carrier", "order", "checks")
+
+    def __init__(self, carrier: str, order: int, checks: list[EquationCheck] | None = None):
+        self.carrier, self.order = carrier, order
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

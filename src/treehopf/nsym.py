@@ -14,8 +14,8 @@ monomials.  Products, coproducts and the pairing sum integer numerators
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import memo
 from .linear import LinComb, bilinear, extend_multiplicatively, format_linear
@@ -133,8 +133,7 @@ def omega_lambda(a: NSymElem) -> NSymElem:
 # The five generating functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PiSystem:
+class PiSystem(NamedTuple):
     """The five classical generating functions over NSym, truncated at `order`.
 
     * elementary: sum of t^m times the m-th elementary generator,

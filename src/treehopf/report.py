@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class CheckReport:
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("checked", "failures")
+
+    def __init__(self, checked: int = 0, failures: list[str] | None = None):
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

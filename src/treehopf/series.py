@@ -3,17 +3,16 @@
 The parameter t is central and all arithmetic is exact modulo t**(N+1).
 The engine is generic over a small algebra interface (zero, one, sum, scale,
 dot, eq, describe): :class:`LinCombOps` serves every ``LinComb`` carrier
-(free-algebra and tree-algebra elements), :class:`RationalOps` rational
-scalars.  Coefficients beyond the truncation order are silently dropped;
-that is the meaning of truncation, never an error.
+(free-algebra and tree-algebra elements); the tests add a carrier of rational
+scalars.  Coefficients beyond the truncation order are silently dropped; that
+is the meaning of truncation, never an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Any, Callable
+from typing import Callable
 
 from .linear import LinComb, add_all
 
@@ -50,41 +49,26 @@ class LinCombOps:
         return x == y
 
 
-@dataclass(frozen=True)
-class RationalOps:
-    """The base case: exact rational scalars, the tests' reference carrier."""
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def sum(self, xs):
-        return sum(xs, Fraction(0))
-
-    def scale(self, c, x):
-        return c * x
-
-    def dot(self, pairs):
-        return sum((x * y for x, y in pairs), Fraction(0))
-
-    def eq(self, x, y) -> bool:
-        return x == y
-
-    def describe(self, x) -> str:
-        return str(x)
-
-
-RATIONAL_OPS = RationalOps()
-
-
-@dataclass(frozen=True)
 class TruncSeries:
-    """Coefficients c[0..N] of a series known exactly modulo t**(N+1)."""
+    """Coefficients c[0..N] of a series known exactly modulo t**(N+1).
 
-    ops: Any
-    coeffs: tuple
+    Read-only: a series may sit in a memo table shared by every caller.
+    """
+
+    __slots__ = ("ops", "coeffs")
+
+    def __init__(self, ops, coeffs: tuple):
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TruncSeries is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TruncSeries is read-only; cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return f"TruncSeries(ops={self.ops!r}, coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:

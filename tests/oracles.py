@@ -66,3 +66,31 @@ def nested_cut_sequences(
 def binomial_poly(k: int) -> RationalPolynomial:
     """The polynomial s(s-1)...(s-k+1)/k!."""
     return interpolate_integer_nodes([0] * k + [1])
+
+
+class RationalOps:
+    """The series interface over exact rational scalars: the base-case carrier."""
+
+    def zero(self) -> Fraction:
+        return Fraction(0)
+
+    def one(self) -> Fraction:
+        return Fraction(1)
+
+    def sum(self, xs):
+        return sum(xs, Fraction(0))
+
+    def scale(self, c, x):
+        return c * x
+
+    def dot(self, pairs):
+        return sum((x * y for x, y in pairs), Fraction(0))
+
+    def eq(self, x, y) -> bool:
+        return x == y
+
+    def describe(self, x) -> str:
+        return str(x)
+
+
+RATIONAL_OPS = RationalOps()

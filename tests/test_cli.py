@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import treehopf
-from treehopf import cli, orderpoly
+from treehopf import cli, ncs, nsym, orderpoly
 from treehopf.cli import main
 from treehopf.trees import forest, leaf, node, parse_tree, tree_text
 
@@ -290,3 +290,27 @@ def test_theta_accepts_a_tree_at_the_size_ceiling(capsys):
     code, out, _ = run(capsys, "theta", _chain_text(cli.MAX_ORDER_CEILING, "0"))
     assert code == 0
     assert out == f"1/{cli.MAX_ORDER_CEILING}\n"
+
+
+def test_import_path_leaves_out_dataclasses_and_inspect():
+    # Start-up cost: dataclasses alone pulls in inspect, ast, dis and tokenize.
+    package = Path(treehopf.__file__).resolve().parent
+    modules = sorted(f"treehopf.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    assert len(modules) >= 12
+    code = (
+        f"import sys, treehopf\nfor m in {modules!r}: __import__(m)\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    proc = _python_subprocess("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_series_systems_are_read_only():
+    omega = ncs.build_omega((1,), 2)
+    pi = nsym.pi_system(2)
+    for record, name in ((omega.f, "coeffs"), (omega.f, "ops"), (omega, "g"), (pi, "complete")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        del omega.f.coeffs

@@ -1,6 +1,5 @@
 """The five-series system over trees: axioms, constants, specialization."""
 
-import dataclasses
 from fractions import Fraction
 from math import comb, lcm
 
@@ -252,7 +251,7 @@ def test_verify_failure_text_of_corrupted_d():
     terms[parse_forest("[1(1,1)]")] = Fraction(1, 7)
     terms[parse_forest("[2(1)]")] = Fraction(-1, 2)
     bad_d = type(omega.d)(omega.d.ops, d[:3] + (gl.GLElem(terms, gl.V_BASIS),) + d[4:])
-    report = ncs.verify_ncs(dataclasses.replace(omega, d=bad_d))
+    report = ncs.verify_ncs(omega._replace(d=bad_d))
     assert [(c.equation, c.first_failure) for c in report.checks if c.status == "fail"] == [
         ("exponential", {"degree": 3, "diff": "-1/42*V[1(1,1)] - V[2(1)]"})
     ]

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from oracles import RATIONAL_OPS
 from treehopf import gl, nsym
 from treehopf.linear import add_all
-from treehopf.series import RATIONAL_OPS, TruncSeries
+from treehopf.series import TruncSeries
 from treehopf.trees import enumerate_forests, parse_tree
 
 rationals = st.fractions(
