@@ -15,6 +15,7 @@ import sys
 
 from . import duality, gl, memo, ncs, nsym, orderpoly
 from .trees import (
+    MAX_ORDER_CEILING,
     enumerate_bplus_trees,
     enumerate_forests,
     enumerate_trees,
@@ -23,8 +24,6 @@ from .trees import (
     parse_tree,
     tree_text,
 )
-
-MAX_ORDER_CEILING = 12
 
 
 class RunConfig:
@@ -160,24 +159,8 @@ def _verify_reports(suite: str, cfg: RunConfig) -> tuple[dict[str, dict], bool]:
     return reports, all(passed)
 
 
-def _vertex_ceiling(suite: str) -> int:
-    """Largest --max-vertices every sweep of the suite accepts.
-
-    The order-polynomial sweep takes forests of up to DESK_VERTEX_BOUND
-    vertices, and the theta sweep reads the order polynomial of the branch
-    forest of each grafting-rooted tree, which has as many vertices as the
-    tree has non-root ones.
-    """
-    if suite in ("theta", "orderpoly", "all"):
-        return orderpoly.DESK_VERTEX_BOUND
-    return MAX_ORDER_CEILING
-
-
 def cmd_verify(args) -> int:
     cfg = _config(args)
-    ceiling = _vertex_ceiling(args.suite)
-    if cfg.max_vertices > ceiling:
-        raise ValueError(f"max vertices for suite {args.suite} must be between 1 and {ceiling}")
     reports, ok = _verify_reports(args.suite, cfg)
     lines = []
     for name, rep in reports.items():

@@ -3,7 +3,8 @@
 Tables are plain unbounded dicts made by :func:`table`, which lists each one
 in :data:`TABLES`; every write is ``cache.setdefault(key, value)``.
 :func:`memoized` wraps a pure function whose result depends only on its
-positional arguments.  Values are computed outside any lock: a racing
+positional arguments, and :func:`bottom_up` one computed from the values of
+a tree's children.  Values are computed outside any lock: a racing
 computation stores the same value, and the first one stored is kept and
 returned to every racer, so an interned object stays unique and equality by
 identity stays sound.
@@ -39,6 +40,43 @@ def memoized(fn):
         if got is not None:
             return got
         return put(args, fn(*args))
+
+    wrapper.table = cache
+    return wrapper
+
+
+def bottom_up(combine):
+    """The function f(t, *args) = combine(t, [f(c, *args) for c in t.children], *args).
+
+    It is memoized on ``(t, *args)`` in a table of its own, ``.table``, and
+    named and documented as combine.  The distinct subtrees whose values are
+    missing are filled children first on an explicit stack, so a tree of any
+    depth costs no interpreter stack.  combine must never return None.
+    """
+    cache = table()
+    get = cache.get
+    put = cache.setdefault
+
+    @functools.wraps(combine)
+    def wrapper(*key):
+        got = get(key)
+        if got is not None:
+            return got
+        args = key[1:]
+        stack = [key[0]]
+        while stack:
+            u = stack[-1]
+            if (u,) + args in cache:
+                stack.pop()
+                continue
+            kids = [(c,) + args for c in u.children]
+            pending = [k[0] for k in kids if k not in cache]
+            if pending:
+                stack.extend(pending)
+            else:
+                stack.pop()
+                put((u,) + args, combine(u, [cache[k] for k in kids], *args))
+        return cache[key]
 
     wrapper.table = cache
     return wrapper

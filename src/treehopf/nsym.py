@@ -197,25 +197,15 @@ def complete_word(comp: Composition) -> NSymElem:
     return acc
 
 
-_ELEM_IN_COMPLETE = memo.table()
-
-
 def elementary_in_complete(m: int) -> NSymElem:
     """The m-th elementary generator expanded in complete-basis words.
 
-    Obtained by inverting the complete generating function at -t in a free
-    algebra whose one-letter words stand for complete functions.
+    The identity lambda(-t) sigma(t) = 1 is symmetric in lambda and sigma,
+    so inverting sigma(-t) repeats the solve that gives sigma from lambda:
+    the expansion is that of :func:`complete_element`, its one-letter words
+    read as complete functions.
     """
-    if m == 0:
-        return unit()
-    got = _ELEM_IN_COMPLETE.get(m)
-    if got is not None:
-        return got
-    sigma_free = TruncSeries(SERIES_OPS, (unit(),) + tuple(generator(k) for k in range(1, m + 1)))
-    lam_free = sigma_free.alternate().inverse_right()
-    for k in range(1, m + 1):
-        _ELEM_IN_COMPLETE.setdefault(k, lam_free.coeffs[k])
-    return lam_free.coeffs[m]
+    return complete_element(m)
 
 
 def to_complete_basis(a: NSymElem) -> NSymElem:

@@ -20,6 +20,7 @@ from .linear import format_linear
 from .report import CheckReport
 from .trees import (
     EMPTY_FOREST,
+    MAX_ORDER_CEILING,
     Forest,
     LabeledTree,
     branch_forest,
@@ -29,11 +30,8 @@ from .trees import (
     nested_cut_terms,
     shape,
     tree_text,
-    _bottom_up,
     _require_grafting_root,
 )
-
-DESK_VERTEX_BOUND = 10
 
 
 def _over_common_denominator(xs) -> tuple[list[int], int]:
@@ -199,31 +197,26 @@ def interpolate_integer_nodes(values) -> RationalPolynomial:
 # Counting order-preserving maps
 # ---------------------------------------------------------------------------
 
-_ROOT_VECTORS = memo.table()
-
-
-def _root_value_vector(u: LabeledTree, n: int, strict: bool) -> tuple[int, ...]:
-    # v[r] = number of maps of the subtree with the root sent to r (1-indexed;
-    # v[0] unused).  Children must take values >= r (weak) or > r (strict).
-    # Walked bottom-up, so a tree of any depth costs no interpreter stack.
-    def combine(v: LabeledTree, kid_vectors: list[tuple[int, ...]]) -> tuple[int, ...]:
-        child_suffix = []
-        for vec in kid_vectors:
-            suffix = [0] * (n + 2)
-            for r in range(n, 0, -1):
-                suffix[r] = suffix[r + 1] + vec[r]
-            child_suffix.append(suffix)
-        out = [0] * (n + 1)
-        for r in range(1, n + 1):
-            prod = 1
-            for suffix in child_suffix:
-                prod *= suffix[r + 1] if strict else suffix[r]
-                if not prod:
-                    break
-            out[r] = prod
-        return _ROOT_VECTORS.setdefault((v, n, strict), tuple(out))
-
-    return _bottom_up(u, lambda v: _ROOT_VECTORS.get((v, n, strict)), combine)
+@memo.bottom_up
+def _root_value_vector(u: LabeledTree, kid_vectors, n: int, strict: bool) -> tuple[int, ...]:
+    # out[r] = number of maps of the subtree with the root sent to r
+    # (1-indexed; out[0] unused).  Children take values >= r (weak) or > r
+    # (strict).
+    child_suffix = []
+    for vec in kid_vectors:
+        suffix = [0] * (n + 2)
+        for r in range(n, 0, -1):
+            suffix[r] = suffix[r + 1] + vec[r]
+        child_suffix.append(suffix)
+    out = [0] * (n + 1)
+    for r in range(1, n + 1):
+        prod = 1
+        for suffix in child_suffix:
+            prod *= suffix[r + 1] if strict else suffix[r]
+            if not prod:
+                break
+        out[r] = prod
+    return tuple(out)
 
 
 def count_order_preserving(f: Forest, n: int, strict: bool) -> int:
@@ -256,9 +249,9 @@ def order_poly(f: Forest) -> RationalPolynomial:
 
 
 def _forest_poly(f: Forest, strict: bool) -> RationalPolynomial:
-    if f.size > DESK_VERTEX_BOUND:
+    if f.size > MAX_ORDER_CEILING:
         raise ValueError(
-            f"forest has {f.size} vertices, above the supported bound {DESK_VERTEX_BOUND}"
+            f"forest has {f.size} vertices, above the supported bound {MAX_ORDER_CEILING}"
         )
     acc = ONE_POLY
     for t in f.trees:

@@ -7,8 +7,9 @@ a fixed total order, so two isomorphic labeled trees (isomorphism preserving
 the root and every label) are literally the same object.  Everything in this
 module is pure; the memo tables only ever store values that any racing
 computation would agree on.  Walks over a tree (text, shape, automorphisms,
-admissible cuts, insertion of a scion) run bottom-up on its distinct interned
-subtrees, each memoized, on an explicit stack; there are no vertex ids.
+admissible cuts, insertion of a scion) are :func:`memo.bottom_up` functions:
+they fill its distinct interned subtrees children first, each memoized, on
+an explicit stack; there are no vertex ids.
 
 Serialization grammar (bit-exact, canonical child order)::
 
@@ -43,7 +44,7 @@ class LabeledTree:
     the nested key only orders.
     """
 
-    __slots__ = ("label", "children", "weight", "size", "_key", "_text")
+    __slots__ = ("label", "children", "weight", "size", "_key")
 
     def __init__(self, label: int, children: tuple["LabeledTree", ...]):
         self.label = label
@@ -51,7 +52,6 @@ class LabeledTree:
         self.weight = label + sum(map(_weight, children))
         self.size = 1 + sum(map(_size, children))
         self._key = (label, tuple(map(_canonical, children)))
-        self._text: str | None = None
 
     def __lt__(self, other: "LabeledTree"):
         return self._key < other._key
@@ -84,14 +84,13 @@ class Forest:
     are identity, as for trees.
     """
 
-    __slots__ = ("trees", "weight", "size", "_key", "_text", "_alpha")
+    __slots__ = ("trees", "weight", "size", "_key", "_alpha")
 
     def __init__(self, trees: tuple[LabeledTree, ...]):
         self.trees = trees
         self.weight = sum(map(_weight, trees))
         self.size = sum(map(_size, trees))
         self._key = tuple(map(_canonical, trees))
-        self._text: str | None = None
         self._alpha: int | None = None
 
     def __lt__(self, other: "Forest"):
@@ -142,59 +141,30 @@ def branch_forest(t: LabeledTree) -> Forest:
     return forest(t.children)
 
 
-GRAFT_UNIT = bplus(EMPTY_FOREST)
+@memo.bottom_up
+def tree_text(t: LabeledTree, kids: list[str]) -> str:
+    return f"{t.label}({','.join(kids)})" if kids else str(t.label)
 
 
-def _bottom_up(t: LabeledTree, cached, combine):
-    # combine(u, values of u's children) at every vertex whose value cached(u)
-    # does not hold yet, children first.  An explicit stack instead of
-    # recursion, so a tree of any depth costs no interpreter stack.
-    values = {}
-    stack = [t]
-    while stack:
-        u = stack[-1]
-        if u in values:
-            stack.pop()
-            continue
-        got = cached(u)
-        if got is not None:
-            values[u] = got
-            stack.pop()
-            continue
-        pending = [c for c in u.children if c not in values]
-        if pending:
-            stack.extend(pending)
-        else:
-            stack.pop()
-            values[u] = combine(u, [values[c] for c in u.children])
-    return values[t]
-
-
-def _text_of(u: LabeledTree, kids: list[str]) -> str:
-    u._text = f"{u.label}({','.join(kids)})" if kids else str(u.label)
-    return u._text
-
-
-def tree_text(t: LabeledTree) -> str:
-    if t._text is None:
-        return _bottom_up(t, lambda u: u._text, _text_of)
-    return t._text
-
-
+@memo.memoized
 def forest_text(f: Forest) -> str:
-    if f._text is None:
-        f._text = "[" + ",".join(tree_text(t) for t in f.trees) + "]"
-    return f._text
+    return "[" + ",".join(map(tree_text, f.trees)) + "]"
 
 
 # Deepest nesting the parser accepts.  The parser and the grafting oracle
-# graft_positions recurse once per level; tree_text, shape,
-# automorphism_count, label_values, cut_results and insert_scion do not;
-# nested_cut_sums recurses once per k and the GL product tables once per
-# scion, not once per level.
+# graft_positions recurse once per level; the memo.bottom_up walks (tree_text,
+# shape, automorphism_count, cut_results, the insertion behind insert_scion)
+# and label_values do not; nested_cut_sums recurses once per k and the GL
+# product tables once per scion, not once per level.
 # Deeper text is refused before any tree is built, so it ends in a one-line
 # ValueError, not a RecursionError.
 MAX_PARSE_DEPTH = 100
+
+# The one size ceiling: order_poly refuses a forest with more vertices,
+# treehopf theta a tree with more non-root vertices, and the CLI a larger
+# --max-weight or --max-vertices, so the three tree-constant routes accept
+# the same trees.
+MAX_ORDER_CEILING = 12
 
 
 class _Parser:
@@ -300,42 +270,28 @@ def chain_leaf(t: LabeledTree) -> LabeledTree:
     return t
 
 
-_SHAPE_CACHE = memo.table()
-
-
-def shape(t: LabeledTree) -> LabeledTree:
+@memo.bottom_up
+def shape(t: LabeledTree, kids: list[LabeledTree]) -> LabeledTree:
     """Underlying unlabeled tree, represented with every label set to 1."""
-    got = _SHAPE_CACHE.get(t)
-    if got is not None:
-        return got
-    return _bottom_up(
-        t, _SHAPE_CACHE.get, lambda u, kids: _SHAPE_CACHE.setdefault(u, node(1, kids))
-    )
+    return node(1, kids)
 
 
-_ALPHA_CACHE = memo.table()
-
-
-def automorphism_count(t: LabeledTree) -> int:
+@memo.bottom_up
+def automorphism_count(t: LabeledTree, kids: list[int]) -> int:
     """Order of the label- and root-preserving automorphism group.
 
     Children are canonical, so equal siblings are adjacent; each class of m
     equal children contributes m! times the class automorphisms to the m-th
     power.
     """
-    got = _ALPHA_CACHE.get(t)
-    if got is not None:
-        return got
-    return _bottom_up(
-        t, _ALPHA_CACHE.get, lambda u, kids: _ALPHA_CACHE.setdefault(u, _automorphisms(u.children, kids))
-    )
+    return _automorphisms(t.children, kids)
 
 
 def forest_automorphisms(f: Forest) -> int:
     """Order of the automorphism group of the forest, that of bplus(f).
 
-    Cached on the forest, as its text is: the product tables read it for
-    every result they convert between the bases.
+    Cached on the forest: the product tables read it for every result they
+    convert between the bases.
     """
     a = f._alpha
     if a is None:
@@ -431,10 +387,8 @@ def enumerate_bplus_trees(labels: Iterable[int], weight: int) -> tuple[LabeledTr
 # Cuts
 # ---------------------------------------------------------------------------
 
-_CUT_CACHE = memo.table()
-
-
-def cut_results(t: LabeledTree) -> tuple[tuple[Forest, LabeledTree, int], ...]:
+@memo.bottom_up
+def cut_results(t: LabeledTree, kid_cuts) -> tuple[tuple[Forest, LabeledTree, int], ...]:
     """All admissible cuts of the tree as (pruned forest, trunk, count).
 
     count is the number of edge sets that split the tree into that pair; the
@@ -443,17 +397,8 @@ def cut_results(t: LabeledTree) -> tuple[tuple[Forest, LabeledTree, int], ...]:
     of c, and c's empty cut keeps c whole.  States are keyed by (pruned
     forest, forest of the trunk's children) and carry their counts.
     """
-    got = _CUT_CACHE.get(t)
-    if got is not None:
-        return got
-    return _bottom_up(
-        t, _CUT_CACHE.get, lambda u, kids: _CUT_CACHE.setdefault(u, _cuts_at(u, kids))
-    )
-
-
-def _cuts_at(u: LabeledTree, kid_cuts) -> tuple[tuple[Forest, LabeledTree, int], ...]:
     states = {(EMPTY_FOREST, EMPTY_FOREST): 1}
-    for c, cuts in zip(u.children, kid_cuts):
+    for c, cuts in zip(t.children, kid_cuts):
         grown: dict = {}
         for (pruned, kept), n in states.items():
             for p, trunk, m in cuts:
@@ -462,7 +407,7 @@ def _cuts_at(u: LabeledTree, kid_cuts) -> tuple[tuple[Forest, LabeledTree, int],
             key = (forest(pruned.trees + (c,)), kept)
             grown[key] = grown.get(key, 0) + n
         states = grown
-    return tuple((pruned, node(u.label, kept.trees), n) for (pruned, kept), n in states.items())
+    return tuple((pruned, node(t.label, kept.trees), n) for (pruned, kept), n in states.items())
 
 
 @memo.memoized
@@ -589,9 +534,7 @@ def _attach(u: LabeledTree, counter, extra: dict[int, list[LabeledTree]]) -> Lab
     return node(u.label, kids)
 
 
-_INSERT_CACHE = memo.table()
-
-
+@memo.memoized
 def insert_scion(scion: LabeledTree, f: Forest, at_root: bool) -> tuple:
     """Attach the scion at each vertex of the trees of f, one vertex at a time.
 
@@ -600,12 +543,8 @@ def insert_scion(scion: LabeledTree, f: Forest, at_root: bool) -> tuple:
     the number of vertices giving each, flat: ``(r1, n1, r2, n2, ...)``.
     Results are distinct without merging: they differ in which tree of f
     grew, or where below it.  Memoized on (scion, f, at_root), and the
-    insertion into each tree on (scion, subtree), filled bottom-up.
+    insertion into each tree on (subtree, scion), filled bottom-up.
     """
-    key = (scion, f, at_root)
-    got = _INSERT_CACHE.get(key)
-    if got is not None:
-        return got
     out = [forest(f.trees + (scion,)), 1] if at_root else []
     trees = f.trees
     start = 0
@@ -613,28 +552,23 @@ def insert_scion(scion: LabeledTree, f: Forest, at_root: bool) -> tuple:
         k = len(tuple(group))
         rest = trees[:start] + trees[start + 1 :]
         start += k
-        flat = iter(_insert_into_tree(scion, t))
+        flat = iter(_insert_into_tree(t, scion))
         for r, n in zip(flat, flat):
             out += (forest(rest + (r,)), k * n)
-    return _INSERT_CACHE.setdefault(key, tuple(out))
+    return tuple(out)
 
 
-def _insert_into_tree(scion: LabeledTree, t: LabeledTree) -> tuple:
+@memo.bottom_up
+def _insert_into_tree(t: LabeledTree, kid_results, scion: LabeledTree) -> tuple:
     # The trees with the scion attached at one vertex of t, flat (r1, n1, ...).
-    def cached(u):
-        return _INSERT_CACHE.get((scion, u))
-
-    def combine(u, kid_results):
-        kids = u.children
-        out = [node(u.label, kids + (scion,)), 1]
-        start = 0
-        for _, group in itertools.groupby(kids):
-            k = len(tuple(group))
-            rest = kids[:start] + kids[start + 1 :]
-            flat = iter(kid_results[start])
-            start += k
-            for r, n in zip(flat, flat):
-                out += (node(u.label, rest + (r,)), k * n)
-        return _INSERT_CACHE.setdefault((scion, u), tuple(out))
-
-    return _bottom_up(t, cached, combine)
+    kids = t.children
+    out = [node(t.label, kids + (scion,)), 1]
+    start = 0
+    for _, group in itertools.groupby(kids):
+        k = len(tuple(group))
+        rest = kids[:start] + kids[start + 1 :]
+        flat = iter(kid_results[start])
+        start += k
+        for r, n in zip(flat, flat):
+            out += (node(t.label, rest + (r,)), k * n)
+    return tuple(out)

@@ -117,7 +117,7 @@ def test_verify_all_small(capsys):
 
 
 @pytest.mark.parametrize(
-    "suite, too_many", [("theta", "11"), ("all", "11"), ("orderpoly", "11")]
+    "suite, too_many", [("theta", "13"), ("all", "13"), ("orderpoly", "13")]
 )
 def test_verify_refuses_vertices_beyond_the_routes_before_any_work(capsys, suite, too_many):
     started = time.perf_counter()
@@ -130,21 +130,20 @@ def test_verify_refuses_vertices_beyond_the_routes_before_any_work(capsys, suite
 
 def test_vertex_ceilings_match_what_the_routes_accept():
     # --max-vertices counts non-root vertices; the theta sweep adds the root.
-    theta_top = cli._vertex_ceiling("theta")
+    top = cli.MAX_ORDER_CEILING
     chain = leaf(1)
-    for _ in range(theta_top - 1):
+    for _ in range(top - 1):
         chain = node(1, (chain,))
-    assert orderpoly.theta_via_orderpoly(node(0, (chain,))) == Fraction(1, theta_top)
+    t = node(0, (chain,))
+    assert ncs.theta_recurrence(t) == Fraction(1, top)
+    assert ncs.theta_via_log((1,), top)[t] == Fraction(1, top)
+    assert orderpoly.theta_via_orderpoly(t) == Fraction(1, top)
     with pytest.raises(ValueError):
         orderpoly.theta_via_orderpoly(node(0, (node(1, (chain,)),)))
 
-    poly_top = cli._vertex_ceiling("orderpoly")
-    orderpoly.order_poly(forest(leaf(1) for _ in range(poly_top)))
+    orderpoly.order_poly(forest(leaf(1) for _ in range(top)))
     with pytest.raises(ValueError):
-        orderpoly.order_poly(forest(leaf(1) for _ in range(poly_top + 1)))
-
-    assert cli._vertex_ceiling("all") == min(theta_top, poly_top)
-    assert cli._vertex_ceiling("ncs") == cli.MAX_ORDER_CEILING
+        orderpoly.order_poly(forest(leaf(1) for _ in range(top + 1)))
 
 
 def test_verify_json_reports(capsys):

@@ -1,0 +1,73 @@
+"""The memo decorators, and the rule that every memo table sits behind them."""
+
+import ast
+from pathlib import Path
+
+import treehopf
+from treehopf import memo
+from treehopf.trees import parse_tree
+
+
+def _counting_size():
+    calls = []
+
+    @memo.bottom_up
+    def size(t, kids):
+        calls.append(t)
+        return 1 + sum(kids)
+
+    return size, calls
+
+
+def test_bottom_up_combines_each_distinct_subtree_once():
+    size, calls = _counting_size()
+    t = parse_tree("1(2(3,3),2(3,3),2(3,3),3)")
+    assert size(t) == t.size == 11
+    # The distinct subtrees are 3, 2(3,3) and the root.
+    assert len(calls) == len(set(calls)) == 3
+    assert set(size.table) == {(u,) for u in calls}
+
+
+def test_bottom_up_cold_and_warm_calls_agree():
+    size, calls = _counting_size()
+    small = parse_tree("1(1(1),1)")
+    big = parse_tree("2(1(1(1),1),1(1),2)")
+    assert size(small) == small.size
+    assert len(calls) == 3
+    # The second tree reuses the entries of the first and fills the rest:
+    # the leaf 2 and its root.
+    assert size(big) == big.size
+    assert len(calls) == 5
+    assert size(big) == big.size and size(small) == small.size
+    assert len(calls) == 5
+
+
+def test_bottom_up_keys_extra_arguments_apart():
+    @memo.bottom_up
+    def weighted(t, kids, scale):
+        return scale * t.label + sum(kids)
+
+    t = parse_tree("1(2,3(4))")
+    assert weighted(t, 1) == 10
+    assert weighted(t, 10) == 100
+    assert weighted(t.children[1], 10) == 70
+    assert (t, 1) in weighted.table and (t, 10) in weighted.table
+
+
+def test_memo_tables_outside_memo_are_only_the_intern_pools():
+    # Every memo table is made by memo.memoized or memo.bottom_up and is read
+    # and written only there; the intern pools are the two direct tables.
+    package = Path(treehopf.__file__).resolve().parent
+    calls, pools = 0, []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "memo.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call) and ast.unparse(n.func) == "memo.table":
+                calls += 1
+            elif isinstance(n, ast.Assign) and ast.unparse(n.value) == "memo.table()":
+                pools += [ast.unparse(target) for target in n.targets]
+            elif isinstance(n, ast.Attribute) and n.attr in ("get", "setdefault"):
+                assert not ast.unparse(n.value).endswith(".table"), path.name
+    assert calls == len(pools)
+    assert sorted(pools) == ["_FOREST_POOL", "_TREE_POOL"]

@@ -11,6 +11,7 @@ from conftest import canonical_trees
 from treehopf import ck, gl, ncs, nsym, orderpoly
 from treehopf.trees import (
     EMPTY_FOREST,
+    MAX_ORDER_CEILING,
     branch_forest,
     enumerate_bplus_trees,
     leaf,
@@ -164,7 +165,7 @@ def test_theta_shrub_closed_form_to_twelve_leaves():
 @given(st.lists(canonical_trees(), min_size=1, max_size=2))
 def test_theta_recurrence_matches_orderpoly_route(branches):
     t = node(0, branches)
-    assume(t.size <= orderpoly.DESK_VERTEX_BOUND - 1)
+    assume(t.size <= MAX_ORDER_CEILING - 1)
     assert ncs.theta_recurrence(t) == orderpoly.theta_via_orderpoly(t), tree_text(t)
 
 

@@ -411,7 +411,7 @@ def test_theta_route_matches_backward_difference():
 
 
 def test_size_bound_enforced():
-    big = forest(tuple(leaf(1) for _ in range(11)))
+    big = forest(tuple(leaf(1) for _ in range(13)))
     with pytest.raises(ValueError):
         strict_order_poly(big)
     with pytest.raises(ValueError):

@@ -653,7 +653,8 @@ def test_twelve_equal_scions_graft_in_well_under_a_second():
     # inserting leaves into leaves builds; the cancellation stays cheap at
     # the CLI's weight ceiling.  Cold tables, so the time is the kernel's.
     gl._product_table.table.clear()
-    trees._INSERT_CACHE.clear()
+    trees.insert_scion.table.clear()
+    trees._insert_into_tree.table.clear()
     start = time.perf_counter()
     counts = graft_counts(forest([leaf(1)] * 12), parse_tree("0(1(1),2)"))
     elapsed = time.perf_counter() - start
