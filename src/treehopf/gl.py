@@ -9,8 +9,11 @@ the vertices of the right factor in all possible ways, built one branch at a
 time by the Oudom-Guin recursion of the pre-Lie insertion; a second,
 independent implementation recovers the same structure constants by scanning
 admissible cuts of candidate result trees.  The coproduct splits the branch
-multiset over all ordered bipartitions, and the antipode has a closed form as
-an alternating sum over ordered partitions of the branch multiset.
+multiset over all ordered bipartitions.  The antipode follows the same
+pre-Lie identity: one branch grafted back onto the rest rebuilds the tree
+plus trees with one branch fewer, whose antipodes are memoized; it never
+splits a forest, so the coproduct-based recurrence stays an independent
+check.
 
 Every operation here runs on the integer form of :mod:`treehopf.linear`:
 products sum numerators times integer structure constants, the coproduct
@@ -273,18 +276,13 @@ def mul_structure(a: GLElem, b: GLElem) -> GLElem:
 # Coproduct, counit, antipode
 # ---------------------------------------------------------------------------
 
-def _groups(f: Forest) -> list[tuple[LabeledTree, int]]:
-    # The distinct branches of f with their multiplicities; canonical order
-    # puts equal trees side by side.
-    return [(t, len(tuple(g))) for t, g in itertools.groupby(f.trees)]
-
-
 @memo.memoized
 def _split_table(f: Forest) -> tuple[tuple[tuple[Forest, Forest], int], ...]:
     # The distinct splits (lf, rf) of the branch multiset of f, each with the
     # number of bipartitions of the branch positions that give it: the
-    # product over distinct branches of comb(m, k).
-    groups = _groups(f)
+    # product over distinct branches of comb(m, k).  Canonical order puts
+    # equal branches side by side.
+    groups = [(t, len(tuple(g))) for t, g in itertools.groupby(f.trees)]
     out = []
     for take in itertools.product(*(range(m + 1) for _, m in groups)):
         lf = forest(t for (t, _), k in zip(groups, take) for _ in range(k))
@@ -329,31 +327,19 @@ def is_primitive(a: GLElem) -> bool:
 
 @memo.memoized
 def _antipode_basis_t(f: Forest) -> GLElem:
-    # Takeuchi's formula, summed over the branch multiset M: every sequence
-    # of nonempty sub-multisets N1, ..., Nr with union M contributes
-    # (-1)^r * B(N1) * ... * B(Nr), once for each ordered set partition of
-    # the branch positions that it groups, i.e. prod over distinct branches
-    # of the multinomial of their multiplicity.  Sequences with a common
-    # prefix share its product; no antipode of a remainder is reused.
-    groups = _groups(f)
-    parts: list[tuple[int, GLElem]] = []
-
-    def expand(prefix: GLElem, rest: tuple[int, ...], coeff: int):
-        if not any(rest):
-            parts.append((coeff, prefix))
-            return
-        for take in itertools.product(*(range(m + 1) for m in rest)):
-            if not any(take):
-                continue
-            block = forest(t for (t, _), k in zip(groups, take) for _ in range(k))
-            ways = prod(comb(m, k) for m, k in zip(rest, take))
-            expand(
-                mul(prefix, from_branches(block, T_BASIS)),
-                tuple(m - k for m, k in zip(rest, take)),
-                -coeff * ways,
-            )
-
-    expand(unit(T_BASIS), tuple(m for _, m in groups), 1)
+    # The Oudom-Guin recursion.  With x the largest branch of f and a the
+    # rest, x grafts onto the root of B(a) or onto one of its vertices:
+    #     B(x) * B(a) = B(f) + sum of m * B(r) over insert_scion(x, a, False).
+    # B(x) is primitive and S an antimorphism, so
+    #     S(B(f)) = -S(B(a)) * B(x) - sum of m * S(B(r)),
+    # where a and every r have one branch fewer than f.
+    if not f.trees:
+        return unit(T_BASIS)
+    x = f.trees[-1]
+    a = forest(f.trees[:-1])
+    parts = [(-1, mul(_antipode_basis_t(a), from_branches(forest((x,)), T_BASIS)))]
+    flat = iter(insert_scion(x, a, False))
+    parts += [(-m, _antipode_basis_t(r)) for r, m in zip(flat, flat)]
     return combine(zero(T_BASIS), parts)
 
 
@@ -365,7 +351,7 @@ def _on_t_basis(a: GLElem, image) -> GLElem:
 
 
 def antipode(a: GLElem) -> GLElem:
-    """Closed-form antipode: alternating sum over ordered partitions of the branch multiset."""
+    """Antipode by the pre-Lie recursion: one branch off, grafted back by insert_scion."""
     return _on_t_basis(a, _antipode_basis_t)
 
 

@@ -16,6 +16,7 @@ quasi-symmetric functions.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd
 from typing import NamedTuple
@@ -459,15 +460,19 @@ def specialization_rank(labels, order: int) -> dict[int, dict[str, int]]:
 def _sparse_rank(rows: list[dict[int, int]]) -> int:
     """Rank of the rows {column: nonzero integer}, by fraction-free sparse elimination.
 
-    Each row is kept divided by the gcd of its entries; the sparsest rows
-    are reduced first.  A row is reduced from its lowest column c up: while c
-    is the pivot of a kept row p, the row becomes p[c] * row - row[c] * p,
-    both factors divided by their gcd.  Every kept row starts at its pivot,
-    so each step only adds higher columns.
+    The columns are first renumbered by increasing count of nonzeros, which
+    keeps the rank and makes the sparsest columns the pivots, so the fill-in
+    stays small.  Each row is kept divided by the gcd of its entries; the
+    sparsest rows are reduced first.  A row is reduced from its lowest
+    column c up: while c is the pivot of a kept row p, the row becomes
+    p[c] * row - row[c] * p, both factors divided by their gcd.  Every kept
+    row starts at its pivot, so each step only adds higher columns.
     """
+    count = Counter(j for row in rows for j in row)
+    order = {j: i for i, j in enumerate(sorted(count, key=count.__getitem__))}
     pivots: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
-        row = dict(row)
+        row = {order[j]: v for j, v in row.items()}
         while row:
             content = gcd(*row.values())
             if content != 1:

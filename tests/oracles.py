@@ -2,6 +2,7 @@
 on basis elements, so the tests can check the package against it."""
 
 from fractions import Fraction
+from math import gcd
 
 from treehopf import ck, duality, gl
 from treehopf.orderpoly import RationalPolynomial, interpolate_integer_nodes
@@ -61,6 +62,40 @@ def nested_cut_sequences(
 
     go(t, r - 1, (), 1)
     return list(out.items())
+
+
+def sparse_rank_in_given_column_order(rows: list[dict[int, int]]) -> int:
+    """Rank of the rows {column: nonzero integer}, eliminating lowest column first.
+
+    The elimination of ``ncs._sparse_rank`` without its renumbering of the
+    columns by nonzero count: each row, sparsest first, is kept divided by
+    the gcd of its entries and reduced from its lowest column c up, while c
+    is the pivot of a kept row p, to p[c] * row - row[c] * p with both
+    factors divided by their gcd.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        while row:
+            content = gcd(*row.values())
+            if content != 1:
+                row = {j: v // content for j, v in row.items()}
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = row
+                break
+            g = gcd(prow[col], row[col])
+            p, r = prow[col] // g, row[col] // g
+            if p != 1:
+                row = {j: p * v for j, v in row.items()}
+            for j, v in prow.items():
+                w = row.get(j, 0) - r * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return len(pivots)
 
 
 def binomial_poly(k: int) -> RationalPolynomial:

@@ -181,7 +181,7 @@ def test_criterion_06_structure_constants():
 
 
 # ---------------------------------------------------------------------------
-# 7. Antipode: closed form, recurrence, Hopf axiom
+# 7. Antipode: pre-Lie recursion, coproduct recurrence, Hopf axiom
 # ---------------------------------------------------------------------------
 
 def test_criterion_07_antipode():
@@ -189,8 +189,8 @@ def test_criterion_07_antipode():
     for w in range(0, 5):
         for t in enumerate_bplus_trees((1,), w):
             e = gl.from_bplus_tree(t, gl.T_BASIS)
-            closed = gl.antipode(e)
-            assert closed == gl.antipode_by_recurrence(e), t
+            by_recursion = gl.antipode(e)
+            assert by_recursion == gl.antipode_by_recurrence(e), t
             acc = gl.zero(gl.T_BASIS)
             for (l, r), c in gl.coproduct(e).terms.items():
                 acc = acc + gl.mul(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import canonical_trees
-from treehopf import gl, ncs
+from treehopf import gl, memo, ncs, trees
 from treehopf.linear import add_all
 from treehopf.trees import (
     EMPTY_FOREST,
@@ -18,6 +18,7 @@ from treehopf.trees import (
     cut_results,
     enumerate_forests,
     forest,
+    forest_text,
     graft_positions,
     leaf,
     parse_forest,
@@ -257,14 +258,15 @@ def test_antipode_single_branch():
 
 
 def test_antipode_two_branches():
-    # Alternating ordered-partition sum: -T + 2 B(o)B(o) expanded by grafting.
+    # Takeuchi's alternating sum over ordered partitions of the branches, by
+    # hand: -T + 2 B(o)B(o) expanded by grafting.
     got = gl.antipode(t_("0(1,1)"))
     expected = -t_("0(1,1)") + 2 * gl.mul(t_("0(1)"), t_("0(1)"))
     assert got == expected
     assert expected == t_terms({"[1,1]": 1, "[1(1)]": 2})
 
 
-def test_closed_form_matches_recurrence_up_to_weight_four():
+def test_antipode_matches_recurrence_up_to_weight_four():
     for m in range(0, 5):
         for t in enumerate_bplus_trees((1,), m):
             e = gl.from_bplus_tree(t, gl.T_BASIS)
@@ -273,9 +275,8 @@ def test_closed_form_matches_recurrence_up_to_weight_four():
 
 def _repeated_branches():
     # One to three distinct small branches over labels (1,2), each repeated
-    # up to four times, at most six branches in all: the forests where the
-    # multiset grouping of the closed form differs most from a sum over
-    # branch positions.
+    # up to four times, at most six branches in all: the forests where a sum
+    # over the branch multiset differs most from one over branch positions.
     small = canonical_trees(labels=(1, 2), max_depth=1, max_children=2)
     kinds = st.lists(small, min_size=1, max_size=3, unique=True)
 
@@ -288,11 +289,73 @@ def _repeated_branches():
 
 @settings(max_examples=40)
 @given(_repeated_branches())
-def test_closed_form_matches_recurrence_on_repeated_branches(f):
+def test_antipode_matches_recurrence_on_repeated_branches(f):
     t = bplus(f)
     for basis in (gl.T_BASIS, gl.V_BASIS):
         e = gl.from_bplus_tree(t, basis)
         assert gl.antipode(e) == gl.antipode_by_recurrence(e), (basis, tree_text(t))
+
+
+def _distinct_branches():
+    # Distinct branches over labels 1-3, several levels deep, kept in order
+    # while the weight stays at most 8.
+    def capped(ts):
+        kept = []
+        for t in ts:
+            if sum(u.size for u in kept) + t.size <= 8:
+                kept.append(t)
+        return forest(kept)
+
+    branches = st.lists(canonical_trees(max_depth=3, max_children=2), min_size=1, unique=True)
+    return branches.map(capped).filter(lambda f: f.trees)
+
+
+@settings(max_examples=40)
+@given(_distinct_branches())
+def test_antipode_matches_recurrence_on_distinct_deep_branches(f):
+    for basis in (gl.T_BASIS, gl.V_BASIS):
+        e = gl.from_branches(f, basis)
+        assert gl.antipode(e) == gl.antipode_by_recurrence(e), (basis, forest_text(f))
+
+
+@given(st.one_of(_repeated_branches(), _distinct_branches()))
+def test_antipode_keeps_its_tree_with_the_sign_of_its_branch_count(f):
+    # Only grafting every branch onto the root rebuilds B(f), so in T the
+    # coefficient of B(f) in S(B(f)) is that of the product of its k
+    # branches, (-1)^k.
+    assert gl.antipode(gl.from_branches(f, gl.T_BASIS)).get(f) == (-1) ** len(f.trees)
+
+
+def test_antipode_matches_recurrence_on_six_branches_of_four_kinds():
+    e = gl.from_branches(parse_forest("[1,1,1(1),1(1),2,2]"), gl.T_BASIS)
+    assert gl.antipode(e) == gl.antipode_by_recurrence(e)
+
+
+def _clear_memo_tables():
+    # Every memo table but the intern pools, whose trees the tests hold.
+    pools = (trees._TREE_POOL, trees._FOREST_POOL)
+    for table in memo.TABLES:
+        if not any(table is pool for pool in pools):
+            table.clear()
+
+
+def test_antipode_and_its_oracle_share_no_route_but_the_product(monkeypatch):
+    # The recursion never splits a forest, and the recurrence never reads
+    # the recursion; both multiply by gl.mul.
+    def refuse(*args):
+        raise AssertionError("this route must not be taken")
+
+    forests = [f for m in range(6) for f in enumerate_forests((1, 2), m)]
+    _clear_memo_tables()
+    with monkeypatch.context() as patch:
+        patch.setattr(gl, "coproduct", refuse)
+        patch.setattr(gl, "_split_table", refuse)
+        by_recursion = {f: gl.antipode(gl.from_branches(f, gl.T_BASIS)) for f in forests}
+    _clear_memo_tables()
+    monkeypatch.setattr(gl, "_antipode_basis_t", refuse)
+    for f in forests:
+        e = gl.from_branches(f, gl.T_BASIS)
+        assert gl.antipode_by_recurrence(e) == by_recursion[f], forest_text(f)
 
 
 def test_antipode_axiom_up_to_weight_four():

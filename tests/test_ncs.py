@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 
 from conftest import canonical_trees
+from oracles import sparse_rank_in_given_column_order
 from treehopf import ck, gl, ncs, nsym, orderpoly
 from treehopf.trees import (
     EMPTY_FOREST,
@@ -394,6 +395,70 @@ def test_sparse_rank_matches_dense(base, combos):
         for ks in combos
     ]
     assert ncs._sparse_rank(_sparse(rows)) == _dense_rank(rows)
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda cols: st.lists(
+            st.dictionaries(
+                st.integers(0, cols - 1), st.integers(-3, 3).filter(bool), max_size=cols
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    ),
+    st.lists(st.lists(st.integers(-2, 2), min_size=8, max_size=8), max_size=4),
+)
+def test_column_order_keeps_the_sparse_rank(base, combos):
+    # Random sparse integer rows, plus integer combinations of them, so the
+    # rank falls below the row count.
+    rows = list(base)
+    for ks in combos:
+        row: dict[int, int] = {}
+        for k, b in zip(ks, base):
+            for j, v in b.items():
+                row[j] = row.get(j, 0) + k * v
+        rows.append({j: v for j, v in row.items() if v})
+    cols = 1 + max((j for row in rows for j in row), default=0)
+    dense = [[Fraction(row.get(j, 0)) for j in range(cols)] for row in rows]
+    rank = ncs._sparse_rank(rows)
+    assert rank == sparse_rank_in_given_column_order(rows) == _dense_rank(dense)
+
+
+def _golden_label_sets():
+    # Every --labels of the golden CLI cases, and the CLI default 1.
+    from test_golden import CASES
+
+    texts = {"1"} | {a[a.index("--labels") + 1] for a in CASES.values() if "--labels" in a}
+    return sorted(tuple(map(int, text.split(","))) for text in texts)
+
+
+@pytest.mark.parametrize("labels", _golden_label_sets(), ids=lambda ls: ",".join(map(str, ls)))
+def test_column_order_keeps_the_specialization_rank(monkeypatch, labels):
+    ranked = []
+
+    def both(rows):
+        rank = ordered(rows)
+        assert rank == sparse_rank_in_given_column_order(rows)
+        ranked.append(rank)
+        return rank
+
+    ordered = ncs._sparse_rank
+    monkeypatch.setattr(ncs, "_sparse_rank", both)
+    ranks = ncs.specialization_rank(labels, 7)
+    assert ranked == [stats["rank"] for stats in ranks.values()]
+
+
+def test_rank_over_two_three_four_counts_compositions_into_parts_of_two_or_more():
+    # An observed fact, not a claim of the paper: with no label 1 the
+    # weight-one generator maps to 0, which kills every word with a letter 1,
+    # and the rank equals the number of the remaining words, the
+    # compositions of m into parts >= 2 (Fibonacci numbers).
+    ranks = ncs.specialization_rank((2, 3, 4), 9)
+    assert [ranks[m]["rank"] for m in range(1, 10)] == [0, 1, 1, 2, 3, 5, 8, 13, 21]
+    assert [sum(min(w) >= 2 for w in nsym.compositions(m)) for m in range(1, 10)] == [
+        0, 1, 1, 2, 3, 5, 8, 13, 21,
+    ]
 
 
 # ---------------------------------------------------------------------------
