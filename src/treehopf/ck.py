@@ -39,12 +39,6 @@ class CKTensor(LinComb):
 
     __slots__ = ()
 
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][0].weight, kv[0][0]._key, kv[0][1]._key),
-        )
-
 
 def unit() -> CKElem:
     return from_forest(EMPTY_FOREST)

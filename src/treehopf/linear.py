@@ -162,10 +162,16 @@ def combine(zero: LinComb, parts: Iterable[tuple[int, LinComb]], den: int = 1) -
 def bilinear(zero: LinComb, pairs, table: Callable) -> LinComb:
     """The sum of the products x * y over the (x, y) in pairs, of the kind of zero.
 
+    Both factors of each pair must be compatible with zero, as for ``+``.
     ``table(kx, ky)`` lists the product of two keys as ``((key, n), ...)``
     with int n; the numerators are summed over one common denominator.
     """
-    factors = [(*x.ints, *y.ints) for x, y in pairs]
+    check = zero._check_compatible
+    factors = []
+    for x, y in pairs:
+        check(x)
+        check(y)
+        factors.append((*x.ints, *y.ints))
     den = lcm(*[dx * dy for dx, _, dy, _ in factors])
     acc: dict = {}
     get = acc.get

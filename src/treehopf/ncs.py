@@ -22,9 +22,9 @@ from math import factorial, gcd
 from typing import NamedTuple
 
 from . import duality, gl, memo, nsym
-from .linear import extend_multiplicatively
+from .linear import add_all, extend_multiplicatively
 from .report import CheckReport
-from .series import TruncSeries
+from .series import NCSSystem, TruncSeries
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -45,23 +45,6 @@ from .trees import (
     _norm_labels,
     _require_grafting_root,
 )
-
-
-class NCSSystem(NamedTuple):
-    """A 5-tuple of truncated series sharing one carrier algebra."""
-
-    carrier: str
-    order: int
-    f: TruncSeries
-    g: TruncSeries
-    d: TruncSeries
-    h: TruncSeries
-    m: TruncSeries
-
-    def series_by_name(self, name: str) -> TruncSeries:
-        if name not in ("f", "g", "d", "h", "m"):
-            raise ValueError(f"unknown series {name!r}")
-        return getattr(self, name)
 
 
 # ---------------------------------------------------------------------------
@@ -186,36 +169,16 @@ def build_omega(labels, order: int) -> NCSSystem:
     )
 
 
-def pi_ncs_system(order: int) -> NCSSystem:
-    """The universal system over noncommutative symmetric functions."""
-    pi = nsym.pi_system(order)
-    return NCSSystem(
-        carrier="nsym",
-        order=order,
-        f=pi.elementary,
-        g=pi.complete,
-        d=pi.power_second,
-        h=pi.power_first,
-        m=pi.power_third,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Verifying the defining equations
 # ---------------------------------------------------------------------------
 
-class EquationCheck:
-    __slots__ = ("equation", "status", "first_failure")
+class EquationCheck(NamedTuple):
+    """One defining equation: "pass", or "fail" with its first differing degree."""
 
-    def __init__(self, equation: str, status: str, first_failure: dict | None = None):
-        self.equation, self.status, self.first_failure = equation, status, first_failure
-
-    def as_dict(self) -> dict:
-        return {
-            "equation": self.equation,
-            "status": self.status,
-            "first_failure": self.first_failure,
-        }
+    equation: str
+    status: str
+    first_failure: dict | None = None
 
 
 class NCSReport:
@@ -234,7 +197,7 @@ class NCSReport:
             "carrier": self.carrier,
             "order": self.order,
             "status": "pass" if self.ok else "fail",
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 
@@ -380,7 +343,7 @@ def specialization_check(labels, order: int) -> CheckReport:
     """
     ls = _norm_labels(labels)
     report = CheckReport()
-    pi = pi_ncs_system(order)
+    pi = nsym.pi_system(order)
     omega = build_omega(ls, order)
     for name in ("f", "g", "d", "h", "m"):
         src = pi.series_by_name(name)
@@ -408,9 +371,9 @@ def hopf_morphism_check(labels, order: int) -> CheckReport:
 
     def divided_power_step(seq, m: int) -> bool:
         # coproduct(seq[m]) == sum over k of seq[k] (x) seq[m - k]
-        rhs = gl.GLTensor({}, gl.V_BASIS)
-        for k in range(m + 1):
-            rhs = rhs + gl.tensor_of(seq[k], seq[m - k])
+        rhs = add_all(
+            gl.GLTensor({}, gl.V_BASIS), (gl.tensor_of(seq[k], seq[m - k]) for k in range(m + 1))
+        )
         return gl.coproduct(seq[m]) == rhs
 
     images = [gl.unit()] + [specialize(nsym.generator(m), ls) for m in range(1, order + 1)]

@@ -15,11 +15,10 @@ monomials.  Products, coproducts and the pairing sum integer numerators
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import memo
 from .linear import LinComb, bilinear, extend_multiplicatively, format_linear
-from .series import LinCombOps, TruncSeries
+from .series import LinCombOps, NCSSystem, TruncSeries
 
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -133,60 +132,48 @@ def omega_lambda(a: NSymElem) -> NSymElem:
 # The five generating functions
 # ---------------------------------------------------------------------------
 
-class PiSystem(NamedTuple):
-    """The five classical generating functions over NSym, truncated at `order`.
-
-    * elementary: sum of t^m times the m-th elementary generator,
-    * complete: the two-sided inverse of elementary(-t),
-    * power_second: log of complete (coefficient of t^m is the m-th power sum
-      of the second kind divided by m),
-    * power_first: solves complete' = complete * power_first,
-    * power_third: solves complete' = power_third * complete.
-    """
-
-    order: int
-    elementary: TruncSeries
-    complete: TruncSeries
-    power_second: TruncSeries
-    power_first: TruncSeries
-    power_third: TruncSeries
-
-
 @memo.memoized
-def pi_system(order: int) -> PiSystem:
-    """Solve the defining equations over NSym by truncated-series arithmetic."""
+def pi_system(order: int) -> NCSSystem:
+    """Solve the defining equations over NSym by truncated-series arithmetic.
+
+    The universal system over the carrier "nsym", truncated at `order`:
+
+    * f, the elementary functions: sum of t^m times the m-th generator,
+    * g, the complete functions: the two-sided inverse of f(-t),
+    * d = log g, whose coefficient of t^m is the m-th power sum of the
+      second kind divided by m,
+    * h, the power sums of the first kind: solves g' = g * h,
+    * m, the power sums of the third kind: solves g' = m * g.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
-    lam = TruncSeries(SERIES_OPS, (unit(),) + tuple(generator(m) for m in range(1, order + 1)))
-    sigma = lam.alternate().inverse_right()
-    power_second = sigma.log()
-    sigma_prime = sigma.derivative()
-    lam_neg_cut = lam.alternate().truncate(order - 1)
-    power_first = lam_neg_cut * sigma_prime
-    power_third = sigma_prime * lam_neg_cut
-    return PiSystem(order, lam, sigma, power_second, power_first, power_third)
+    f = TruncSeries(SERIES_OPS, (unit(),) + tuple(generator(m) for m in range(1, order + 1)))
+    g = f.alternate().inverse_right()
+    g_prime = g.derivative()
+    f_neg_cut = f.alternate().truncate(order - 1)
+    return NCSSystem("nsym", order, f, g, g.log(), f_neg_cut * g_prime, g_prime * f_neg_cut)
 
 
 def complete_element(m: int) -> NSymElem:
     """The m-th complete function expanded in elementary words."""
     if m == 0:
         return unit()
-    return pi_system(m).complete.coeffs[m]
+    return pi_system(m).g.coeffs[m]
 
 
 def power_first_element(m: int) -> NSymElem:
     """The m-th power sum of the first kind."""
-    return pi_system(m).power_first.coeffs[m - 1]
+    return pi_system(m).h.coeffs[m - 1]
 
 
 def power_second_element(m: int) -> NSymElem:
     """The m-th power sum of the second kind (the series carries it over m)."""
-    return pi_system(m).power_second.coeffs[m].scale(m)
+    return pi_system(m).d.coeffs[m].scale(m)
 
 
 def power_third_element(m: int) -> NSymElem:
     """The m-th power sum of the third kind."""
-    return pi_system(m).power_third.coeffs[m - 1]
+    return pi_system(m).m.coeffs[m - 1]
 
 
 def complete_word(comp: Composition) -> NSymElem:

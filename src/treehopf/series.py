@@ -4,15 +4,16 @@ The parameter t is central and all arithmetic is exact modulo t**(N+1).
 The engine is generic over a small algebra interface (zero, one, sum, scale,
 dot, eq, describe): :class:`LinCombOps` serves every ``LinComb`` carrier
 (free-algebra and tree-algebra elements); the tests add a carrier of rational
-scalars.  Coefficients beyond the truncation order are silently dropped; that
-is the meaning of truncation, never an error.
+scalars.  :class:`NCSSystem` holds the five series (f, g, d, h, m) of one
+system.  Coefficients beyond the truncation order are silently dropped;
+that is the meaning of truncation, never an error.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .linear import LinComb, add_all
 
@@ -204,3 +205,20 @@ class TruncSeries:
                 for n in range(self.order + 1)
             ),
         )
+
+
+class NCSSystem(NamedTuple):
+    """A 5-tuple of truncated series sharing one carrier algebra."""
+
+    carrier: str
+    order: int
+    f: TruncSeries
+    g: TruncSeries
+    d: TruncSeries
+    h: TruncSeries
+    m: TruncSeries
+
+    def series_by_name(self, name: str) -> TruncSeries:
+        if name not in ("f", "g", "d", "h", "m"):
+            raise ValueError(f"unknown series {name!r}")
+        return getattr(self, name)

@@ -293,22 +293,26 @@ def test_theta_accepts_a_tree_at_the_size_ceiling(capsys):
 
 def test_import_path_leaves_out_dataclasses_and_inspect():
     # Start-up cost: dataclasses alone pulls in inspect, ast, dis and tokenize.
+    # NCSSystem sits in series, below both nsym and ncs, so the universal
+    # system loads without the tree system and both share one record class.
     package = Path(treehopf.__file__).resolve().parent
     modules = sorted(f"treehopf.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
     assert len(modules) >= 12
     code = (
-        f"import sys, treehopf\nfor m in {modules!r}: __import__(m)\n"
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+        "import sys, treehopf.nsym\nprint('treehopf.ncs' in sys.modules)\n"
+        f"for m in {modules!r}: __import__(m)\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))\n"
+        "print(treehopf.nsym.NCSSystem is treehopf.ncs.NCSSystem)"
     )
     proc = _python_subprocess("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "False\n[]\nTrue\n"
 
 
 def test_series_systems_are_read_only():
     omega = ncs.build_omega((1,), 2)
     pi = nsym.pi_system(2)
-    for record, name in ((omega.f, "coeffs"), (omega.f, "ops"), (omega, "g"), (pi, "complete")):
+    for record, name in ((omega.f, "coeffs"), (omega.f, "ops"), (omega, "g"), (pi, "g")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     with pytest.raises(AttributeError):

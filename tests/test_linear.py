@@ -104,6 +104,32 @@ def test_add_all_refuses_mixed_kinds():
         add_all(ck.CKElem(), [nsym.unit()])
 
 
+@pytest.mark.parametrize(
+    "product",
+    [
+        lambda: nsym.mul(nsym.generator(2), nsym.monomial((1, 1))),
+        lambda: nsym.mul(nsym.monomial((1, 1)), nsym.generator(2)),
+        lambda: nsym.qsym_mul(nsym.monomial((1,)), nsym.generator(1)),
+        lambda: nsym.dot([(nsym.unit(), nsym.unit()), (nsym.unit(), nsym.qsym_unit())]),
+        lambda: nsym.tensor_mul(nsym.tensor_unit(), nsym.unit()),
+        lambda: ck.mul(ck.unit(), gl.unit()),
+        lambda: ck.mul(ck.unit(), ck.tensor_unit()),
+    ],
+    ids=[
+        "mul-nsym-qsym",
+        "mul-qsym-nsym",
+        "qsym_mul-qsym-nsym",
+        "dot-second-pair",
+        "tensor_mul-tensor-elem",
+        "ck-gl",
+        "ck-tensor",
+    ],
+)
+def test_bilinear_refuses_mixed_kinds(product):
+    with pytest.raises(TypeError, match="cannot combine"):
+        product()
+
+
 # ---------------------------------------------------------------------------
 # The integer form against a Fraction reference
 # ---------------------------------------------------------------------------

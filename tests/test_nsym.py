@@ -85,15 +85,29 @@ def test_power_sum_two_solved_by_hand():
 
 def test_pi_solves_all_five_equations():
     for order in (4, 6):
-        report = ncs.verify_ncs(ncs.pi_ncs_system(order))
+        report = ncs.verify_ncs(pi_system(order))
         assert report.ok, report.as_dict()
+
+
+def test_pi_system_is_the_ncs_record_over_nsym():
+    # f holds the generators and verify_ncs checks the equations that fix
+    # g, d, h and m from f, so together they pin every field.
+    pi = pi_system(4)
+    assert type(pi) is ncs.NCSSystem
+    assert (pi.carrier, pi.order) == ("nsym", 4)
+    assert all(pi.series_by_name(name) is s for name, s in zip("fgdhm", pi[2:]))
+    assert pi.f.coeffs == (unit(),) + tuple(generator(m) for m in range(1, 5))
+    with pytest.raises(ValueError, match="unknown series"):
+        pi.series_by_name("complete")
+    report = ncs.verify_ncs(pi)
+    assert report.ok and report.carrier == "nsym"
 
 
 def test_pi_inverse_is_two_sided():
     pi = pi_system(5)
-    one = type(pi.complete).one(pi.complete.ops, 5)
-    assert pi.elementary.alternate() * pi.complete == one
-    assert pi.complete * pi.elementary.alternate() == one
+    one = type(pi.g).one(pi.g.ops, 5)
+    assert pi.f.alternate() * pi.g == one
+    assert pi.g * pi.f.alternate() == one
 
 
 # ---------------------------------------------------------------------------
