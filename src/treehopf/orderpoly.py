@@ -2,18 +2,21 @@
 
 A forest is a poset on its vertices, smaller toward the roots.  The strict
 order polynomial counts strictly order-preserving maps into {1..n}, the
-(weak) order polynomial counts order-preserving maps; both are computed by a
-bottom-up count with per-subtree memoization followed by exact interpolation
-at the integer nodes 0..|P|.  Labels never matter here: only the underlying
-shape enters.  The linear coefficients of these polynomials satisfy nested
-single-edge-cut recurrences and reproduce the tree constants used by the
-logarithm of the all-trees generating function.
+(weak) order polynomial counts order-preserving maps.  A tree's polynomial is
+interpolated at the integer nodes 0..|P| from counts that one bottom-up walk
+of the tree yields for every node at once; a forest's is the product of its
+trees', memoized on the multiset of their shapes.  Labels never matter here:
+only the underlying shape enters.  The linear coefficients of these
+polynomials satisfy nested single-edge-cut recurrences and reproduce the tree
+constants used by the logarithm of the all-trees generating function.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from itertools import accumulate, zip_longest
+from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from . import memo
 from .linear import format_linear
@@ -35,9 +38,11 @@ from .trees import (
 
 
 def _over_common_denominator(xs) -> tuple[list[int], int]:
-    fs = [Fraction(x) for x in xs]
-    den = lcm(*(f.denominator for f in fs))
-    return [f.numerator * (den // f.denominator) for f in fs], den
+    # ints and Fractions are read through .numerator and .denominator; any
+    # other value Fraction takes (a float, a string) goes through Fraction.
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _lowest(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -100,10 +105,14 @@ class RationalPolynomial:
             a[k] += y
         return self._from_ints(a, self.den * other.den)
 
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
+    def __add__(self, other):
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
         return self._combine(other, 1)
 
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
+    def __sub__(self, other):
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
         return self._combine(other, -1)
 
     def __neg__(self) -> "RationalPolynomial":
@@ -111,7 +120,10 @@ class RationalPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RationalPolynomial((other,))
+            c = other.numerator
+            return self._from_ints([a * c for a in self.num], self.den * other.denominator)
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
         out = [0] * (len(self.num) + len(other.num) - 1)
         for i, a in enumerate(self.num):
             for j, b in enumerate(other.num):
@@ -170,27 +182,44 @@ ONE_POLY = RationalPolynomial((1,))
 
 
 def interpolate_integer_nodes(values) -> RationalPolynomial:
-    """Exact Newton forward-difference interpolation at nodes 0, 1, ..., n.
+    """Exact interpolation at the nodes 0, 1, ..., n.
 
-    p(s) = sum_k (Delta^k p)(0) * s(s-1)...(s-k+1) / k!, summed in integers
-    over n! times the common denominator of the values.
+    The values are brought over one denominator, and the integer matrix of
+    :func:`_interpolation_rows` turns them into the numerators over n! times
+    that denominator.
     """
-    diffs, scale = _over_common_denominator(values)
-    n = max(len(diffs) - 1, 0)
-    num = [0] * len(diffs)
-    falling = [1]  # s(s-1)...(s-k+1), constant term first
-    weight = factorial(n)  # n!/k!
-    for k in range(len(diffs)):
-        if diffs[0]:
-            step = diffs[0] * weight
+    return _interpolate(*_over_common_denominator(values))
+
+
+def _interpolate(values: list[int], scale: int) -> RationalPolynomial:
+    # The polynomial through values[k] / scale at k = 0..n.
+    rows = _interpolation_rows(len(values))
+    num = [sum(map(mul, row, values)) for row in rows]
+    return RationalPolynomial._from_ints(num, factorial(max(len(values) - 1, 0)) * scale)
+
+
+@memo.memoized
+def _interpolation_rows(size: int) -> tuple[tuple[int, ...], ...]:
+    """n! times the matrix from values at 0..n to coefficients, n = size - 1.
+
+    Row i holds n! times the coefficient of s^i of the polynomial through
+    each unit vector of values.  By Newton's forward differences,
+    p(s) = sum_j (Delta^j p)(0) * s(s-1)...(s-j+1) / j!, and the unit vector
+    e_k has (Delta^j e_k)(0) = (-1)^(j-k) * C(j, k).
+    """
+    top = factorial(max(size - 1, 0))
+    rows = [[0] * size for _ in range(size)]
+    falling = [1]  # s(s-1)...(s-j+1), constant term first
+    for j in range(size):
+        weight = top // factorial(j)
+        for k in range(j + 1):
+            step = (-1) ** (j - k) * comb(j, k) * weight
             for i, c in enumerate(falling):
-                num[i] += step * c
-        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+                rows[i][k] += step * c
         falling = [0] + falling
-        for i in range(k + 1):
-            falling[i] -= k * falling[i + 1]
-        weight //= k + 1
-    return RationalPolynomial._from_ints(num, factorial(n) * scale)
+        for i in range(j + 1):
+            falling[i] -= j * falling[i + 1]
+    return tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +228,17 @@ def interpolate_integer_nodes(values) -> RationalPolynomial:
 
 @memo.bottom_up
 def _root_value_vector(u: LabeledTree, kid_vectors, n: int, strict: bool) -> tuple[int, ...]:
-    # out[r] = number of maps of the subtree with the root sent to r
-    # (1-indexed; out[0] unused).  Children take values >= r (weak) or > r
-    # (strict).
-    child_suffix = []
+    # out[r] = number of maps of the subtree into {1..r} with the root at r,
+    # for r = 0..n (out[0] = 0).  Read with the order of {1..r} reversed,
+    # the children take values <= r (weak) or < r (strict), so out[r] does
+    # not depend on n: the maps into {1..m} number out[1] + ... + out[m] for
+    # every m <= n.
+    out = (0,) + (1,) * n
     for vec in kid_vectors:
-        suffix = [0] * (n + 2)
-        for r in range(n, 0, -1):
-            suffix[r] = suffix[r + 1] + vec[r]
-        child_suffix.append(suffix)
-    out = [0] * (n + 1)
-    for r in range(1, n + 1):
-        prod = 1
-        for suffix in child_suffix:
-            prod *= suffix[r + 1] if strict else suffix[r]
-            if not prod:
-                break
-        out[r] = prod
-    return tuple(out)
+        # accumulate(vec)[r] = vec[1] + ... + vec[r]; initial=0 shifts it by one.
+        below = accumulate(vec, initial=0) if strict else accumulate(vec)
+        out = tuple(map(mul, out, below))
+    return out
 
 
 def count_order_preserving(f: Forest, n: int, strict: bool) -> int:
@@ -225,17 +247,15 @@ def count_order_preserving(f: Forest, n: int, strict: bool) -> int:
         raise ValueError("n must be nonnegative")
     total = 1
     for t in f.trees:
-        u = shape(t)
-        if n == 0:
-            return 0
-        total *= sum(_root_value_vector(u, n, strict))
+        total *= sum(_root_value_vector(shape(t), n, strict))
     return total
 
 
 @memo.memoized
 def _tree_poly(u: LabeledTree, strict: bool) -> RationalPolynomial:
-    values = [count_order_preserving(forest((u,)), n, strict) for n in range(u.size + 1)]
-    return interpolate_integer_nodes(values)
+    # One walk at n = |u| gives the counts at every node 0..|u| as prefix sums.
+    counts = list(accumulate(_root_value_vector(u, u.size, strict)))
+    return _interpolate(counts, 1)
 
 
 def strict_order_poly(f: Forest) -> RationalPolynomial:
@@ -253,9 +273,18 @@ def _forest_poly(f: Forest, strict: bool) -> RationalPolynomial:
         raise ValueError(
             f"forest has {f.size} vertices, above the supported bound {MAX_ORDER_CEILING}"
         )
-    acc = ONE_POLY
-    for t in f.trees:
-        acc = acc * _tree_poly(shape(t), strict)
+    return _shapes_poly(forest(map(shape, f.trees)), strict)
+
+
+@memo.memoized
+def _shapes_poly(shapes: Forest, strict: bool) -> RationalPolynomial:
+    # The product of the tree polynomials of a forest of shapes.
+    if not shapes.trees:
+        return ONE_POLY
+    first, *rest = shapes.trees
+    acc = _tree_poly(first, strict)
+    for u in rest:
+        acc = acc * _tree_poly(u, strict)
     return acc
 
 
@@ -308,26 +337,30 @@ def recurrences_hold(u: LabeledTree, p: RationalPolynomial, q: RationalPolynomia
     """
     strict_terms, strict_den = nested_cut_terms(u, _strict_constant, _strict_constant)
     weak_terms, weak_den = nested_cut_terms(u, _weak_constant, _weak_constant)
-    phi_strict, phi_weak = p.linear_coeff, q.linear_coeff
     if u.size == 1:
-        return phi_strict == 1 and phi_weak == 1
+        return p.linear_coeff == 1 and q.linear_coeff == 1
     alternating = sum((-1) ** k * w for k, w in enumerate(weak_terms, 2))
     return (
-        Fraction(-sum(strict_terms), strict_den) == phi_strict
-        and Fraction(alternating, weak_den) == phi_weak
-        and Fraction(weak_den - sum(weak_terms), weak_den) == phi_weak
-        and _with_linear(phi_strict, strict_terms, strict_den) == p
-        and _with_linear(phi_weak, weak_terms, weak_den) == q
+        _is_linear_coeff(p, -sum(strict_terms), strict_den)
+        and _is_linear_coeff(q, alternating, weak_den)
+        and _is_linear_coeff(q, weak_den - sum(weak_terms), weak_den)
+        and _has_higher_coeffs(p, strict_terms, strict_den)
+        and _has_higher_coeffs(q, weak_terms, weak_den)
     )
 
 
-def _with_linear(phi: Fraction, terms: list[int], den: int) -> RationalPolynomial:
-    # phi*s + sum_k terms[k-2]/den * s^k.
-    both = lcm(den, phi.denominator)
-    m = both // den
-    return RationalPolynomial._from_ints(
-        [0, phi.numerator * (both // phi.denominator), *[a * m for a in terms]], both
-    )
+def _is_linear_coeff(p: RationalPolynomial, a: int, den: int) -> bool:
+    # The coefficient of s in p is a/den.
+    return (p.num[1] if len(p.num) > 1 else 0) * den == a * p.den
+
+
+def _has_higher_coeffs(p: RationalPolynomial, terms: list[int], den: int) -> bool:
+    # p has no constant term, its coefficient of s^k is terms[k-2]/den for
+    # k = 2..len(terms)+1, and it has no higher one.
+    num = p.num
+    if len(num) > len(terms) + 2 or (num and num[0]):
+        return False
+    return all(a * den == b * p.den for a, b in zip_longest(num[2:], terms, fillvalue=0))
 
 
 def theta_via_orderpoly(t: LabeledTree) -> Fraction:
@@ -349,38 +382,39 @@ def orderpoly_suite(max_vertices: int = 6) -> CheckReport:
     """
     report = CheckReport()
 
-    def run(name: str, desc: str, ok: bool):
+    def run(name: str, item, ok: bool):
+        # item is a forest or a tree, written out only when its check fails.
         report.checked += 1
         if not ok:
-            report.failures.append(f"{name}: {desc}")
+            text = forest_text(item) if isinstance(item, Forest) else tree_text(item)
+            report.failures.append(f"{name}: {text}")
 
     polys = {EMPTY_FOREST: (strict_order_poly(EMPTY_FOREST), order_poly(EMPTY_FOREST))}
     for n in range(1, max_vertices + 1):
         for f in enumerate_forests((1,), n):
-            ftxt = forest_text(f)
             p, q = polys[f] = strict_order_poly(f), order_poly(f)
-            run("reciprocity", ftxt, reciprocity_holds(f.size, p, q))
-            prod = ONE_POLY
-            for t in f.trees:
+            run("reciprocity", f, reciprocity_holds(f.size, p, q))
+            first, *rest = f.trees
+            prod = polys[forest((first,))][0]
+            for t in rest:
                 prod = prod * polys[forest((t,))][0]
-            run("product-rule", ftxt, prod == p)
-            run("weak-at-one", ftxt, q(1) == 1)
-            run("strict-at-zero", ftxt, p(0) == 0)
+            run("product-rule", f, prod == p)
+            run("weak-at-one", f, q(1) == 1)
+            run("strict-at-zero", f, p(0) == 0)
             phi_strict, phi_weak = p.linear_coeff, q.linear_coeff
             run(
                 "linear-coeff-reflection",
-                ftxt,
+                f,
                 phi_strict == (-1) ** (f.size - 1) * phi_weak,
             )
-            if len(f.trees) > 1:
-                run("multi-component-vanishing", ftxt, phi_strict == 0 and phi_weak == 0)
+            if rest:
+                run("multi-component-vanishing", f, phi_strict == 0 and phi_weak == 0)
 
     for f, (p, q) in polys.items():
         if len(f.trees) != 1:
             continue
         t = f.trees[0]
-        ttxt = tree_text(t)
-        run("difference-identities", ttxt, differences_hold(p, q, *polys[branch_forest(t)]))
-        run("nested-cut-recurrences", ttxt, recurrences_hold(t, p, q))
+        run("difference-identities", t, differences_hold(p, q, *polys[branch_forest(t)]))
+        run("nested-cut-recurrences", t, recurrences_hold(t, p, q))
 
     return report

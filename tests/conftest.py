@@ -1,7 +1,8 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
-from treehopf import trees
+from treehopf import memo, trees
 
 settings.register_profile("default", max_examples=60, deadline=None)
 settings.load_profile("default")
@@ -27,3 +28,17 @@ def build_tree(raw):
 
 def canonical_trees(labels=(1, 2, 3), max_depth=3, max_children=3):
     return raw_trees(max_depth, max_children, labels).map(build_tree)
+
+
+@pytest.fixture
+def clear_memo_tables():
+    """A function that empties every memo table but the intern pools, whose
+    trees the tests hold."""
+
+    def clear():
+        pools = (trees._TREE_POOL, trees._FOREST_POOL)
+        for table in memo.TABLES:
+            if not any(table is pool for pool in pools):
+                table.clear()
+
+    return clear

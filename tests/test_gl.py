@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import canonical_trees
-from treehopf import gl, memo, ncs, trees
+from treehopf import gl, ncs
 from treehopf.linear import add_all
 from treehopf.trees import (
     EMPTY_FOREST,
@@ -331,27 +331,19 @@ def test_antipode_matches_recurrence_on_six_branches_of_four_kinds():
     assert gl.antipode(e) == gl.antipode_by_recurrence(e)
 
 
-def _clear_memo_tables():
-    # Every memo table but the intern pools, whose trees the tests hold.
-    pools = (trees._TREE_POOL, trees._FOREST_POOL)
-    for table in memo.TABLES:
-        if not any(table is pool for pool in pools):
-            table.clear()
-
-
-def test_antipode_and_its_oracle_share_no_route_but_the_product(monkeypatch):
+def test_antipode_and_its_oracle_share_no_route_but_the_product(monkeypatch, clear_memo_tables):
     # The recursion never splits a forest, and the recurrence never reads
     # the recursion; both multiply by gl.mul.
     def refuse(*args):
         raise AssertionError("this route must not be taken")
 
     forests = [f for m in range(6) for f in enumerate_forests((1, 2), m)]
-    _clear_memo_tables()
+    clear_memo_tables()
     with monkeypatch.context() as patch:
         patch.setattr(gl, "coproduct", refuse)
         patch.setattr(gl, "_split_table", refuse)
         by_recursion = {f: gl.antipode(gl.from_branches(f, gl.T_BASIS)) for f in forests}
-    _clear_memo_tables()
+    clear_memo_tables()
     monkeypatch.setattr(gl, "_antipode_basis_t", refuse)
     for f in forests:
         e = gl.from_branches(f, gl.T_BASIS)

@@ -1,5 +1,6 @@
 """Order polynomials: counting oracle, closed forms, identities, constants."""
 
+import hashlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,6 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from conftest import canonical_trees
 from oracles import binomial_poly
 from treehopf import orderpoly
 from treehopf.linear import format_linear
@@ -26,12 +28,14 @@ from treehopf.orderpoly import (
 from treehopf.trees import (
     branch_forest,
     enumerate_forests,
+    enumerate_trees,
     forest,
     leaf,
     node,
     parse_forest,
     parse_tree,
     shape,
+    tree_text,
 )
 
 
@@ -84,6 +88,36 @@ def test_counting_matches_brute_force():
                 assert orderpoly.count_order_preserving(f, n, False) == brute_force_count(
                     f, n, False
                 )
+
+
+def _within(trees, limit):
+    # The forest of the trees, in order, that keep its size within limit.
+    kept, size = [], 0
+    for t in trees:
+        if size + t.size <= limit:
+            kept.append(t)
+            size += t.size
+    return forest(kept)
+
+
+def _relabel(t, new_label):
+    return node(new_label[t.label], [_relabel(c, new_label) for c in t.children])
+
+
+labeled_forests = st.lists(canonical_trees(), max_size=4).map(lambda ts: _within(ts, 7))
+
+
+@given(labeled_forests, st.fixed_dictionaries({k: st.integers(1, 5) for k in (1, 2, 3)}))
+def test_polynomials_of_random_labeled_forests(f, new_label):
+    # The polynomials agree with the brute-force counts, and a relabeled
+    # forest of the same shapes gets the very same polynomial objects.
+    p, q = strict_order_poly(f), order_poly(f)
+    for n in range(4):
+        assert p(n) == brute_force_count(f, n, True)
+        assert q(n) == brute_force_count(f, n, False)
+    relabeled = forest(_relabel(t, new_label) for t in f.trees)
+    assert strict_order_poly(relabeled) is p
+    assert order_poly(relabeled) is q
 
 
 def test_counting_walks_a_deep_chain_without_recursion():
@@ -225,6 +259,20 @@ def test_polynomial_arithmetic_matches_fraction_lists(xs, ys, c, point):
         same = RationalPolynomial([rewritten(x) for x in ref] + [Fraction(0, 5), 0])
         assert same == poly and hash(same) == hash(poly)
         assert (same == poly + RationalPolynomial((1,))) is False
+
+
+def test_unsupported_operands_raise_type_error():
+    p = RationalPolynomial((0, 1))
+    for operation in (
+        lambda: p + 1,
+        lambda: 1 + p,
+        lambda: p - 1,
+        lambda: p * 1.5,
+        lambda: 1.5 * p,
+        lambda: p * "x",
+    ):
+        with pytest.raises(TypeError):
+            operation()
 
 
 @given(coeff_lists)
@@ -408,6 +456,29 @@ def test_theta_route_matches_backward_difference():
             q = order_poly(forest((node(1, f.trees),)))
             nabla = q - q.shifted(-1)
             assert nabla.linear_coeff == theta_via_orderpoly(t)
+
+
+def test_tree_polynomials_never_read_a_forest_polynomial(monkeypatch, clear_memo_tables):
+    # A tree's polynomials are interpolated from its own counts, so the
+    # difference identities compare two independent computations.  The
+    # digest is of the polynomials as the earlier per-node counting gave
+    # them, one walk for each n = 0..|u|.
+    def refuse(*args):
+        raise AssertionError("this route must not be taken")
+
+    clear_memo_tables()
+    monkeypatch.setattr(orderpoly, "_forest_poly", refuse)
+    monkeypatch.setattr(orderpoly, "_shapes_poly", refuse)
+    lines = [
+        f"{tree_text(u)}: {orderpoly._tree_poly(u, True).text()}"
+        f" | {orderpoly._tree_poly(u, False).text()}"
+        for n in range(1, 9)
+        for u in enumerate_trees((1,), n)
+    ]
+    assert len(lines) == 200
+    assert lines[3] == "1(1(1)): 1/3*s - 1/2*s^2 + 1/6*s^3 | 1/3*s + 1/2*s^2 + 1/6*s^3"
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9820cc9a72bc4f87956238e2b553e827ff1b72ae4384157a2896e141605dae01"
 
 
 def test_size_bound_enforced():
