@@ -208,7 +208,9 @@ def dot(pairs, basis: str = V_BASIS) -> GLElem:
 
     Every factor's integer form is brought to one common denominator, so
     each product of numerators times an integer structure constant is
-    summed into one int per result key; the sums are reduced once.
+    summed into one int per result key; the sums are reduced once.  A
+    term with the unit as one factor is the other factor, so it is summed
+    straight in and never gets a product table.
     """
     factors = []
     den = 1
@@ -221,8 +223,15 @@ def dot(pairs, basis: str = V_BASIS) -> GLElem:
     for dxy, xs, ys in factors:
         m = den // dxy
         for fa, na in xs:
+            if fa is EMPTY_FOREST:
+                for fb, nb in ys:
+                    acc[fb] = get(fb, 0) + m * na * nb
+                continue
             for fb, nb in ys:
                 nab = m * na * nb
+                if fb is EMPTY_FOREST:
+                    acc[fa] = get(fa, 0) + nab
+                    continue
                 for key, c in _product_table(fa, fb, basis):
                     acc[key] = get(key, 0) + nab * c
     return GLElem.from_ints(den, acc, basis)

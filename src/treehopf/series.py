@@ -4,9 +4,11 @@ The parameter t is central and all arithmetic is exact modulo t**(N+1).
 The engine is generic over a small algebra interface (zero, one, sum, scale,
 dot, eq, describe): :class:`LinCombOps` serves every ``LinComb`` carrier
 (free-algebra and tree-algebra elements); the tests add a carrier of rational
-scalars.  :class:`NCSSystem` holds the five series (f, g, d, h, m) of one
-system.  Coefficients beyond the truncation order are silently dropped;
-that is the meaning of truncation, never an error.
+scalars.  Elements test zero by truth value, so products, inverses, exp and
+log hand ``dot`` only pairs of nonzero factors.  :class:`NCSSystem` holds
+the five series (f, g, d, h, m) of one system.  Coefficients beyond the
+truncation order are silently dropped; that is the meaning of truncation,
+never an error.
 """
 
 from __future__ import annotations
@@ -109,14 +111,16 @@ class TruncSeries:
         return TruncSeries(ops, tuple(ops.scale(c, a) for a in self.coeffs))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        """Cauchy product modulo t**(order+1)."""
+        """Cauchy product modulo t**(order+1); pairs with a zero factor are skipped."""
         self._require_same(other)
         ops = self.ops
         a, b = self.coeffs, other.coeffs
+        support = [k for k, x in enumerate(a) if x]
         return TruncSeries(
             ops,
             tuple(
-                ops.dot((a[k], b[n - k]) for k in range(n + 1)) for n in range(self.order + 1)
+                ops.dot([(a[k], b[n - k]) for k in support if k <= n and b[n - k]])
+                for n in range(self.order + 1)
             ),
         )
 
@@ -163,12 +167,14 @@ class TruncSeries:
         # b_n = -sum_{k=1..n} self_k * b_{n-k}, or b_{n-k} * self_k when flip:
         # self's coefficient takes its side in the product being inverted.
         ops = self.ops
-        if not ops.eq(self.coeffs[0], ops.one()):
+        a = self.coeffs
+        if not ops.eq(a[0], ops.one()):
             raise ValueError("inverse needs a series with unit constant term")
+        support = [k for k in range(1, self.order + 1) if a[k]]
         out = [ops.one()]
         for n in range(1, self.order + 1):
-            pairs = ((self.coeffs[k], out[n - k]) for k in range(1, n + 1))
-            acc = ops.dot((y, x) for x, y in pairs) if flip else ops.dot(pairs)
+            pairs = [(a[k], out[n - k]) for k in support if k <= n and out[n - k]]
+            acc = ops.dot([(y, x) for x, y in pairs] if flip else pairs)
             out.append(ops.scale(Fraction(-1), acc))
         return TruncSeries(ops, tuple(out))
 
@@ -189,22 +195,21 @@ class TruncSeries:
         return u._power_sum(weights)
 
     def _power_sum(self, weights: list[Fraction]) -> "TruncSeries":
-        # sum_k weights[k] * self**k for a series with zero constant term.
-        # self**k vanishes below degree k, so the coefficient of degree n is
-        # one sum over k <= n of the scaled powers.
+        # sum_k weights[k] * self**k for a series with zero constant term, by
+        # Horner's rule: w_0 + self * (w_1 + self * (w_2 + ...)).  The k-th
+        # nest is multiplied by self**k, which vanishes below degree k, so it
+        # is needed only up to degree order - k.
         ops = self.ops
-        powers = [TruncSeries.one(ops, self.order)]
-        for _ in range(self.order):
-            powers.append(powers[-1] * self)
-        return TruncSeries(
-            ops,
-            tuple(
-                ops.sum(
-                    ops.scale(weights[k], powers[k].coeffs[n]) for k in range(n + 1) if weights[k]
-                )
-                for n in range(self.order + 1)
-            ),
-        )
+        s = self.coeffs
+        support = [j for j in range(1, self.order + 1) if s[j]]
+        nest: list = []
+        for k in range(self.order, -1, -1):
+            inner = nest
+            nest = [ops.scale(weights[k], ops.one()) if weights[k] else ops.zero()] + [
+                ops.dot([(s[j], inner[n - j]) for j in support if j <= n and inner[n - j]])
+                for n in range(1, self.order - k + 1)
+            ]
+        return TruncSeries(ops, tuple(nest))
 
 
 class NCSSystem(NamedTuple):

@@ -347,7 +347,7 @@ def _trees_of_weight(ls: tuple[int, ...], weight: int) -> tuple[LabeledTree, ...
     out: list[LabeledTree] = []
     for root_label in ls:
         if root_label <= weight:
-            for f in enumerate_forests(ls, weight - root_label):
+            for f in _forests_bounded(ls, weight - root_label, None):
                 out.append(node(root_label, f.trees))
     out.sort(key=lambda t: t._key)
     return tuple(out)
@@ -369,7 +369,7 @@ def _forests_bounded(ls: tuple[int, ...], weight: int, bound_key) -> tuple[Fores
         return (EMPTY_FOREST,)
     out: list[Forest] = []
     for k in range(1, weight + 1):
-        for t in enumerate_trees(ls, k):
+        for t in _trees_of_weight(ls, k):
             if bound_key is not None and t._key > bound_key:
                 continue
             for rest in _forests_bounded(ls, weight - k, t._key):

@@ -2,10 +2,11 @@
 on basis elements, so the tests can check the package against it."""
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from treehopf import ck, duality, gl
 from treehopf.orderpoly import RationalPolynomial, interpolate_integer_nodes
+from treehopf.series import TruncSeries
 from treehopf.trees import (
     Forest,
     LabeledTree,
@@ -129,3 +130,34 @@ class RationalOps:
 
 
 RATIONAL_OPS = RationalOps()
+
+
+def power_sum(x: TruncSeries, weights) -> TruncSeries:
+    """sum_k weights[k] * x**k for a series x with zero constant term.
+
+    Every power x**k is built as a full product, and the coefficient of
+    degree n is one sum over k <= n of the scaled powers: x**k vanishes
+    below degree k.
+    """
+    ops = x.ops
+    powers = [TruncSeries.one(ops, x.order)]
+    for _ in range(x.order):
+        powers.append(powers[-1] * x)
+    return TruncSeries(
+        ops,
+        tuple(
+            ops.sum(ops.scale(weights[k], powers[k].coeffs[n]) for k in range(n + 1) if weights[k])
+            for n in range(x.order + 1)
+        ),
+    )
+
+
+def exp_by_powers(x: TruncSeries) -> TruncSeries:
+    """exp x as the sum of the x**k / k!, for x with zero constant term."""
+    return power_sum(x, [Fraction(1, factorial(k)) for k in range(x.order + 1)])
+
+
+def log_by_powers(g: TruncSeries) -> TruncSeries:
+    """log g as the sum of the (-1)**(k+1) (g - 1)**k / k, for g with unit constant term."""
+    weights = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, g.order + 1)]
+    return power_sum(g - TruncSeries.one(g.ops, g.order), weights)

@@ -195,6 +195,26 @@ def test_cached_product_constants_are_ints():
     assert values and all(type(c) is int for c in values)
 
 
+def test_dot_asks_for_no_product_table_with_a_unit_factor(monkeypatch):
+    # A term with the empty forest as one factor is summed straight into the
+    # result; only the recursion inside _product_table reads such a table.
+    asked, depth, table = [], [0], gl._product_table
+
+    def spy(left, right, basis):
+        if not depth[0]:
+            asked.append((left, right))
+        depth[0] += 1
+        try:
+            return table(left, right, basis)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(gl, "_product_table", spy)
+    assert ncs.verify_ncs(ncs.build_omega((2, 3, 4), 12)).ok
+    assert asked
+    assert [pair for pair in asked if EMPTY_FOREST in pair] == []
+
+
 # ---------------------------------------------------------------------------
 # Coproduct
 # ---------------------------------------------------------------------------

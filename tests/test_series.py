@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from oracles import RATIONAL_OPS
+from oracles import RATIONAL_OPS, exp_by_powers, log_by_powers
 from treehopf import gl, nsym
 from treehopf.linear import add_all
 from treehopf.series import TruncSeries
@@ -391,6 +391,55 @@ def test_exp_log_preconditions():
         q_series([1, 1]).exp()
     with pytest.raises(ValueError):
         q_series([0, 1]).log()
+
+
+def _sparse_coeffs(data, ops, coeffs, order):
+    # order + 1 coefficients, each replaced by zero with even odds, so that
+    # series with gaps are drawn as often as dense ones.
+    drawn = data.draw(st.lists(coeffs, min_size=order + 1, max_size=order + 1))
+    return [c if data.draw(st.booleans()) else ops.zero() for c in drawn]
+
+
+@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("carrier", ("words", "trees-V", "trees-T"))
+@given(data=st.data())
+def test_exp_and_log_match_the_power_sums_on_noncommutative_carriers(carrier, data):
+    ops, _, coeffs = CARRIERS[carrier]
+    order = 5
+    tail = _sparse_coeffs(data, ops, coeffs, order)[1:]
+    x = TruncSeries(ops, (ops.zero(), *tail))
+    g = TruncSeries(ops, (ops.one(), *tail))
+    assert x.exp() == exp_by_powers(x)
+    assert g.log() == log_by_powers(g)
+
+
+class _CountingOps:
+    """A carrier's ops whose dot counts the pairs it is handed with a zero factor."""
+
+    def __init__(self, ops):
+        self.ops, self.zero_pairs = ops, 0
+        self.zero, self.one, self.sum = ops.zero, ops.one, ops.sum
+        self.scale, self.eq, self.describe = ops.scale, ops.eq, ops.describe
+
+    def dot(self, pairs):
+        pairs = list(pairs)
+        self.zero_pairs += sum(1 for x, y in pairs if not (x and y))
+        return self.ops.dot(pairs)
+
+
+@settings(max_examples=20, deadline=None)
+@pytest.mark.parametrize("carrier", CARRIERS)
+@given(data=st.data())
+def test_series_arithmetic_hands_dot_no_zero_factor(carrier, data):
+    base, _, coeffs = CARRIERS[carrier]
+    ops = _CountingOps(base)
+    order = 4
+    a, b = (_sparse_coeffs(data, ops, coeffs, order) for _ in "ab")
+    x = TruncSeries(ops, (ops.zero(), *a[1:]))
+    g = TruncSeries(ops, (ops.one(), *a[1:]))
+    x.exp(), g.log(), g.inverse_right(), g.inverse_left()
+    TruncSeries(ops, tuple(a)) * TruncSeries(ops, tuple(b))
+    assert ops.zero_pairs == 0
 
 
 # ---------------------------------------------------------------------------
