@@ -170,7 +170,9 @@ def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Fores
     grafted: dict[Forest, int] = {}  # graft counts of the first term
     get = grafted.get
     scale = w(rest) * w_right
-    for f, c in _product_table(rest, right, basis):
+    # A one-tree left factor leaves rest empty, whose product with right
+    # is right itself: no table is stored for it.
+    for f, c in _product_table(rest, right, basis) if rest.trees else ((right, 1),):
         n = c * scale // w(f)
         flat = iter(insert_scion(x, f, True))
         for r, m in zip(flat, flat):

@@ -22,7 +22,7 @@ from math import factorial, gcd
 from typing import NamedTuple
 
 from . import duality, gl, memo, nsym
-from .linear import add_all, extend_multiplicatively
+from .linear import add_all, combine
 from .report import CheckReport
 from .series import NCSSystem, TruncSeries
 from .trees import (
@@ -101,6 +101,11 @@ def _theta_of_branch(x: LabeledTree) -> Fraction:
 # The system over the grafting algebra
 # ---------------------------------------------------------------------------
 
+# The unit and zero of the V-basis series, shared by every system.
+_ONE = gl.SERIES_OPS[gl.V_BASIS].one()
+_ZERO = gl.SERIES_OPS[gl.V_BASIS].zero()
+
+
 @memo.memoized
 def _generator_image(labels: tuple[int, ...], m: int) -> gl.GLElem:
     # Coefficient of t^m in f: signed sum over grafting-rooted shrubs, whose
@@ -117,55 +122,62 @@ def _generator_image(labels: tuple[int, ...], m: int) -> gl.GLElem:
 
 def _f_series(labels, order: int) -> TruncSeries:
     ls = _norm_labels(labels)
-    coeffs = [gl.unit()] + [_generator_image(ls, m) for m in range(1, order + 1)]
+    coeffs = [_ONE] + [_generator_image(ls, m) for m in range(1, order + 1)]
     return gl.series(coeffs)
+
+
+@memo.memoized
+def _g_coeff(labels: tuple[int, ...], w: int) -> gl.GLElem:
+    # Coefficient of t^w in g: every forest, coefficient 1.
+    return gl.GLElem.from_ints(1, dict.fromkeys(enumerate_forests(labels, w), 1))
 
 
 def _g_series(labels, order: int) -> TruncSeries:
     ls = _norm_labels(labels)
-    coeffs = [gl.unit()] + [
-        gl.GLElem.from_ints(1, dict.fromkeys(enumerate_forests(ls, m), 1))
-        for m in range(1, order + 1)
-    ]
-    return gl.series(coeffs)
+    return gl.series([_ONE] + [_g_coeff(ls, m) for m in range(1, order + 1)])
+
+
+@memo.memoized
+def _primitive_coeffs(labels: tuple[int, ...], w: int) -> tuple[gl.GLElem, gl.GLElem, gl.GLElem]:
+    # (h_w, m_w, d_w): the trees of h, m and d are primitive, their branch
+    # forests hold one tree.  h takes the chains, weighted by the leaf
+    # label; m weights by the label of the root's child, and d by theta.
+    h_terms: dict[Forest, int] = {}
+    m_terms: dict[Forest, int] = {}
+    d_terms: dict[Forest, Fraction] = {}
+    for f in enumerate_forests(labels, w):
+        if len(f.trees) != 1:
+            continue
+        t = f.trees[0]
+        m_terms[f] = t.label
+        d_terms[f] = theta_recurrence(bplus(f))
+        if is_chain(t):
+            h_terms[f] = chain_leaf(t).label
+    return (
+        gl.GLElem.from_ints(1, h_terms),
+        gl.GLElem.from_ints(1, m_terms),
+        gl.GLElem(d_terms, gl.V_BASIS),
+    )
 
 
 def build_omega(labels, order: int) -> NCSSystem:
-    """The five series over the grafting algebra of labeled trees."""
+    """The five series over the grafting algebra of labeled trees.
+
+    Every coefficient is memoized on (labels, weight), so two calls share
+    their coefficient objects.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
     ls = _norm_labels(labels)
-
-    # The trees of h, m and d are primitive: their branch forests hold one
-    # tree.  h takes the chains, weighted by the leaf label; m weights by the
-    # label of the root's child, and d by theta.
-    h_coeffs = []
-    m_coeffs = []
-    d_coeffs = [gl.zero()]
-    for w in range(1, order + 1):
-        h_terms: dict[Forest, int] = {}
-        m_terms: dict[Forest, int] = {}
-        d_terms: dict[Forest, Fraction] = {}
-        for f in enumerate_forests(ls, w):
-            if len(f.trees) != 1:
-                continue
-            t = f.trees[0]
-            m_terms[f] = t.label
-            d_terms[f] = theta_recurrence(bplus(f))
-            if is_chain(t):
-                h_terms[f] = chain_leaf(t).label
-        h_coeffs.append(gl.GLElem.from_ints(1, h_terms))
-        m_coeffs.append(gl.GLElem.from_ints(1, m_terms))
-        d_coeffs.append(gl.GLElem(d_terms, gl.V_BASIS))
-
+    h, m, d = zip(*(_primitive_coeffs(ls, w) for w in range(1, order + 1)))
     return NCSSystem(
         carrier=f"trees{list(ls)}",
         order=order,
         f=_f_series(ls, order),
         g=_g_series(ls, order),
-        d=gl.series(d_coeffs),
-        h=gl.series(h_coeffs),
-        m=gl.series(m_coeffs),
+        d=gl.series([_ZERO, *d]),
+        h=gl.series(list(h)),
+        m=gl.series(list(m)),
     )
 
 
@@ -315,10 +327,24 @@ def kappa_expansion_check(labels, order: int) -> CheckReport:
 # Specialization and its transpose
 # ---------------------------------------------------------------------------
 
+@memo.memoized
+def _word_image(labels: tuple[int, ...], word: tuple[int, ...]) -> gl.GLElem:
+    # The image of a word: the image of the word without its last letter
+    # times that letter's generator image.
+    if len(word) < 2:
+        return _generator_image(labels, word[0]) if word else _ONE
+    return gl.mul(_word_image(labels, word[:-1]), _generator_image(labels, word[-1]))
+
+
 def specialize(x: nsym.NSymElem, labels) -> gl.GLElem:
-    """Algebra map fixed on elementary generators by the signed shrub sums."""
+    """Algebra map fixed on elementary generators by the signed shrub sums.
+
+    Each word's image is memoized on (labels, word) and built from the
+    image of its prefix, so every caller shares it.
+    """
     ls = _norm_labels(labels)
-    return extend_multiplicatively(x, lambda m: _generator_image(ls, m), gl.unit(), gl.mul)
+    den, nums = x.ints
+    return combine(_ONE, [(n, _word_image(ls, word)) for word, n in nums], den)
 
 
 def dual_specialize(f: Forest, labels) -> nsym.QSymElem:
@@ -411,10 +437,7 @@ def specialization_rank(labels, order: int) -> dict[int, dict[str, int]]:
         words = nsym.compositions(m)
         basis = enumerate_bplus_trees(ls, m)
         index = {branch_forest(t): i for i, t in enumerate(basis)}
-        rows = [
-            {index[key]: n for key, n in specialize(nsym.NSymElem({word: 1}), ls).ints[1]}
-            for word in words
-        ]
+        rows = [{index[key]: n for key, n in _word_image(ls, word).ints[1]} for word in words]
         rank = _sparse_rank(rows)
         out[m] = {"dimension": len(words), "target_dimension": len(basis), "rank": rank}
     return out

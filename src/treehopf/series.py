@@ -196,18 +196,21 @@ class TruncSeries:
 
     def _power_sum(self, weights: list[Fraction]) -> "TruncSeries":
         # sum_k weights[k] * self**k for a series with zero constant term, by
-        # Horner's rule: w_0 + self * (w_1 + self * (w_2 + ...)).  The k-th
-        # nest is multiplied by self**k, which vanishes below degree k, so it
-        # is needed only up to degree order - k.
+        # Horner's rule: w_0 + self * (w_1 + self * (w_2 + ...)).  With v the
+        # lowest degree of self, self**k vanishes below degree v*k, so the
+        # nests start at k = order // v and the k-th is needed only up to
+        # degree order - v*k.  A zero self leaves the constant w_0.
         ops = self.ops
         s = self.coeffs
-        support = [j for j in range(1, self.order + 1) if s[j]]
+        order = self.order
+        support = [j for j in range(1, order + 1) if s[j]]
+        v = support[0] if support else order + 1
         nest: list = []
-        for k in range(self.order, -1, -1):
+        for k in range(order // v, -1, -1):
             inner = nest
             nest = [ops.scale(weights[k], ops.one()) if weights[k] else ops.zero()] + [
                 ops.dot([(s[j], inner[n - j]) for j in support if j <= n and inner[n - j]])
-                for n in range(1, self.order - k + 1)
+                for n in range(1, order - v * k + 1)
             ]
         return TruncSeries(ops, tuple(nest))
 

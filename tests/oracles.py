@@ -4,12 +4,14 @@ on basis elements, so the tests can check the package against it."""
 from fractions import Fraction
 from math import factorial, gcd
 
-from treehopf import ck, duality, gl
+from treehopf import ck, duality, gl, ncs
+from treehopf.linear import extend_multiplicatively
 from treehopf.orderpoly import RationalPolynomial, interpolate_integer_nodes
 from treehopf.series import TruncSeries
 from treehopf.trees import (
     Forest,
     LabeledTree,
+    _norm_labels,
     _require_grafting_root,
     automorphism_count,
     bplus,
@@ -97,6 +99,13 @@ def sparse_rank_in_given_column_order(rows: list[dict[int, int]]) -> int:
                 else:
                     del row[j]
     return len(pivots)
+
+
+def specialize_letter_by_letter(x, labels) -> gl.GLElem:
+    """The specialization of an NSym element, every word multiplied out letter
+    by letter: the product of the generator images of its letters, in order."""
+    ls = _norm_labels(labels)
+    return extend_multiplicatively(x, lambda m: ncs._generator_image(ls, m), gl.unit(), gl.mul)
 
 
 def binomial_poly(k: int) -> RationalPolynomial:

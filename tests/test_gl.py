@@ -215,6 +215,16 @@ def test_dot_asks_for_no_product_table_with_a_unit_factor(monkeypatch):
     assert [pair for pair in asked if EMPTY_FOREST in pair] == []
 
 
+def test_no_product_table_is_stored_for_an_empty_factor(clear_memo_tables):
+    # A one-tree left factor reads its empty rest's product with right as
+    # right itself, so the recursion stores no table with an empty factor.
+    clear_memo_tables()
+    assert ncs.verify_ncs(ncs.build_omega((2, 3, 4), 12)).ok
+    keys = gl._product_table.table
+    assert len(keys) == 1157
+    assert [key for key in keys if EMPTY_FOREST in key[:2]] == []
+
+
 # ---------------------------------------------------------------------------
 # Coproduct
 # ---------------------------------------------------------------------------

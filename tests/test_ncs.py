@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 
 from conftest import canonical_trees
-from oracles import sparse_rank_in_given_column_order
+from oracles import sparse_rank_in_given_column_order, specialize_letter_by_letter
 from treehopf import ck, gl, ncs, nsym, orderpoly
 from treehopf.trees import (
     EMPTY_FOREST,
@@ -119,6 +119,15 @@ def test_build_omega_matches_the_tree_by_tree_reference(labels, order):
             assert x == y
 
 
+def test_build_omega_shares_its_coefficient_objects():
+    first, second = ncs.build_omega((1, 2), 5), ncs.build_omega((1, 2), 5)
+    for name in "fgdhm":
+        a, b = first.series_by_name(name).coeffs, second.series_by_name(name).coeffs
+        assert all(x is y for x, y in zip(a, b, strict=True)), name
+    # A lower order over the same label set, listed apart, reads them too.
+    assert all(x is y for x, y in zip(ncs.build_omega((2, 1), 3).d.coeffs, first.d.coeffs))
+
+
 # ---------------------------------------------------------------------------
 # Tree constants
 # ---------------------------------------------------------------------------
@@ -180,6 +189,19 @@ def test_theta_log_route_agrees_to_weight_five():
     assert table
     for t, value in table.items():
         assert value == ncs.theta_recurrence(t), tree_text(t)
+
+
+def test_theta_log_route_runs_no_recurrence(monkeypatch, clear_memo_tables):
+    # g is built apart from the primitive series, so with every memo table
+    # cold the log route still never reads the theta recurrence.
+    expected = ncs.theta_via_log((1,), 6)
+    clear_memo_tables()
+
+    def refuse(u):
+        raise AssertionError("theta recurrence called")
+
+    monkeypatch.setattr(ncs, "_theta_of_shape", refuse)
+    assert ncs.theta_via_log((1,), 6) == expected
 
 
 def test_log_lands_on_primitives():
@@ -320,6 +342,31 @@ def test_five_series_specialize_coefficientwise():
 def test_hopf_morphism_checks():
     report = ncs.hopf_morphism_check((1, 2), 4)
     assert report.ok, report.failures[:3]
+
+
+@given(
+    st.sets(st.sampled_from((1, 2, 3)), min_size=1),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(1, 3), max_size=3).filter(lambda w: sum(w) <= 6).map(tuple),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        ),
+        max_size=4,
+    ),
+)
+def test_specialize_matches_the_letter_by_letter_product(labels, terms):
+    x = nsym.NSymElem(terms)
+    assert ncs.specialize(x, labels) == specialize_letter_by_letter(x, labels)
+
+
+def test_specialization_check_builds_each_word_image_once(clear_memo_tables):
+    # Every prefix of a word of the universal system is a word of it too,
+    # so the memo holds exactly one image per distinct word.
+    clear_memo_tables()
+    assert ncs.specialization_check((1, 2), 5).ok
+    pi = nsym.pi_system(5)
+    words = {w for name in "fgdhm" for c in pi.series_by_name(name).coeffs for w in c.terms}
+    assert set(ncs._word_image.table) == {((1, 2), w) for w in words}
 
 
 def test_rank_diagnostic_shape():

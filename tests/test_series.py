@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from oracles import RATIONAL_OPS, exp_by_powers, log_by_powers
-from treehopf import gl, nsym
+from treehopf import gl, ncs, nsym
 from treehopf.linear import add_all
 from treehopf.series import TruncSeries
 from treehopf.trees import enumerate_forests, parse_tree
@@ -413,18 +413,56 @@ def test_exp_and_log_match_the_power_sums_on_noncommutative_carriers(carrier, da
     assert g.log() == log_by_powers(g)
 
 
+@settings(max_examples=10, deadline=None)
+@pytest.mark.parametrize("order", (5, 7))
+@pytest.mark.parametrize("v", (2, 3))
+@pytest.mark.parametrize("carrier", ("words", "trees-V", "trees-T"))
+@given(data=st.data())
+def test_exp_and_log_match_the_power_sums_when_low_degrees_vanish(carrier, v, order, data):
+    # Degrees 1..v-1 are zero, so the nests stop at k = order // v; the
+    # orders are not multiples of v.
+    ops, _, coeffs = CARRIERS[carrier]
+    tail = _sparse_coeffs(data, ops, coeffs, order)[v:]
+    x = TruncSeries(ops, (ops.zero(),) * v + tuple(tail))
+    g = TruncSeries(ops, (ops.one(),) + (ops.zero(),) * (v - 1) + tuple(tail))
+    assert x.exp() == exp_by_powers(x)
+    assert g.log() == log_by_powers(g)
+
+
+@pytest.mark.parametrize("carrier", CARRIERS)
+@pytest.mark.parametrize("order", (0, 1, 5))
+def test_exp_of_zero_and_log_of_one(carrier, order):
+    ops = CARRIERS[carrier][0]
+    zero, one = TruncSeries.zero(ops, order), TruncSeries.one(ops, order)
+    assert zero.exp() == one == exp_by_powers(zero)
+    assert one.log() == zero == log_by_powers(one)
+
+
 class _CountingOps:
-    """A carrier's ops whose dot counts the pairs it is handed with a zero factor."""
+    """A carrier's ops whose dot counts its calls, the pairs it is handed, and
+    those pairs with a zero factor."""
 
     def __init__(self, ops):
-        self.ops, self.zero_pairs = ops, 0
+        self.ops, self.calls, self.pairs, self.zero_pairs = ops, 0, 0, 0
         self.zero, self.one, self.sum = ops.zero, ops.one, ops.sum
         self.scale, self.eq, self.describe = ops.scale, ops.eq, ops.describe
 
     def dot(self, pairs):
         pairs = list(pairs)
+        self.calls += 1
+        self.pairs += len(pairs)
         self.zero_pairs += sum(1 for x, y in pairs if not (x and y))
         return self.ops.dot(pairs)
+
+
+def test_exp_builds_each_nest_only_to_the_truncation():
+    # d over (2,3,4) has no term of degree 1, so the k-th nest is needed
+    # only to degree 12 - 2k: 42 dot calls, where nests built to 12 - k
+    # take 78 calls over 231 pairs.
+    d = ncs.build_omega((2, 3, 4), 12).d
+    ops = _CountingOps(d.ops)
+    assert TruncSeries(ops, d.coeffs).exp().coeffs == d.exp().coeffs
+    assert (ops.calls, ops.pairs, ops.zero_pairs) == (42, 131, 0)
 
 
 @settings(max_examples=20, deadline=None)
