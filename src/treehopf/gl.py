@@ -150,10 +150,11 @@ def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Fores
     # Structure constants of the product of two basis trees in one basis:
     # the graft count n in T, and n * alpha(result) / (alpha(left) *
     # alpha(right)) in V, which is the admissible-cut count of
-    # _structure_table and so always an integer.  With left = rest + x, x
-    # its largest scion, attaching x at any vertex of a result of rest lands
-    # it on the stock or inside a scion of rest, and the second kind is
-    # what grafting rest with x already inserted counts:
+    # _structure_table and so always an integer.  A one-tree left factor
+    # [x] has the graft counts of insert_scion(x, right, True).  With more
+    # trees, left = rest + x, x its largest scion: attaching x at any vertex
+    # of a result of rest lands it on the stock or inside a scion of rest,
+    # and the second kind is what grafting rest with x already inserted counts:
     #     (x rest) o right = x ~> (rest o right) - (x ~> rest) o right,
     # where x ~> F attaches x at one vertex of F: the root of the result
     # counts as a vertex in the first term, and rest has none.  Tables of
@@ -165,29 +166,32 @@ def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Fores
         return ((left, 1),)
     w = alpha if basis == V_BASIS else lambda f: 1
     x = left.trees[-1]
-    rest = forest(left.trees[:-1])
     w_right = w(right)
-    grafted: dict[Forest, int] = {}  # graft counts of the first term
-    get = grafted.get
-    scale = w(rest) * w_right
-    # A one-tree left factor leaves rest empty, whose product with right
-    # is right itself: no table is stored for it.
-    for f, c in _product_table(rest, right, basis) if rest.trees else ((right, 1),):
-        n = c * scale // w(f)
-        flat = iter(insert_scion(x, f, True))
-        for r, m in zip(flat, flat):
-            grafted[r] = get(r, 0) + n * m
-    inner: dict[Forest, int] = {}  # the second term's counts times w(result) / w(right)
-    get = inner.get
-    flat = iter(insert_scion(x, rest, False))
-    for a, m in zip(flat, flat):
-        m *= w(a)
-        for r, c in _product_table(a, right, basis):
-            inner[r] = get(r, 0) + m * c
+    if len(left.trees) == 1:
+        flat = iter(insert_scion(x, right, True))
+        counts = ((r, m * w(r)) for r, m in zip(flat, flat))
+    else:
+        rest = forest(left.trees[:-1])
+        grafted: dict[Forest, int] = {}  # graft counts of the first term
+        get = grafted.get
+        scale = w(rest) * w_right
+        for f, c in _product_table(rest, right, basis):
+            n = c * scale // w(f)
+            flat = iter(insert_scion(x, f, True))
+            for r, m in zip(flat, flat):
+                grafted[r] = get(r, 0) + n * m
+        inner: dict[Forest, int] = {}  # the second term's counts times w(result) / w(right)
+        get = inner.get
+        flat = iter(insert_scion(x, rest, False))
+        for a, m in zip(flat, flat):
+            m *= w(a)
+            for r, c in _product_table(a, right, basis):
+                inner[r] = get(r, 0) + m * c
+        counts = ((r, n * w(r) - inner.get(r, 0) * w_right) for r, n in grafted.items())
     scale = w(left) * w_right
     out = []
-    for r, n in grafted.items():
-        c, rem = divmod(n * w(r) - inner.get(r, 0) * w_right, scale)
+    for r, n in counts:
+        c, rem = divmod(n, scale)
         if rem:
             raise ArithmeticError(
                 f"V-basis constant of {forest_text(left)} * {forest_text(right)} "

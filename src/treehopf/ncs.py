@@ -29,7 +29,6 @@ from .trees import (
     EMPTY_FOREST,
     Forest,
     LabeledTree,
-    bplus,
     branch_forest,
     chain_leaf,
     enumerate_bplus_trees,
@@ -141,7 +140,8 @@ def _g_series(labels, order: int) -> TruncSeries:
 def _primitive_coeffs(labels: tuple[int, ...], w: int) -> tuple[gl.GLElem, gl.GLElem, gl.GLElem]:
     # (h_w, m_w, d_w): the trees of h, m and d are primitive, their branch
     # forests hold one tree.  h takes the chains, weighted by the leaf
-    # label; m weights by the label of the root's child, and d by theta.
+    # label; m weights by the label of the root's child, and d by theta,
+    # that of bplus(f) read as the constant of t's shape as a branch.
     h_terms: dict[Forest, int] = {}
     m_terms: dict[Forest, int] = {}
     d_terms: dict[Forest, Fraction] = {}
@@ -150,7 +150,7 @@ def _primitive_coeffs(labels: tuple[int, ...], w: int) -> tuple[gl.GLElem, gl.GL
             continue
         t = f.trees[0]
         m_terms[f] = t.label
-        d_terms[f] = theta_recurrence(bplus(f))
+        d_terms[f] = _theta_of_branch(shape(t))
         if is_chain(t):
             h_terms[f] = chain_leaf(t).label
     return (

@@ -300,12 +300,13 @@ def forest_automorphisms(f: Forest) -> int:
 
 
 def _automorphisms(trees: tuple[LabeledTree, ...], counts: list[int]) -> int:
-    # Canonical order puts equal trees side by side; m equal trees with a
-    # automorphisms each contribute m! * a**m.
-    a = 1
-    for _, group in itertools.groupby(zip(trees, counts), key=lambda tc: tc[0]):
-        block = tuple(group)
-        a *= factorial(len(block)) * block[0][1] ** len(block)
+    # Canonical order puts equal trees side by side; the i-th of m equal
+    # trees with a automorphisms each multiplies by i * a, m! * a**m in all.
+    a, run, prev = 1, 0, None
+    for t, c in zip(trees, counts):
+        run = run + 1 if t is prev else 1
+        a *= c * run
+        prev = t
     return a
 
 
@@ -349,7 +350,7 @@ def _trees_of_weight(ls: tuple[int, ...], weight: int) -> tuple[LabeledTree, ...
         if root_label <= weight:
             for f in _forests_bounded(ls, weight - root_label, None):
                 out.append(node(root_label, f.trees))
-    out.sort(key=lambda t: t._key)
+    out.sort(key=_canonical)
     return tuple(out)
 
 
@@ -362,19 +363,22 @@ def enumerate_forests(labels: Iterable[int], weight: int) -> tuple[Forest, ...]:
 
 
 @memo.memoized
-def _forests_bounded(ls: tuple[int, ...], weight: int, bound_key) -> tuple[Forest, ...]:
-    # Forests whose trees all have canonical key <= bound_key; each multiset is
-    # produced exactly once by peeling off its maximal tree first.
+def _forests_bounded(ls: tuple[int, ...], weight: int, bound) -> tuple[Forest, ...]:
+    # Forests whose trees are all canonically at most bound (any, for None),
+    # each multiset once, its maximal tree peeled off first.  bound hashes by
+    # identity.  Trees of one weight come sorted, so the loop stops at the
+    # first above the bound; only the unbounded lists, which callers see, are sorted.
     if weight == 0:
         return (EMPTY_FOREST,)
     out: list[Forest] = []
     for k in range(1, weight + 1):
         for t in _trees_of_weight(ls, k):
-            if bound_key is not None and t._key > bound_key:
-                continue
-            for rest in _forests_bounded(ls, weight - k, t._key):
+            if bound is not None and t._key > bound._key:
+                break
+            for rest in _forests_bounded(ls, weight - k, t):
                 out.append(forest((t,) + rest.trees))
-    out.sort(key=lambda f: f._key)
+    if bound is None:
+        out.sort(key=_canonical)
     return tuple(out)
 
 

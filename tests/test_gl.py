@@ -1,5 +1,6 @@
 """Grafting Hopf algebra: product routes, coproduct, antipode, primitives."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from treehopf.trees import (
     enumerate_bplus_trees,
     cut_results,
     enumerate_forests,
+    enumerate_trees,
     forest,
     forest_text,
     graft_positions,
@@ -179,14 +181,59 @@ def test_dot_of_no_pairs_is_zero_and_refuses_a_mixed_basis():
 
 
 def test_fractional_v_constant_raises(monkeypatch):
-    # A corrupted insertion gives the graft count 1 at [7(7(7))], so the
-    # V constant 1 * alpha(0(7(7(7)))) / (alpha(0(7)) * alpha(0(7,7))) = 1/2,
-    # which is refused rather than truncated or cached.
+    # A one-tree left factor, read off insert_scion: a corrupted insertion
+    # gives the graft count 1 at [7(7(7))], so the V constant
+    # 1 * alpha(0(7(7(7)))) / (alpha(0(7)) * alpha(0(7,7))) = 1/2 is
+    # refused rather than truncated or cached.
     left, right, bad = parse_forest("[7]"), parse_forest("[7,7]"), parse_forest("[7(7(7))]")
     monkeypatch.setattr(gl, "insert_scion", lambda scion, f, at_root: (bad, 1) if at_root else ())
     with pytest.raises(ArithmeticError):
         gl.mul(gl.from_branches(left), gl.from_branches(right))
     assert (left, right, gl.V_BASIS) not in gl._product_table.table
+
+
+def test_fractional_v_constant_raises_for_a_two_tree_left_factor(monkeypatch, clear_memo_tables):
+    # [7,7] * [7] grafts the second 7 onto the results of [7] * [7].  A
+    # corrupted insertion counts one way, not two, of attaching 7 inside
+    # [7,7], so the count at [7,7(7)] is 2 against the correction's 1, and
+    # the V constant (2 - 1) / alpha([7,7]) = 1/2 is refused, not stored.
+    clear_memo_tables()
+    left, right = parse_forest("[7,7]"), parse_forest("[7]")
+    bad = (parse_forest("[7,7,7]"), 1, parse_forest("[7,7(7)]"), 1)
+    real = gl.insert_scion
+
+    def corrupted(scion, f, at_root):
+        # The results of [7] * [7] include [7,7], which is left itself.
+        return bad if f is left and at_root else real(scion, f, at_root)
+
+    monkeypatch.setattr(gl, "insert_scion", corrupted)
+    with pytest.raises(ArithmeticError):
+        gl.mul(gl.from_branches(left), gl.from_branches(right))
+    assert (left, right, gl.V_BASIS) not in gl._product_table.table
+    assert (forest([leaf(7)]), right, gl.V_BASIS) in gl._product_table.table
+
+
+def test_one_tree_product_tables_match_both_oracles(clear_memo_tables):
+    # A one-tree left factor [x] reads its table straight off
+    # insert_scion(x, right, True).  Every such pair over (1, 2) with total
+    # weight <= 6, from cold tables: T against every assignment, V against
+    # the admissible-cut counts, each result listed once.
+    clear_memo_tables()
+    pairs = 0
+    for wx in range(1, 7):
+        for x in enumerate_trees((1, 2), wx):
+            left = forest([x])
+            for wr in range(0, 7 - wx):
+                for right in enumerate_forests((1, 2), wr):
+                    t_table = gl._product_table(left, right, gl.T_BASIS)
+                    v_table = gl._product_table(left, right, gl.V_BASIS)
+                    expected = Counter(map(branch_forest, graft_positions(left, bplus(right))))
+                    assert dict(t_table) == expected, (forest_text(left), forest_text(right))
+                    assert dict(v_table) == dict(gl._structure_table(left, right))
+                    assert len(t_table) == len(expected) and len(v_table) == len(dict(v_table))
+                    pairs += 1
+    # Trees of weight 1..6 (1, 2, 4, 10, 27, 75) times forests up to the rest.
+    assert pairs == 87 + 64 + 48 + 50 + 54 + 75
 
 
 def test_cached_product_constants_are_ints():
@@ -216,8 +263,8 @@ def test_dot_asks_for_no_product_table_with_a_unit_factor(monkeypatch):
 
 
 def test_no_product_table_is_stored_for_an_empty_factor(clear_memo_tables):
-    # A one-tree left factor reads its empty rest's product with right as
-    # right itself, so the recursion stores no table with an empty factor.
+    # A one-tree left factor reads its table off insert_scion and never
+    # recurses, so the recursion stores no table with an empty factor.
     clear_memo_tables()
     assert ncs.verify_ncs(ncs.build_omega((2, 3, 4), 12)).ok
     keys = gl._product_table.table

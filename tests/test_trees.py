@@ -26,6 +26,7 @@ from treehopf.trees import (
     enumerate_forests,
     enumerate_trees,
     forest,
+    forest_automorphisms,
     forest_text,
     graft_positions,
     leaf,
@@ -258,6 +259,32 @@ def test_automorphisms_against_brute_force():
             assert automorphism_count(t) == brute_force_automorphisms(t), tree_text(t)
 
 
+
+def test_forest_automorphisms_against_bplus_and_brute_force(clear_memo_tables):
+    # The run-length product over equal neighbouring trees, on every forest
+    # over (1, 2) up to weight 6, with the tree counts computed afresh.
+    clear_memo_tables()
+    checked = 0
+    for m in range(0, 7):
+        for f in enumerate_forests((1, 2), m):
+            t = bplus(f)
+            assert forest_automorphisms(f) == automorphism_count(t), forest_text(f)
+            assert automorphism_count(t) == brute_force_automorphisms(t), forest_text(f)
+            checked += 1
+    assert checked == 1 + 1 + 3 + 7 + 20 + 55 + 164
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [("[1,1,1,1]", 24), ("[1(1),1(1),1(1)]", 6), ("[1(1,1),1(1,1)]", 8), ("[1,2,1(1),1(1)]", 2)],
+)
+def test_forest_automorphisms_of_repeated_trees(text, count):
+    # m equal trees with a automorphisms each give m! * a**m.
+    f = parse_forest(text)
+    assert forest_automorphisms(f) == automorphism_count(bplus(f)) == count
+    assert brute_force_automorphisms(bplus(f)) == count
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -291,6 +318,42 @@ def test_enumeration_is_duplicate_free_and_graded():
         forests = enumerate_forests((1, 2), m)
         assert len(set(forests)) == len(forests)
         assert all(f.weight == m for f in forests)
+
+
+
+def euler_transform_counts(labels, max_weight):
+    """Tree and forest counts by weight, independent of the enumeration.
+
+    A tree of weight n is a root label l over a forest of weight n - l, and
+    forests are multisets of trees, so F(x) = prod over n of (1 - x^n)^(-t_n):
+    n f_n = sum over k of c_k f_(n-k), with c_k = sum over d | k of d t_d.
+    """
+    t = [0] * (max_weight + 1)
+    f = [1] + [0] * max_weight
+    for n in range(1, max_weight + 1):
+        t[n] = sum(f[n - lab] for lab in labels if lab <= n)
+        c = [sum(d * t[d] for d in range(1, k + 1) if k % d == 0) for k in range(n + 1)]
+        f[n] = sum(c[k] * f[n - k] for k in range(1, n + 1)) // n
+    return t, f
+
+
+@pytest.mark.parametrize("labels", [(1,), (1, 2), (2, 3, 4)])
+def test_public_enumeration_is_sorted_complete_and_duplicate_free(labels):
+    # The inner bounded lists are left unsorted; every list a caller sees is
+    # in canonical order, holds each tree or forest once, and has the size
+    # the weighted Euler transform gives.
+    tree_counts, forest_counts = euler_transform_counts(labels, 8)
+    for m in range(0, 9):
+        for items, count in [
+            (enumerate_trees(labels, m), tree_counts[m]),
+            (enumerate_forests(labels, m), forest_counts[m]),
+            (enumerate_bplus_trees(labels, m), forest_counts[m]),
+        ]:
+            keys = [x._key for x in items]
+            assert keys == sorted(keys)
+            assert len(set(items)) == len(items) == count
+    # Over (1,), forests of weight 8 are the rooted trees on 9 vertices (OEIS A000081).
+    assert forest_counts[8] == {(1,): 286, (1, 2): 1510, (2, 3, 4): 29}[labels]
 
 
 # ---------------------------------------------------------------------------
