@@ -26,32 +26,6 @@ from .trees import (
 )
 
 
-class RunConfig:
-    __slots__ = ("labels", "max_weight", "max_vertices", "fmt")
-
-    def __init__(
-        self,
-        labels: tuple[int, ...] = (1,),
-        max_weight: int = 4,
-        max_vertices: int = 6,
-        fmt: str = "text",
-    ):
-        if not labels:
-            raise ValueError("label set must be nonempty")
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be distinct")
-        if any(x < 1 for x in labels):
-            raise ValueError("labels must be positive integers")
-        if not 1 <= max_weight <= MAX_ORDER_CEILING:
-            raise ValueError(f"max weight must be between 1 and {MAX_ORDER_CEILING}")
-        if not 1 <= max_vertices <= MAX_ORDER_CEILING:
-            raise ValueError(f"max vertices must be between 1 and {MAX_ORDER_CEILING}")
-        self.labels = labels
-        self.max_weight = max_weight
-        self.max_vertices = max_vertices
-        self.fmt = fmt
-
-
 def _parse_labels(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -59,13 +33,21 @@ def _parse_labels(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse label list {text!r}") from exc
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        labels=_parse_labels(args.labels),
-        max_weight=args.max_weight,
-        max_vertices=getattr(args, "max_vertices", 6),
-        fmt=args.format,
-    )
+def _config(args: argparse.Namespace) -> argparse.Namespace:
+    """args with --labels parsed into a tuple, once every input is checked.
+
+    argparse holds the defaults; only verify has --max-vertices.
+    """
+    labels = args.labels = _parse_labels(args.labels)
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be distinct")
+    if any(x < 1 for x in labels):
+        raise ValueError("labels must be positive integers")
+    if not 1 <= args.max_weight <= MAX_ORDER_CEILING:
+        raise ValueError(f"max weight must be between 1 and {MAX_ORDER_CEILING}")
+    if "max_vertices" in vars(args) and not 1 <= args.max_vertices <= MAX_ORDER_CEILING:
+        raise ValueError(f"max vertices must be between 1 and {MAX_ORDER_CEILING}")
+    return args
 
 
 def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
@@ -103,7 +85,7 @@ def cmd_enumerate(args) -> int:
         "max_weight": cfg.max_weight,
         "by_weight": by_weight,
     }
-    _emit(payload, cfg.fmt, lines)
+    _emit(payload, cfg.format, lines)
     return 0
 
 
@@ -124,11 +106,11 @@ def cmd_expand(args) -> int:
         "order": series.order,
         "coefficients": coefficients,
     }
-    _emit(payload, cfg.fmt, lines)
+    _emit(payload, cfg.format, lines)
     return 0
 
 
-def _verify_reports(suite: str, cfg: RunConfig) -> tuple[dict[str, dict], bool]:
+def _verify_reports(suite: str, cfg: argparse.Namespace) -> tuple[dict[str, dict], bool]:
     """The JSON of every report the suite makes, and whether every check passed."""
     reports: dict[str, dict] = {}
     passed: list[bool] = []
@@ -183,7 +165,7 @@ def cmd_verify(args) -> int:
         "status": "pass" if ok else "fail",
         "reports": reports,
     }
-    _emit(payload, cfg.fmt, lines)
+    _emit(payload, cfg.format, lines)
     return 0 if ok else 1
 
 
@@ -231,7 +213,7 @@ def cmd_qsym(args) -> int:
         ],
         "text": nsym.qsym_text(image),
     }
-    _emit(payload, cfg.fmt, [nsym.qsym_text(image)])
+    _emit(payload, cfg.format, [nsym.qsym_text(image)])
     return 0
 
 
@@ -239,9 +221,9 @@ def cmd_qsym(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, max_weight_default: int = 4):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--labels", default="1", help="comma-separated label set, e.g. 1,2")
-    p.add_argument("--max-weight", type=int, default=max_weight_default, dest="max_weight")
+    p.add_argument("--max-weight", type=int, default=4, dest="max_weight")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 

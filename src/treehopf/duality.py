@@ -5,20 +5,16 @@ the automorphism count of T when F is the branch forest of T, and zero
 otherwise; in the divided basis it is simply the indicator, which makes the
 pairing a key-level operation.  The adjunction checker verifies that product,
 coproduct and antipode on the two sides are transposes of one another by
-comparing rows of coefficients against the transposed forest-side tables, and
-the dual-map constructor turns a linear map into quasi-symmetric images of
-forests through the complete/monomial duality.
+comparing rows of coefficients against the transposed forest-side tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
-from . import ck, gl, nsym
+from . import ck, gl
 from .report import CheckReport
 from .trees import (
-    Forest,
     branch_forest,
     enumerate_bplus_trees,
     enumerate_forests,
@@ -153,14 +149,3 @@ def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
 
     return report
 
-
-def dual_image(linmap: Callable[[nsym.NSymElem], gl.GLElem], f: Forest) -> nsym.QSymElem:
-    """Quasi-symmetric image of a forest under the transpose of a linear map.
-
-    Expands over all compositions of the forest weight, pairing the image of
-    the corresponding product of complete functions with the forest.
-    """
-    return nsym.QSymElem(
-        (comp, pair(linmap(nsym.complete_word(comp)), ck.from_forest(f)))
-        for comp in nsym.compositions(f.weight)
-    )

@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import NamedTuple
 
-from . import duality, gl, memo, nsym
+from . import gl, memo, nsym, orderpoly
 from .linear import add_all, combine
 from .report import CheckReport
 from .series import NCSSystem, TruncSeries
@@ -340,7 +340,8 @@ def specialize(x: nsym.NSymElem, labels) -> gl.GLElem:
     """Algebra map fixed on elementary generators by the signed shrub sums.
 
     Each word's image is memoized on (labels, word) and built from the
-    image of its prefix, so every caller shares it.
+    image of its prefix, so every caller shares it, :func:`dual_specialize`
+    included.
     """
     ls = _norm_labels(labels)
     den, nums = x.ints
@@ -353,12 +354,32 @@ def dual_specialize(f: Forest, labels) -> nsym.QSymElem:
     The image is taken over labels: a vertex with another label, the grafting
     label 0 of a root included, has no letter there, so it is refused rather
     than sent to 0.
+
+    The coefficient of M_alpha is the pairing of the image of the complete
+    word S^alpha with f.  In the divided basis that pairing reads the
+    coefficient of f, so it is the sum over words w of [w]S^alpha times
+    [f] of the image of w.  The numerator of f is read once from the integer
+    form of each memoized word image of weight |f|, and no image is summed.
     """
     ls = _norm_labels(labels)
     outside = sorted(label_values(f).union(t.label for t in f) - set(ls))
     if outside:
         raise ValueError(f"label {outside[0]} outside the allowed set {list(ls)}")
-    return duality.dual_image(lambda a: specialize(a, ls), f)
+    comps = nsym.compositions(f.weight)
+    read = {}
+    for w in comps:
+        den, nums = _word_image(ls, w).ints
+        n = next((n for key, n in nums if key is f), 0)
+        if n:
+            read[w] = (den, n)
+    # Over the lcm of the denominators read, every row entry is an integer.
+    total = lcm(*[den for den, _ in read.values()])
+    row = {w: n * (total // den) for w, (den, n) in read.items()}
+    terms = []
+    for comp in comps:
+        den, nums = nsym.complete_word(comp).ints
+        terms.append((comp, Fraction(sum([n * row.get(w, 0) for w, n in nums]), den * total)))
+    return nsym.QSymElem(terms)
 
 
 def specialization_check(labels, order: int) -> CheckReport:
@@ -492,8 +513,6 @@ def theta_agreement_report(max_weight: int = 7) -> CheckReport:
     Sweeps every grafting-rooted tree with up to max_weight non-root
     vertices.
     """
-    from . import orderpoly
-
     report = CheckReport()
     log_table = theta_via_log((1,), max_weight)
     for m in range(1, max_weight + 1):

@@ -146,6 +146,44 @@ def test_vertex_ceilings_match_what_the_routes_accept():
         orderpoly.order_poly(forest(leaf(1) for _ in range(top + 1)))
 
 
+def test_verify_reports_a_failing_suite_and_equation(capsys, monkeypatch):
+    from treehopf.report import CheckReport
+
+    def failing_ncs(system):
+        return ncs.NCSReport(
+            system.carrier,
+            system.order,
+            [
+                ncs.EquationCheck("left-inverse", "pass"),
+                ncs.EquationCheck("exponential", "fail", {"degree": 2, "diff": "V[1]"}),
+            ],
+        )
+
+    monkeypatch.setattr(
+        ncs, "kappa_expansion_check", lambda labels, order: CheckReport(3, ["degree 2: x != y"])
+    )
+    monkeypatch.setattr(ncs, "verify_ncs", failing_ncs)
+    args = ("verify", "ncs", "--labels", "1", "--max-weight", "2")
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    assert out.splitlines() == [
+        "ncs/left-inverse: pass",
+        "ncs/exponential: fail",
+        "shrub-expansion: fail (3 checks)",
+        "  FAIL degree 2: x != y",
+        "overall: fail",
+    ]
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert payload["reports"]["ncs"]["status"] == "fail"
+    assert payload["reports"]["shrub-expansion"] == {
+        "checked": 3,
+        "failures": ["degree 2: x != y"],
+    }
+
+
 def test_verify_json_reports(capsys):
     code, out, _ = run(
         capsys, "verify", "duality", "--labels", "1", "--max-weight", "3", "--format", "json"

@@ -161,7 +161,3 @@ def test_pairing_matrix_is_identity_permutation():
             for j, entry in enumerate(row):
                 assert entry == (1 if i == j else 0)
 
-
-def test_dual_image_of_empty_forest_is_unit():
-    image = duality.dual_image(lambda a: gl.unit().scale(a.get(())), EMPTY_FOREST)
-    assert image.terms == {(): Fraction(1)}

@@ -71,3 +71,28 @@ def test_memo_tables_outside_memo_are_only_the_intern_pools():
                 assert not ast.unparse(n.value).endswith(".table"), path.name
     assert calls == len(pools)
     assert sorted(pools) == ["_FOREST_POOL", "_TREE_POOL"]
+
+
+def test_every_module_level_import_is_used():
+    # A name a module imports at its top level and never reads is dead
+    # weight; the one kept is gl's re-export of the per-assignment grafting
+    # oracle, which the tracer rebinds there.
+    allowed = {("gl", "graft_positions")}
+    package = Path(treehopf.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = [
+            (alias.asname or alias.name).split(".")[0]
+            for n in tree.body
+            if isinstance(n, ast.Import)
+            or isinstance(n, ast.ImportFrom) and n.module != "__future__"
+            for alias in n.names
+        ]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            (path.stem, name)
+            for name in bound
+            if name not in read and (path.stem, name) not in allowed
+        ]
+    assert unused == []

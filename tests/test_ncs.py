@@ -9,12 +9,15 @@ from hypothesis import assume, given
 
 from conftest import canonical_trees
 from oracles import sparse_rank_in_given_column_order, specialize_letter_by_letter
-from treehopf import ck, gl, ncs, nsym, orderpoly
+from treehopf import ck, duality, gl, ncs, nsym, orderpoly
+from treehopf.linear import LinComb
 from treehopf.trees import (
     EMPTY_FOREST,
     MAX_ORDER_CEILING,
     branch_forest,
     enumerate_bplus_trees,
+    enumerate_forests,
+    forest_text,
     leaf,
     node,
     parse_forest,
@@ -560,6 +563,52 @@ def test_dual_map_comultiplicative_weight_three():
                         key = (lw, rw)
                         rhs[key] = rhs.get(key, 0) + c * lc * rc
             assert lhs.terms == {k: v for k, v in rhs.items() if v}, f
+
+
+def _pairing_route(labels, weight):
+    # The transpose by its definition: pair the image of each complete word
+    # of the weight with the forest.
+    images = [
+        (comp, ncs.specialize(nsym.complete_word(comp), labels))
+        for comp in nsym.compositions(weight)
+    ]
+    return lambda f: nsym.QSymElem(
+        (comp, duality.pair(image, ck.from_forest(f))) for comp, image in images
+    )
+
+
+def test_dual_map_is_the_pairing_with_the_specialized_complete_words():
+    seen = 0
+    for labels, top in (((1,), 7), ((1, 2), 5), ((2, 3), 8)):
+        for m in range(top + 1):
+            expected = _pairing_route(labels, m)
+            for f in enumerate_forests(labels, m):
+                assert ncs.dual_specialize(f, labels) == expected(f), forest_text(f)
+                seen += 1
+    assert seen == 328
+
+
+def test_dual_map_reads_the_word_images_without_building_or_summing_them(
+    monkeypatch, clear_memo_tables
+):
+    labels = (1, 2)
+    f = parse_forest("[1(2(1)),2]")
+    expected = _pairing_route(labels, f.weight)(f)
+    clear_memo_tables()
+    for word in nsym.compositions(f.weight):
+        ncs._word_image(labels, word)
+    filled = dict(ncs._word_image.table)
+
+    def refuse(*args):
+        raise AssertionError("the word images are summed or built again")
+
+    monkeypatch.setattr(gl, "dot", refuse)
+    monkeypatch.setattr(ncs, "specialize", refuse)
+    assert ncs.dual_specialize(f, labels) == expected
+    assert ncs._word_image.table == filled
+    for image in filled.values():
+        with pytest.raises(AttributeError):
+            LinComb.terms.__get__(image)
 
 
 # ---------------------------------------------------------------------------
