@@ -82,7 +82,7 @@ def coproduct(a: CKElem) -> CKTensor:
 
 
 def counit(a: CKElem) -> Fraction:
-    return a.get(EMPTY_FOREST)
+    return Fraction(next((n for f, n in a.ints[1] if f is EMPTY_FOREST), 0), a.ints[0])
 
 
 @memo.memoized

@@ -323,7 +323,7 @@ def coproduct(a: GLElem) -> GLTensor:
 
 
 def counit(a: GLElem) -> Fraction:
-    return a.get(EMPTY_FOREST)
+    return Fraction(next((n for f, n in a.ints[1] if f is EMPTY_FOREST), 0), a.ints[0])
 
 
 def tensor_of(a: GLElem, b: GLElem) -> GLTensor:

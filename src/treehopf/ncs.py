@@ -137,6 +137,11 @@ def _g_series(labels, order: int) -> TruncSeries:
 
 
 @memo.memoized
+def _g_log(labels: tuple[int, ...], order: int) -> TruncSeries:
+    return _g_series(labels, order).log()
+
+
+@memo.memoized
 def _primitive_coeffs(labels: tuple[int, ...], w: int) -> tuple[gl.GLElem, gl.GLElem, gl.GLElem]:
     # (h_w, m_w, d_w): the trees of h, m and d are primitive, their branch
     # forests hold one tree.  h takes the chains, weighted by the leaf
@@ -273,10 +278,10 @@ def theta_via_log(labels, order: int) -> dict[LabeledTree, Fraction]:
     """Read the tree constants off the logarithm of the all-trees series.
 
     Returns the coefficient (possibly zero) of every grafting-rooted tree of
-    weight 1..order in the divided basis of log g.
+    weight 1..order in the divided basis of log g, taken once per order.
     """
     ls = _norm_labels(labels)
-    logs = _g_series(ls, order).log()
+    logs = _g_log(ls, order)
     table: dict[LabeledTree, Fraction] = {}
     for m in range(1, order + 1):
         elem = logs.coeffs[m]

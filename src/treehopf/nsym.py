@@ -105,7 +105,7 @@ def coproduct(a: NSymElem) -> NSymTensor:
 
 
 def counit(a: NSymElem) -> Fraction:
-    return a.get(EMPTY_WORD)
+    return Fraction(next((n for w, n in a.ints[1] if w == EMPTY_WORD), 0), a.ints[0])
 
 
 @memo.memoized

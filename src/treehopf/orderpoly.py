@@ -273,7 +273,7 @@ def _forest_poly(f: Forest, strict: bool) -> RationalPolynomial:
         raise ValueError(
             f"forest has {f.size} vertices, above the supported bound {MAX_ORDER_CEILING}"
         )
-    return _shapes_poly(forest(map(shape, f.trees)), strict)
+    return _shapes_poly(forest(tuple(map(shape, f.trees))), strict)
 
 
 @memo.memoized
@@ -294,7 +294,8 @@ def _shapes_poly(shapes: Forest, strict: bool) -> RationalPolynomial:
 
 def reciprocity_holds(size: int, p: RationalPolynomial, q: RationalPolynomial) -> bool:
     """The weak polynomial q equals (-1)^size times the strict one p at -s."""
-    return q == (-1) ** size * p.reflected()
+    signed = tuple(-a if (k + size) % 2 else a for k, a in enumerate(p.num))
+    return q.den == p.den and q.num == signed
 
 
 def differences_hold(p, q, p_branches, q_branches) -> bool:
@@ -304,7 +305,18 @@ def differences_hold(p, q, p_branches, q_branches) -> bool:
     polynomial of the branch forest; for the weak polynomial q, the backward
     difference q(s) - q(s-1) is the weak polynomial of the branch forest.
     """
-    return p.shifted(1) - p == p_branches and q - q.shifted(-1) == q_branches
+    return _is_difference(p, 1, p_branches) and _is_difference(q, -1, q_branches)
+
+
+def _is_difference(p: RationalPolynomial, sign: int, r: RationalPolynomial) -> bool:
+    # r is p(s+1) - p(s) for sign 1 or p(s) - p(s-1) for sign -1.  A Taylor
+    # shift of the numerators by sign leaves those of p(s + sign), so the
+    # difference has coefficient i = sum_{j>i} C(j, i) * sign^(j-i+1) * num_j.
+    c = list(p.num)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += sign * c[j + 1]
+    return _lowest([sign * (a - b) for a, b in zip(c, p.num)], p.den) == (r.num, r.den)
 
 
 @memo.memoized
@@ -338,7 +350,7 @@ def recurrences_hold(u: LabeledTree, p: RationalPolynomial, q: RationalPolynomia
     strict_terms, strict_den = nested_cut_terms(u, _strict_constant, _strict_constant)
     weak_terms, weak_den = nested_cut_terms(u, _weak_constant, _weak_constant)
     if u.size == 1:
-        return p.linear_coeff == 1 and q.linear_coeff == 1
+        return _is_linear_coeff(p, 1, 1) and _is_linear_coeff(q, 1, 1)
     alternating = sum((-1) ** k * w for k, w in enumerate(weak_terms, 2))
     return (
         _is_linear_coeff(p, -sum(strict_terms), strict_den)
@@ -349,9 +361,13 @@ def recurrences_hold(u: LabeledTree, p: RationalPolynomial, q: RationalPolynomia
     )
 
 
+def _linear_num(p: RationalPolynomial) -> int:
+    return p.num[1] if len(p.num) > 1 else 0
+
+
 def _is_linear_coeff(p: RationalPolynomial, a: int, den: int) -> bool:
     # The coefficient of s in p is a/den.
-    return (p.num[1] if len(p.num) > 1 else 0) * den == a * p.den
+    return _linear_num(p) * den == a * p.den
 
 
 def _has_higher_coeffs(p: RationalPolynomial, terms: list[int], den: int) -> bool:
@@ -399,13 +415,13 @@ def orderpoly_suite(max_vertices: int = 6) -> CheckReport:
             for t in rest:
                 prod = prod * polys[forest((t,))][0]
             run("product-rule", f, prod == p)
-            run("weak-at-one", f, q(1) == 1)
-            run("strict-at-zero", f, p(0) == 0)
-            phi_strict, phi_weak = p.linear_coeff, q.linear_coeff
+            run("weak-at-one", f, sum(q.num) == q.den)
+            run("strict-at-zero", f, not p.num or p.num[0] == 0)
+            phi_strict, phi_weak = _linear_num(p), _linear_num(q)
             run(
                 "linear-coeff-reflection",
                 f,
-                phi_strict == (-1) ** (f.size - 1) * phi_weak,
+                phi_strict * q.den == (-1) ** (f.size - 1) * phi_weak * p.den,
             )
             if rest:
                 run("multi-component-vanishing", f, phi_strict == 0 and phi_weak == 0)

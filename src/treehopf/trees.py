@@ -111,6 +111,10 @@ _FOREST_POOL = memo.table()
 
 def forest(trees: Iterable[LabeledTree] = ()) -> Forest:
     """Intern the canonical forest with the given tree multiset."""
+    # A pool key is a sorted tuple of interned trees, which compare by
+    # identity, so a tuple equal to a key is that key and needs no sort.
+    if type(trees) is tuple and (got := _FOREST_POOL.get(trees)) is not None:
+        return got
     ts = tuple(sorted(trees, key=_canonical))
     got = _FOREST_POOL.get(ts)
     if got is not None:

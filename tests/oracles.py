@@ -113,6 +113,17 @@ def binomial_poly(k: int) -> RationalPolynomial:
     return interpolate_integer_nodes([0] * k + [1])
 
 
+def reciprocity_by_reflection(size: int, p: RationalPolynomial, q: RationalPolynomial) -> bool:
+    """Reciprocity on polynomial objects: q equals (-1)^size times p(-s)."""
+    return q == (-1) ** size * p.reflected()
+
+
+def differences_by_shifts(p, q, p_branches, q_branches) -> bool:
+    """The difference identities on polynomial objects: the forward difference
+    of p and the backward difference of q, each built from a shifted copy."""
+    return p.shifted(1) - p == p_branches and q - q.shifted(-1) == q_branches
+
+
 class RationalOps:
     """The series interface over exact rational scalars: the base-case carrier."""
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from treehopf import ck, duality, gl, ncs, nsym
-from treehopf.linear import add_all, extend_multiplicatively
+from treehopf.linear import LinComb, add_all, extend_multiplicatively
 from treehopf.trees import enumerate_forests
 
 FORESTS = [f for w in range(4) for f in enumerate_forests((1, 2), w)]
@@ -280,3 +280,25 @@ def test_pairings_sum_numerators_to_the_fraction_reference(data):
     expected = sum((c * q.get(k) for k, c in in_complete.terms.items()), Fraction(0))
     pairing = nsym.duality_pairing(w, q)
     assert type(pairing) is Fraction and pairing == expected
+
+
+@pytest.mark.parametrize(
+    "module, unit_key, other_key",
+    [
+        (gl, FORESTS[0], FORESTS[3]),
+        (ck, FORESTS[0], FORESTS[3]),
+        (nsym, nsym.EMPTY_WORD, (1, 2)),
+    ],
+    ids=["gl", "ck", "nsym"],
+)
+def test_counit_reads_the_integer_form(module, unit_key, other_key):
+    kind = type(module.unit())
+    for x, expected in (
+        (kind({unit_key: Fraction(3, 4), other_key: 2}) * Fraction(2, 3), Fraction(1, 2)),
+        (kind({other_key: Fraction(-5, 6)}) + kind({other_key: 1}), 0),
+        (kind({unit_key: 7}) - kind({unit_key: 7}), 0),
+    ):
+        value = module.counit(x)
+        assert value == expected and type(value) is Fraction
+        with pytest.raises(AttributeError):
+            LinComb.terms.__get__(x)

@@ -207,6 +207,19 @@ def test_theta_log_route_runs_no_recurrence(monkeypatch, clear_memo_tables):
     assert ncs.theta_via_log((1,), 6) == expected
 
 
+def test_log_route_takes_log_g_once_and_returns_a_fresh_table():
+    first, second = ncs.theta_via_log((1,), 6), ncs.theta_via_log((1,), 6)
+    assert first is not second and first == second
+    # The nonzero constants are read from one memoized log g.
+    assert all(first[t] is second[t] for t in first if first[t])
+    assert ncs._g_log((1,), 6) is ncs._g_log((1,), 6)
+    t = next(iter(first))
+    first[t] = Fraction(99)
+    third = ncs.theta_via_log((1,), 6)
+    assert third[t] == second[t] != 99 and third == second
+    assert len(second) == sum(len(enumerate_bplus_trees((1,), m)) for m in range(1, 7))
+
+
 def test_log_lands_on_primitives():
     table = ncs.theta_via_log((1,), 5)
     for t, value in table.items():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 
 from conftest import canonical_trees
-from oracles import binomial_poly
+from oracles import binomial_poly, differences_by_shifts, reciprocity_by_reflection
 from treehopf import orderpoly
 from treehopf.linear import format_linear
 from treehopf.orderpoly import (
@@ -490,9 +490,194 @@ def test_size_bound_enforced():
 
 
 def test_full_suite_to_six_vertices():
-    report = orderpoly_suite(6)
-    assert report.ok, report.failures[:5]
-    assert report.checked > 400
+    # Five checks per forest, one more per forest of several trees, and the
+    # difference identities and nested-cut recurrences of every tree.
+    checked = {}
+    for max_vertices in range(1, 8):
+        report = orderpoly_suite(max_vertices)
+        assert report.ok, report.failures[:5]
+        forests = [f for n in range(1, max_vertices + 1) for f in enumerate_forests((1,), n)]
+        several = sum(len(f.trees) > 1 for f in forests)
+        assert report.checked == 5 * len(forests) + several + 2 * (len(forests) - several)
+        checked[max_vertices] = report.checked
+    assert checked == {1: 7, 2: 20, 3: 46, 4: 104, 5: 233, 6: 541, 7: 1279}
+
+
+CHECK_NAMES = {
+    "reciprocity",
+    "product-rule",
+    "weak-at-one",
+    "strict-at-zero",
+    "linear-coeff-reflection",
+    "multi-component-vanishing",
+    "difference-identities",
+    "nested-cut-recurrences",
+}
+
+# (function patched, the shape or forest of shapes it perturbs, strict or
+# weak, the perturbation, the checks it must trip).  A perturbed tree
+# polynomial moves every product it enters with it, so the product rule is
+# tripped by perturbing one product of several trees instead.
+PERTURBATIONS = [
+    (
+        "_tree_poly",
+        "1(1)",
+        False,
+        lambda p: p + RationalPolynomial((0, 0, 1)),
+        {"reciprocity", "weak-at-one", "difference-identities", "nested-cut-recurrences"},
+    ),
+    (
+        "_tree_poly",
+        "1(1)",
+        True,
+        lambda p: p + RationalPolynomial((1,)),
+        {
+            "reciprocity",
+            "strict-at-zero",
+            "multi-component-vanishing",
+            "difference-identities",
+            "nested-cut-recurrences",
+        },
+    ),
+    (
+        "_tree_poly",
+        "1(1(1))",
+        True,
+        lambda p: p * Fraction(1, 2),
+        {
+            "reciprocity",
+            "linear-coeff-reflection",
+            "difference-identities",
+            "nested-cut-recurrences",
+        },
+    ),
+    (
+        "_tree_poly",
+        "1(1)",
+        False,
+        lambda p: p - RationalPolynomial((0, 1)),
+        {"reciprocity", "weak-at-one", "linear-coeff-reflection", "nested-cut-recurrences"},
+    ),
+    (
+        "_shapes_poly",
+        "[1,1]",
+        True,
+        lambda p: p + RationalPolynomial((0, 1)),
+        {"reciprocity", "product-rule", "linear-coeff-reflection", "multi-component-vanishing"},
+    ),
+    (
+        "_shapes_poly",
+        "[1,1]",
+        False,
+        lambda p: p + RationalPolynomial((0, 1)),
+        {"reciprocity", "weak-at-one", "linear-coeff-reflection", "multi-component-vanishing"},
+    ),
+]
+
+
+def test_perturbations_reach_every_check():
+    assert set().union(*(trips for *_, trips in PERTURBATIONS)) == CHECK_NAMES
+
+
+@pytest.mark.parametrize(
+    "name, key, strict, perturb, trips",
+    PERTURBATIONS,
+    ids=[
+        "weak-coefficient",
+        "strict-constant-term",
+        "strict-denominator",
+        "weak-linear-sign",
+        "strict-product",
+        "weak-product",
+    ],
+)
+def test_suite_catches_a_perturbed_polynomial(
+    monkeypatch, clear_memo_tables, name, key, strict, perturb, trips
+):
+    real = getattr(orderpoly, name)
+    target = shape(parse_tree(key)) if name == "_tree_poly" else parse_forest(key)
+
+    def patched(x, kind):
+        p = real(x, kind)
+        return perturb(p) if x is target and kind == strict else p
+
+    clear_memo_tables()
+    monkeypatch.setattr(orderpoly, name, patched)
+    try:
+        report = orderpoly_suite(5)
+    finally:
+        # The memo tables now hold values built from the perturbed polynomial.
+        monkeypatch.undo()
+        clear_memo_tables()
+    failed = {line.split(":")[0] for line in report.failures}
+    assert failed <= CHECK_NAMES
+    assert trips <= failed, failed
+    assert orderpoly_suite(5).ok
+
+
+# The rewritten predicates against the polynomial-object expressions they
+# replace.  Adding a random polynomial to the value that holds gives true
+# cases (when it is zero) and near misses.
+
+@given(coeff_lists, st.integers(0, 9), coeff_lists)
+def test_reciprocity_predicate_matches_the_reflection(xs, size, ys):
+    p = RationalPolynomial(xs)
+    q = (-1) ** size * p.reflected() + RationalPolynomial(ys)
+    assert reciprocity_holds(size, p, q) == reciprocity_by_reflection(size, p, q)
+    assert reciprocity_holds(size, p, q) == (not RationalPolynomial(ys).num)
+
+
+@given(coeff_lists, coeff_lists, coeff_lists, coeff_lists)
+def test_difference_predicate_matches_the_shifts(xs, ys, us, vs):
+    p, q = RationalPolynomial(xs), RationalPolynomial(ys)
+    pb = p.shifted(1) - p + RationalPolynomial(us)
+    qb = q - q.shifted(-1) + RationalPolynomial(vs)
+    assert differences_hold(p, q, pb, qb) == differences_by_shifts(p, q, pb, qb)
+    holds = not RationalPolynomial(us).num and not RationalPolynomial(vs).num
+    assert differences_hold(p, q, pb, qb) == holds
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        RationalPolynomial(()),
+        RationalPolynomial((Fraction(3, 2),)),
+        RationalPolynomial((-7,)),
+        RationalPolynomial((Fraction(1, 6), 0, Fraction(-5, 4))),
+    ],
+    ids=["zero", "constant-over-two", "integer-constant", "degree-two"],
+)
+def test_predicates_on_zero_and_constant_polynomials(p):
+    zero = RationalPolynomial(())
+    for size in (0, 1, 2, 5):
+        q = (-1) ** size * p.reflected()
+        assert reciprocity_holds(size, p, q) and reciprocity_by_reflection(size, p, q)
+        wrong = -q if p.num else q + RationalPolynomial((1,))
+        assert not reciprocity_holds(size, p, wrong)
+        assert not reciprocity_by_reflection(size, p, wrong)
+    pb, qb = p.shifted(1) - p, p - p.shifted(-1)
+    assert differences_hold(p, p, pb, qb) and differences_by_shifts(p, p, pb, qb)
+    if len(p.num) <= 1:
+        assert pb == qb == zero
+    wrong = pb + RationalPolynomial((Fraction(1, 3),))
+    assert not differences_hold(p, p, wrong, qb)
+    assert not differences_hold(p, p, pb, wrong)
+    assert not differences_by_shifts(p, p, wrong, qb)
+
+
+def test_predicates_match_the_oracles_on_every_forest_to_seven_vertices():
+    for n in range(1, 8):
+        for f in enumerate_forests((1,), n):
+            p, q = _polys(f)
+            for size in (f.size, f.size + 1):
+                assert reciprocity_holds(size, p, q) == reciprocity_by_reflection(size, p, q)
+            assert reciprocity_holds(f.size, p, q)
+            assert not reciprocity_holds(f.size + 1, p, q)
+            if len(f.trees) == 1:
+                t = f.trees[0]
+                pb, qb = _polys(branch_forest(t))
+                assert differences_hold(p, q, pb, qb) and differences_by_shifts(p, q, pb, qb)
+                assert differences_hold(p, q, qb, pb) == differences_by_shifts(p, q, qb, pb)
 
 
 # ---------------------------------------------------------------------------

@@ -731,6 +731,32 @@ def test_branch_forest_inverts_bplus():
             assert branch_forest(bplus(f)) is f
 
 
+def test_forest_finds_a_pooled_tuple_in_any_order_and_form():
+    for m in range(0, 6):
+        for f in enumerate_forests((1, 2), m):
+            ts = f.trees
+            assert ts == tuple(sorted(ts, key=lambda t: t._key))
+            assert trees._FOREST_POOL[ts] is f
+            for t in ts:
+                assert forest(t.children) is branch_forest(t)
+            for given_trees in (ts, ts[::-1], list(ts[::-1]), (t for t in ts[::-1])):
+                assert forest(given_trees) is f
+
+
+def test_forest_sorts_and_interns_a_tuple_not_pooled_yet():
+    # Label 97 occurs nowhere else, so no forest of these trees exists yet.
+    a, b = leaf(97), node(97, (leaf(97),))
+    assert a._key < b._key
+    assert (a, b) not in trees._FOREST_POOL and (b, a) not in trees._FOREST_POOL
+    f = forest((b, a))
+    assert f.trees == (a, b)
+    assert (b, a) not in trees._FOREST_POOL
+    key = next(k for k in trees._FOREST_POOL if trees._FOREST_POOL[k] is f)
+    assert key is f.trees and key == (a, b)
+    assert forest((a, b)) is f and forest([b, a]) is f and forest(f.trees) is f
+    assert forest_text(f) == "[97,97(97)]"
+
+
 def test_concurrent_memoized_enumeration_agrees():
     # memo tables are shared; racing readers/writers must see one canonical
     # answer per key
