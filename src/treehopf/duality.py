@@ -3,9 +3,9 @@
 On basis elements the pairing of a grafting-rooted tree T with a forest F is
 the automorphism count of T when F is the branch forest of T, and zero
 otherwise; in the divided basis it is simply the indicator, which makes the
-pairing a key-level operation.  The adjunction checker verifies that product,
-coproduct and antipode on the two sides are transposes of one another by
-comparing rows of coefficients against the transposed forest-side tables.
+pairing a key-level operation.  The adjunction checker verifies, in the
+divided basis, that product, coproduct and antipode on the two sides are
+transposes of one another by comparing rows against the transposed tables.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from fractions import Fraction
 from . import ck, gl
 from .report import CheckReport
 from .trees import (
-    branch_forest,
-    enumerate_bplus_trees,
+    bplus,
     enumerate_forests,
     forest_text,
     forest_union,
@@ -39,10 +38,12 @@ def pair_tensor(a: gl.GLTensor, b: ck.CKTensor) -> Fraction:
     return Fraction(sum([n * ys[fg] * w(fg[0]) * w(fg[1]) for fg, n in xs if fg in ys]), da * db)
 
 
-def _compare_rows(report: CheckReport, keys, lhs: dict, rhs: dict, describe) -> None:
+def _compare_rows(report: CheckReport, keys, image, rhs: dict, describe) -> None:
     # One check per key.  Both rows hold nonzero values only, so equal dicts
     # mean every key agrees; a mismatch walks the keys in order and lists
     # each disagreeing key (a row entry outside the keys is not checked).
+    den, nums = image.ints
+    lhs = dict(nums) if den == 1 else {k: Fraction(n, den) for k, n in nums}
     report.checked += len(keys)
     if lhs == rhs:
         return
@@ -66,21 +67,21 @@ def _transpose(images) -> dict:
 def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
     """Verify the three transpose identities on all basis pairs up to a weight.
 
-    For grafting-basis trees x, y and forests F, G:
+    For divided-basis trees x, y and forests F, G:
       <x*y, F> = <x (x) y, coproduct(F)>,
       <coproduct(x), F (x) G> = <x, F*G>,
       <antipode(x), F> = <x, antipode(F)>.
 
-    Each CK coproduct, product and antipode is computed once and transposed
-    into a table keyed by its result; every GL product, coproduct and
-    antipode row is then compared with the matching table row.  One check is
-    counted per (x, y, F), (x, F, G) and (x, F), as the pairings would be.
+    In V the pairing is the identity on branch forests, so every GL row is
+    compared as it stands with a row of a forest-side table: each CK
+    coproduct, product and antipode, computed once and keyed by its result.
+    One check is counted per (x, y, F), (x, F, G) and (x, F), as the
+    pairings would be.
     """
     report = CheckReport()
     ls = tuple(labels)
     weights = range(max_weight + 1)
 
-    trees_by_weight = {m: enumerate_bplus_trees(ls, m) for m in weights}
     forests_by_weight = {m: enumerate_forests(ls, m) for m in weights}
     forests = [f for m in weights for f in forests_by_weight[m]]
     pairs_by_weight = {
@@ -92,7 +93,7 @@ def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
         ]
         for m in weights
     }
-    elems = {x: gl.from_bplus_tree(x, gl.T_BASIS) for m in weights for x in trees_by_weight[m]}
+    elems = {x: gl.from_branches(x) for x in forests}
 
     by_split = _transpose((f, ck.coproduct(ck.from_forest(f)).ints) for f in forests)
     by_union = _transpose(
@@ -102,50 +103,34 @@ def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
 
     for wx in weights:
         for wy in range(max_weight + 1 - wx):
-            for x in trees_by_weight[wx]:
-                bx = branch_forest(x)
-                for y in trees_by_weight[wy]:
-                    by = branch_forest(y)
-                    # The product is sum n/den * f; both rows are scaled by
-                    # den, which is 1 for T-basis trees, so the left row
-                    # stays in integers.
-                    den, prod = gl.mul(elems[x], elems[y]).ints
-                    scale = den * gl.alpha(bx) * gl.alpha(by)
+            for x in forests_by_weight[wx]:
+                for y in forests_by_weight[wy]:
                     _compare_rows(
                         report,
                         forests_by_weight[wx + wy],
-                        {f: n * gl.alpha(f) for f, n in prod},
-                        {f: c * scale for f, c in by_split.get((bx, by), {}).items()},
-                        lambda f: f"product/coproduct: x={tree_text(x)} y={tree_text(y)} "
-                        f"F={forest_text(f)}",
+                        gl.mul(elems[x], elems[y]),
+                        by_split.get((x, y), {}),
+                        lambda f: f"product/coproduct: x={tree_text(bplus(x))} "
+                        f"y={tree_text(bplus(y))} F={forest_text(f)}",
                     )
 
-    for wx in weights:
-        for x in trees_by_weight[wx]:
-            bx = branch_forest(x)
-            den, split = gl.coproduct(elems[x]).ints
-            scale = den * gl.alpha(bx)
-            _compare_rows(
-                report,
-                pairs_by_weight[wx],
-                {(f, g): n * gl.alpha(f) * gl.alpha(g) for (f, g), n in split},
-                {fg: c * scale for fg, c in by_union.get(bx, {}).items()},
-                lambda fg: f"coproduct/product: x={tree_text(x)} F={forest_text(fg[0])} "
-                f"G={forest_text(fg[1])}",
-            )
+    for x in forests:
+        _compare_rows(
+            report,
+            pairs_by_weight[x.weight],
+            gl.coproduct(elems[x]),
+            by_union.get(x, {}),
+            lambda fg: f"coproduct/product: x={tree_text(bplus(x))} F={forest_text(fg[0])} "
+            f"G={forest_text(fg[1])}",
+        )
 
-    for wx in weights:
-        for x in trees_by_weight[wx]:
-            bx = branch_forest(x)
-            den, image = gl.antipode(elems[x]).ints
-            scale = den * gl.alpha(bx)
-            _compare_rows(
-                report,
-                forests_by_weight[wx],
-                {f: n * gl.alpha(f) for f, n in image},
-                {f: c * scale for f, c in by_image.get(bx, {}).items()},
-                lambda f: f"antipode: x={tree_text(x)} F={forest_text(f)}",
-            )
+    for x in forests:
+        _compare_rows(
+            report,
+            forests_by_weight[x.weight],
+            gl.antipode(elems[x]),
+            by_image.get(x, {}),
+            lambda f: f"antipode: x={tree_text(bplus(x))} F={forest_text(f)}",
+        )
 
     return report
-

@@ -20,6 +20,8 @@ products sum numerators times integer structure constants, the coproduct
 reads a table of branch splits, the basis changes scale numerators by
 automorphism counts over one denominator, and both antipodes sum products
 with integer signs.  Only ``mul_structure``, the oracle, sums Fractions.
+Product tables are kept in V alone, the graded dual of the forest algebra,
+where each constant counts admissible cuts; a T product converts through V.
 """
 
 from __future__ import annotations
@@ -146,49 +148,46 @@ def to_t_basis(a: GLElem) -> GLElem:
 # ---------------------------------------------------------------------------
 
 @memo.memoized
-def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Forest, int], ...]:
-    # Structure constants of the product of two basis trees in one basis:
-    # the graft count n in T, and n * alpha(result) / (alpha(left) *
-    # alpha(right)) in V, which is the admissible-cut count of
-    # _structure_table and so always an integer.  A one-tree left factor
-    # [x] has the graft counts of insert_scion(x, right, True).  With more
-    # trees, left = rest + x, x its largest scion: attaching x at any vertex
-    # of a result of rest lands it on the stock or inside a scion of rest,
-    # and the second kind is what grafting rest with x already inserted counts:
+def _product_table(left: Forest, right: Forest) -> tuple[tuple[Forest, int], ...]:
+    # V-basis structure constants of two basis trees, memoized on the pair
+    # of branch forests.  The constant c at f is the admissible-cut count of
+    # _structure_table, so an integer; the graft count is c * alpha(left) *
+    # alpha(right) / alpha(f).  A one-tree left factor [x] has the graft
+    # counts of insert_scion(x, right, True).  With more trees, left = rest
+    # + x, x its largest scion: attaching x at any vertex of a result of rest
+    # lands it on the stock or inside a scion of rest, and the second kind is
+    # what grafting rest with x already inserted counts:
     #     (x rest) o right = x ~> (rest o right) - (x ~> rest) o right,
     # where x ~> F attaches x at one vertex of F: the root of the result
-    # counts as a vertex in the first term, and rest has none.  Tables of
-    # smaller left factors are read in the same basis: with w = alpha in V
-    # and 1 in T, the constant c of l o r at f is the count c*w(l)*w(r)/w(f).
+    # counts as a vertex in the first term, and rest has none.
     if not left.trees:
         return ((right, 1),)
     if not right.trees:
         return ((left, 1),)
-    w = alpha if basis == V_BASIS else lambda f: 1
     x = left.trees[-1]
-    w_right = w(right)
+    a_right = alpha(right)
     if len(left.trees) == 1:
         flat = iter(insert_scion(x, right, True))
-        counts = ((r, m * w(r)) for r, m in zip(flat, flat))
+        counts = ((r, m * alpha(r)) for r, m in zip(flat, flat))
     else:
         rest = forest(left.trees[:-1])
         grafted: dict[Forest, int] = {}  # graft counts of the first term
         get = grafted.get
-        scale = w(rest) * w_right
-        for f, c in _product_table(rest, right, basis):
-            n = c * scale // w(f)
+        scale = alpha(rest) * a_right
+        for f, c in _product_table(rest, right):
+            n = c * scale // alpha(f)
             flat = iter(insert_scion(x, f, True))
             for r, m in zip(flat, flat):
                 grafted[r] = get(r, 0) + n * m
-        inner: dict[Forest, int] = {}  # the second term's counts times w(result) / w(right)
+        inner: dict[Forest, int] = {}  # second-term counts times alpha(result) / alpha(right)
         get = inner.get
         flat = iter(insert_scion(x, rest, False))
         for a, m in zip(flat, flat):
-            m *= w(a)
-            for r, c in _product_table(a, right, basis):
+            m *= alpha(a)
+            for r, c in _product_table(a, right):
                 inner[r] = get(r, 0) + m * c
-        counts = ((r, n * w(r) - inner.get(r, 0) * w_right) for r, n in grafted.items())
-    scale = w(left) * w_right
+        counts = ((r, n * alpha(r) - inner.get(r, 0) * a_right) for r, n in grafted.items())
+    scale = alpha(left) * a_right
     out = []
     for r, n in counts:
         c, rem = divmod(n, scale)
@@ -202,26 +201,29 @@ def _product_table(left: Forest, right: Forest, basis: str) -> tuple[tuple[Fores
     return tuple(out)
 
 
-def _ints_in(x: GLElem, basis: str) -> tuple[int, tuple[tuple[Forest, int], ...]]:
-    # The integer form of x, which must be a GLElem written in basis.
+def _in_basis(x: GLElem, basis: str) -> GLElem:
+    # x, which must be a GLElem written in basis.
     if type(x) is not GLElem or x.basis != basis:
         zero(basis)._check_compatible(x)
-    return x.ints
+    return x
 
 
 def dot(pairs, basis: str = V_BASIS) -> GLElem:
     """The sum of x * y over the (x, y) in pairs, all written in basis, built in one pass.
 
-    Every factor's integer form is brought to one common denominator, so
-    each product of numerators times an integer structure constant is
-    summed into one int per result key; the sums are reduced once.  A
-    term with the unit as one factor is the other factor, so it is summed
-    straight in and never gets a product table.
+    A T-basis sum is taken in V, where the product tables are.  Every
+    factor's integer form is brought to one common denominator, so each
+    product of numerators times an integer structure constant is summed into
+    one int per result key; the sums are reduced once.  A term with the unit
+    as one factor is the other factor, so it is summed straight in.
     """
+    if basis == T_BASIS:
+        v = [(to_v_basis(_in_basis(x, basis)), to_v_basis(_in_basis(y, basis))) for x, y in pairs]
+        return to_t_basis(dot(v))
     factors = []
     den = 1
     for x, y in pairs:
-        (dx, xs), (dy, ys) = _ints_in(x, basis), _ints_in(y, basis)
+        (dx, xs), (dy, ys) = _in_basis(x, basis).ints, _in_basis(y, basis).ints
         factors.append((dx * dy, xs, ys))
         den = lcm(den, dx * dy)
     acc: dict[Forest, int] = {}
@@ -238,7 +240,7 @@ def dot(pairs, basis: str = V_BASIS) -> GLElem:
                 if fb is EMPTY_FOREST:
                     acc[fa] = get(fa, 0) + nab
                     continue
-                for key, c in _product_table(fa, fb, basis):
+                for key, c in _product_table(fa, fb):
                     acc[key] = get(key, 0) + nab * c
     return GLElem.from_ints(den, acc, basis)
 

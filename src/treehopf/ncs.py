@@ -461,8 +461,8 @@ def specialization_rank(labels, order: int) -> dict[int, dict[str, int]]:
     out: dict[int, dict[str, int]] = {}
     for m in range(1, order + 1):
         words = nsym.compositions(m)
-        basis = enumerate_bplus_trees(ls, m)
-        index = {branch_forest(t): i for i, t in enumerate(basis)}
+        basis = enumerate_forests(ls, m)
+        index = {f: i for i, f in enumerate(basis)}
         rows = [{index[key]: n for key, n in _word_image(ls, word).ints[1]} for word in words]
         rank = _sparse_rank(rows)
         out[m] = {"dimension": len(words), "target_dimension": len(basis), "rank": rank}

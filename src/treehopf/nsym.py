@@ -178,26 +178,19 @@ def power_third_element(m: int) -> NSymElem:
 
 def complete_word(comp: Composition) -> NSymElem:
     """Product of complete functions along a composition, in elementary words."""
-    acc = unit()
-    for i in comp:
-        acc = mul(acc, complete_element(i))
-    return acc
+    return extend_multiplicatively(NSymElem.from_ints(1, {comp: 1}), complete_element, unit(), mul)
 
 
-def elementary_in_complete(m: int) -> NSymElem:
-    """The m-th elementary generator expanded in complete-basis words.
-
-    The identity lambda(-t) sigma(t) = 1 is symmetric in lambda and sigma,
-    so inverting sigma(-t) repeats the solve that gives sigma from lambda:
-    the expansion is that of :func:`complete_element`, its one-letter words
-    read as complete functions.
-    """
-    return complete_element(m)
+# The m-th elementary generator in complete-basis words.  The identity
+# lambda(-t) sigma(t) = 1 is symmetric in lambda and sigma, so inverting
+# sigma(-t) repeats the solve that gives sigma from lambda: the expansion is
+# that of complete_element, its one-letter words read as complete functions.
+elementary_in_complete = complete_element
 
 
 def to_complete_basis(a: NSymElem) -> NSymElem:
     """Rewrite an elementary-word element as complete-basis words."""
-    return extend_multiplicatively(a, elementary_in_complete, unit(), mul)
+    return extend_multiplicatively(a, complete_element, unit(), mul)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from treehopf.trees import (
     cut_results,
     enumerate_bplus_trees,
     enumerate_forests,
+    forest_text,
+    tree_text,
 )
 
 
@@ -36,6 +38,54 @@ def pairing_matrix(labels, weight: int) -> list[list[Fraction]]:
         [duality.pair(gl.from_bplus_tree(t, gl.V_BASIS), ck.from_forest(f)) for f in forests]
         for t in trees
     ]
+
+
+def adjunction_by_pairings(labels, max_weight: int) -> tuple[int, list[str]]:
+    """The transpose identities of duality.check_hopf_adjunction, one basis
+    triple at a time: every (x, y, F), (x, F, G) and (x, F) is paired on its
+    own in the divided basis, in the checker's loop order.  Returns the
+    number of pairings and the failure texts."""
+    forests = [enumerate_forests(labels, m) for m in range(max_weight + 1)]
+    every = [x for fs in forests for x in fs]
+    V, C = gl.from_branches, ck.from_forest
+    pairings, failures = [], []
+
+    def check(text, lhs, rhs):
+        pairings.append(text)
+        if lhs != rhs:
+            failures.append(f"{text}: {lhs} != {rhs}")
+
+    def name(x):
+        return tree_text(bplus(x))
+
+    for wx, xs in enumerate(forests):
+        for wy in range(max_weight + 1 - wx):
+            for x in xs:
+                for y in forests[wy]:
+                    for f in forests[wx + wy]:
+                        check(
+                            f"product/coproduct: x={name(x)} y={name(y)} F={forest_text(f)}",
+                            duality.pair(gl.mul(V(x), V(y)), C(f)),
+                            duality.pair_tensor(gl.tensor_of(V(x), V(y)), ck.coproduct(C(f))),
+                        )
+    for x in every:
+        for wf in range(x.weight + 1):
+            for f in forests[wf]:
+                for g in forests[x.weight - wf]:
+                    fg = ck.CKTensor.from_ints(1, {(f, g): 1})
+                    check(
+                        f"coproduct/product: x={name(x)} F={forest_text(f)} G={forest_text(g)}",
+                        duality.pair_tensor(gl.coproduct(V(x)), fg),
+                        duality.pair(V(x), ck.mul(C(f), C(g))),
+                    )
+    for x in every:
+        for f in forests[x.weight]:
+            check(
+                f"antipode: x={name(x)} F={forest_text(f)}",
+                duality.pair(gl.antipode(V(x)), C(f)),
+                duality.pair(V(x), ck.antipode(C(f))),
+            )
+    return len(pairings), failures
 
 
 def nested_cut_sequences(

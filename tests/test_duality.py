@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import pair_tree_forest, pairing_matrix
+from oracles import adjunction_by_pairings, pair_tree_forest, pairing_matrix
 from treehopf import ck, duality, gl
 from treehopf.trees import (
     EMPTY_FOREST,
@@ -99,8 +99,8 @@ def test_adjunction_weight_five_over_two_labels():
     assert report.checked == 27453 == _load_refs().adjunction_checks((1, 2), 5)
 
 
-# Failure lists recorded from the pair-by-pair checker, which paired one
-# basis triple at a time, under the faults below.
+# Failure lists generated by oracles.adjunction_by_pairings, which pairs one
+# basis triple at a time in the divided basis, under the faults below.
 ADJUNCTION_FAULTS = json.loads(Path(__file__).with_name("adjunction_faults.json").read_text())
 ONE = parse_forest("[1]")
 
@@ -149,6 +149,7 @@ def test_adjunction_reports_corrupted_coefficients_as_the_pairings_did(monkeypat
     report = duality.check_hopf_adjunction((1, 2), 4)
     assert report.checked == 3308
     assert report.failures == ADJUNCTION_FAULTS[fault]
+    assert adjunction_by_pairings((1, 2), 4) == (3308, report.failures)
 
 
 def test_pairing_matrix_is_identity_permutation():

@@ -180,6 +180,20 @@ def test_dot_of_no_pairs_is_zero_and_refuses_a_mixed_basis():
         gl.dot([(v("0(1)"), v("0(1)")), (t_("0(1)"), t_("0(1)"))], gl.V_BASIS)
 
 
+
+def test_the_t_path_refuses_a_v_factor_and_an_unknown_basis():
+    # A T-basis product is taken in V, and to_v_basis passes a V element
+    # through unchanged, so the T path must check its factors first.
+    t, w, one = t_("0(1)"), v("0(1)"), gl.unit(gl.T_BASIS)
+    with pytest.raises(TypeError):
+        gl.dot([(t, w)], gl.T_BASIS)
+    with pytest.raises(TypeError):
+        gl.mul(t, w)
+    with pytest.raises(TypeError):
+        gl.series([one, t], gl.T_BASIS) * gl.series([one, w], gl.T_BASIS)
+    with pytest.raises(ValueError):
+        gl.dot([], "X")
+
 def test_fractional_v_constant_raises(monkeypatch):
     # A one-tree left factor, read off insert_scion: a corrupted insertion
     # gives the graft count 1 at [7(7(7))], so the V constant
@@ -189,7 +203,7 @@ def test_fractional_v_constant_raises(monkeypatch):
     monkeypatch.setattr(gl, "insert_scion", lambda scion, f, at_root: (bad, 1) if at_root else ())
     with pytest.raises(ArithmeticError):
         gl.mul(gl.from_branches(left), gl.from_branches(right))
-    assert (left, right, gl.V_BASIS) not in gl._product_table.table
+    assert (left, right) not in gl._product_table.table
 
 
 def test_fractional_v_constant_raises_for_a_two_tree_left_factor(monkeypatch, clear_memo_tables):
@@ -209,8 +223,8 @@ def test_fractional_v_constant_raises_for_a_two_tree_left_factor(monkeypatch, cl
     monkeypatch.setattr(gl, "insert_scion", corrupted)
     with pytest.raises(ArithmeticError):
         gl.mul(gl.from_branches(left), gl.from_branches(right))
-    assert (left, right, gl.V_BASIS) not in gl._product_table.table
-    assert (forest([leaf(7)]), right, gl.V_BASIS) in gl._product_table.table
+    assert (left, right) not in gl._product_table.table
+    assert (forest([leaf(7)]), right) in gl._product_table.table
 
 
 def test_one_tree_product_tables_match_both_oracles(clear_memo_tables):
@@ -225,9 +239,12 @@ def test_one_tree_product_tables_match_both_oracles(clear_memo_tables):
             left = forest([x])
             for wr in range(0, 7 - wx):
                 for right in enumerate_forests((1, 2), wr):
-                    t_table = gl._product_table(left, right, gl.T_BASIS)
-                    v_table = gl._product_table(left, right, gl.V_BASIS)
+                    den, t_table = gl.mul(
+                        gl.from_branches(left, gl.T_BASIS), gl.from_branches(right, gl.T_BASIS)
+                    ).ints
+                    v_table = gl._product_table(left, right)
                     expected = Counter(map(branch_forest, graft_positions(left, bplus(right))))
+                    assert den == 1, (forest_text(left), forest_text(right))
                     assert dict(t_table) == expected, (forest_text(left), forest_text(right))
                     assert dict(v_table) == dict(gl._structure_table(left, right))
                     assert len(t_table) == len(expected) and len(v_table) == len(dict(v_table))
@@ -247,12 +264,12 @@ def test_dot_asks_for_no_product_table_with_a_unit_factor(monkeypatch):
     # result; only the recursion inside _product_table reads such a table.
     asked, depth, table = [], [0], gl._product_table
 
-    def spy(left, right, basis):
+    def spy(left, right):
         if not depth[0]:
             asked.append((left, right))
         depth[0] += 1
         try:
-            return table(left, right, basis)
+            return table(left, right)
         finally:
             depth[0] -= 1
 
