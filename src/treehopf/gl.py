@@ -11,17 +11,18 @@ independent implementation recovers the same structure constants by scanning
 admissible cuts of candidate result trees.  The coproduct splits the branch
 multiset over all ordered bipartitions.  The antipode follows the same
 pre-Lie identity: one branch grafted back onto the rest rebuilds the tree
-plus trees with one branch fewer, whose antipodes are memoized; it never
-splits a forest, so the coproduct-based recurrence stays an independent
-check.
+plus trees with one branch fewer, whose antipodes are memoized in V; it
+never splits a forest, so the coproduct-based recurrence stays an
+independent check.
 
 Every operation here runs on the integer form of :mod:`treehopf.linear`:
 products sum numerators times integer structure constants, the coproduct
 reads a table of branch splits, the basis changes scale numerators by
 automorphism counts over one denominator, and both antipodes sum products
 with integer signs.  Only ``mul_structure``, the oracle, sums Fractions.
-Product tables are kept in V alone, the graded dual of the forest algebra,
-where each constant counts admissible cuts; a T product converts through V.
+Product tables and antipodes are kept in V alone, the graded dual of the
+forest algebra, where each product constant counts admissible cuts; a T
+product or antipode converts to V once on entry and back once on exit.
 """
 
 from __future__ import annotations
@@ -343,33 +344,35 @@ def is_primitive(a: GLElem) -> bool:
 
 
 @memo.memoized
-def _antipode_basis_t(f: Forest) -> GLElem:
-    # The Oudom-Guin recursion.  With x the largest branch of f and a the
-    # rest, x grafts onto the root of B(a) or onto one of its vertices:
+def _antipode_basis_v(f: Forest) -> GLElem:
+    # The Oudom-Guin recursion, in V.  With x the largest branch of f and a
+    # the rest, x grafts onto the root of B(a) or onto one of its vertices:
     #     B(x) * B(a) = B(f) + sum of m * B(r) over insert_scion(x, a, False).
     # B(x) is primitive and S an antimorphism, so
     #     S(B(f)) = -S(B(a)) * B(x) - sum of m * S(B(r)),
-    # where a and every r have one branch fewer than f.
+    # where a and every r have one branch fewer than f.  With B(f) =
+    # alpha(f) * V_f this reads
+    #     alpha(f) * S(V_f) = -alpha(a) * alpha(x) * S(V_a) * V_x
+    #                         - sum of m * alpha(r) * S(V_r).
     if not f.trees:
-        return unit(T_BASIS)
-    x = f.trees[-1]
+        return unit()
+    x = forest(f.trees[-1:])
     a = forest(f.trees[:-1])
-    parts = [(-1, mul(_antipode_basis_t(a), from_branches(forest((x,)), T_BASIS)))]
-    flat = iter(insert_scion(x, a, False))
-    parts += [(-m, _antipode_basis_t(r)) for r, m in zip(flat, flat)]
-    return combine(zero(T_BASIS), parts)
-
-
-def _on_t_basis(a: GLElem, image) -> GLElem:
-    # The linear map sending each T-basis key f to image(f), in a's basis.
-    den, nums = to_t_basis(a).ints
-    out = combine(zero(T_BASIS), [(n, image(f)) for f, n in nums], den)
-    return out if a.basis == T_BASIS else to_v_basis(out)
+    parts = [(-alpha(a) * alpha(x), mul(_antipode_basis_v(a), from_branches(x)))]
+    flat = iter(insert_scion(x.trees[0], a, False))
+    parts += [(-m * alpha(r), _antipode_basis_v(r)) for r, m in zip(flat, flat)]
+    return combine(zero(), parts, alpha(f))
 
 
 def antipode(a: GLElem) -> GLElem:
-    """Antipode by the pre-Lie recursion: one branch off, grafted back by insert_scion."""
-    return _on_t_basis(a, _antipode_basis_t)
+    """Antipode by the pre-Lie recursion: one branch off, grafted back by insert_scion.
+
+    The images are memoized in V; a T element converts once each way.
+    """
+    if a.basis == T_BASIS:
+        return to_t_basis(antipode(to_v_basis(a)))
+    den, nums = a.ints
+    return combine(zero(), [(n, _antipode_basis_v(f)) for f, n in nums], den)
 
 
 def antipode_by_recurrence(a: GLElem) -> GLElem:
@@ -389,7 +392,9 @@ def antipode_by_recurrence(a: GLElem) -> GLElem:
         ]
         return combine(zero(T_BASIS), parts, den)
 
-    return _on_t_basis(a, on_branches)
+    den, nums = to_t_basis(a).ints
+    out = combine(zero(T_BASIS), [(n, on_branches(f)) for f, n in nums], den)
+    return out if a.basis == T_BASIS else to_v_basis(out)
 
 
 # ---------------------------------------------------------------------------

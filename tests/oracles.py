@@ -151,6 +151,18 @@ def sparse_rank_in_given_column_order(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
+def ck_coproduct_by_extension(a: ck.CKElem) -> ck.CKTensor:
+    """The CK coproduct of a, each forest multiplied out tree by tree: the
+    tensor product of its trees' coproducts, one ck.tensor_mul at a time."""
+    return extend_multiplicatively(a, ck._tree_coproduct, ck.tensor_unit(), ck.tensor_mul)
+
+
+def ck_antipode_by_extension(a: ck.CKElem) -> ck.CKElem:
+    """The CK antipode of a, each forest multiplied out tree by tree: the
+    product of its trees' antipodes, one ck.mul at a time."""
+    return extend_multiplicatively(a, ck._tree_antipode, ck.unit(), ck.mul)
+
+
 def specialize_letter_by_letter(x, labels) -> gl.GLElem:
     """The specialization of an NSym element, every word multiplied out letter
     by letter: the product of the generator images of its letters, in order."""

@@ -2,6 +2,11 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
+from hypothesis import example, given
+
+from conftest import canonical_trees
+from oracles import ck_antipode_by_extension, ck_coproduct_by_extension
 from treehopf import ck
 from treehopf.trees import (
     EMPTY_FOREST,
@@ -165,6 +170,49 @@ def test_antipode_axiom_up_to_weight_five():
 def test_antipode_multiplicative():
     a, b = elem("[1(1)]"), elem("[1]")
     assert ck.antipode(ck.mul(a, b)) == ck.mul(ck.antipode(a), ck.antipode(b))
+
+
+# ---------------------------------------------------------------------------
+# The integer fold against tree-by-tree multiplication
+# ---------------------------------------------------------------------------
+
+def _assert_fold_matches_extension(a):
+    # .ints lists the keys in order, so this compares the key order too.
+    assert ck.coproduct(a).ints == ck_coproduct_by_extension(a).ints, ck.text(a)
+    assert ck.antipode(a).ints == ck_antipode_by_extension(a).ints, ck.text(a)
+
+
+def test_fold_matches_extension_on_every_forest_to_weight_six():
+    forests = [f for m in range(7) for f in enumerate_forests((1, 2), m)]
+    assert len(forests) == 251
+    for f in forests:
+        _assert_fold_matches_extension(ck.from_forest(f))
+    # A lone tree with coefficient 1 is sent to its memoized image itself.
+    t = parse_tree("1(2,1)")
+    assert ck.coproduct(ck.from_tree(t)) is ck._tree_coproduct(t)
+    assert ck.antipode(ck.from_tree(t)) is ck._tree_antipode(t)
+
+
+_COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+_FORESTS = st.lists(canonical_trees((1, 2), max_depth=2, max_children=2), max_size=3).map(forest)
+
+
+@st.composite
+def _forest_sums(draw):
+    # Repeated forests, then the negations of some terms, so that keys cancel.
+    terms = draw(st.lists(st.tuples(_FORESTS, _COEFFS), max_size=5))
+    cancelled = draw(st.lists(st.sampled_from(terms), max_size=len(terms))) if terms else []
+    return ck.CKElem(terms + [(f, -c) for f, c in cancelled])
+
+
+@given(_forest_sums())
+# An input key that cancels; the output key ([1], [1(1)]) of the next one
+# cancels after two terms and comes back with the third.
+@example(ck.CKElem([(parse_forest("[1,2]"), 1), (EMPTY_FOREST, Fraction(1, 2)),
+                    (parse_forest("[1,2]"), -1)]))
+@example(elem("[1(1(1))]") - elem("[1(1),1]") + Fraction(2, 3) * elem("[1(1,1)]"))
+def test_fold_matches_extension_on_sums_of_forests(a):
+    _assert_fold_matches_extension(a)
 
 
 def test_text_form():

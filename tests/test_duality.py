@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from oracles import adjunction_by_pairings, pair_tree_forest, pairing_matrix
-from treehopf import ck, duality, gl
+from treehopf import ck, duality, gl, linear
 from treehopf.trees import (
     EMPTY_FOREST,
     bplus,
@@ -97,6 +97,25 @@ def test_adjunction_weight_five_over_two_labels():
     report = duality.check_hopf_adjunction((1, 2), 5)
     assert report.ok, report.failures[:5]
     assert report.checked == 27453 == _load_refs().adjunction_checks((1, 2), 5)
+
+
+def test_a_warm_adjunction_pass_multiplies_nothing_out_and_changes_no_basis(
+    monkeypatch, clear_memo_tables
+):
+    # Warm, CK coproducts and antipodes are integer folds over memoized tree
+    # images, and GL antipodes are read off the V memo, so no bilinear
+    # product (ck.mul, ck.tensor_mul) and no basis change is left to run.
+    def refuse(*args):
+        raise AssertionError("a warm pass must not take this route")
+
+    clear_memo_tables()
+    assert duality.check_hopf_adjunction((1, 2), 4).ok
+    for module, name in ((linear, "bilinear"), (ck, "bilinear"), (gl, "to_t_basis"),
+                         (gl, "to_v_basis")):
+        monkeypatch.setattr(module, name, refuse)
+    report = duality.check_hopf_adjunction((1, 2), 4)
+    assert report.ok, report.failures[:5]
+    assert report.checked == 3308
 
 
 # Failure lists generated by oracles.adjunction_by_pairings, which pairs one

@@ -432,16 +432,18 @@ def test_antipode_and_its_oracle_share_no_route_but_the_product(monkeypatch, cle
         raise AssertionError("this route must not be taken")
 
     forests = [f for m in range(6) for f in enumerate_forests((1, 2), m)]
-    clear_memo_tables()
-    with monkeypatch.context() as patch:
-        patch.setattr(gl, "coproduct", refuse)
-        patch.setattr(gl, "_split_table", refuse)
-        by_recursion = {f: gl.antipode(gl.from_branches(f, gl.T_BASIS)) for f in forests}
-    clear_memo_tables()
-    monkeypatch.setattr(gl, "_antipode_basis_t", refuse)
-    for f in forests:
-        e = gl.from_branches(f, gl.T_BASIS)
-        assert gl.antipode_by_recurrence(e) == by_recursion[f], forest_text(f)
+    for basis in (gl.V_BASIS, gl.T_BASIS):
+        clear_memo_tables()
+        with monkeypatch.context() as patch:
+            patch.setattr(gl, "coproduct", refuse)
+            patch.setattr(gl, "_split_table", refuse)
+            by_recursion = {f: gl.antipode(gl.from_branches(f, basis)) for f in forests}
+        clear_memo_tables()
+        with monkeypatch.context() as patch:
+            patch.setattr(gl, "_antipode_basis_v", refuse)
+            for f in forests:
+                e = gl.from_branches(f, basis)
+                assert gl.antipode_by_recurrence(e) == by_recursion[f], (basis, forest_text(f))
 
 
 def test_antipode_axiom_up_to_weight_four():
