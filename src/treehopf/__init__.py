@@ -11,7 +11,9 @@ Submodules:
 * ``ncs``       the five generating functions, their axioms, specialization
 * ``orderpoly`` order polynomials of forest posets and tree constants
 * ``report``    the checked/failures report of the verification suites
-* ``memo``      every memo table and intern pool, the ``memoized`` decorator
+* ``memo``      every memo table and intern pool, the ``memoized`` decorator,
+                and ``collector_paused``: the entry points run with the cyclic
+                collector off and restore it on return
 * ``cli``       command-line front end
 """
 

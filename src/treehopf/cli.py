@@ -277,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@memo.collector_paused
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

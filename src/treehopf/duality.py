@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import ck, gl
+from . import ck, gl, memo
 from .report import CheckReport
 from .trees import (
     bplus,
@@ -64,6 +64,7 @@ def _transpose(images) -> dict:
     return table
 
 
+@memo.collector_paused
 def check_hopf_adjunction(labels, max_weight: int) -> CheckReport:
     """Verify the three transpose identities on all basis pairs up to a weight.
 

@@ -8,11 +8,20 @@ a tree's children.  Values are computed outside any lock: a racing
 computation stores the same value, and the first one stored is kept and
 returned to every racer, so an interned object stays unique and equality by
 identity stays sound.
+
+Because these tables live for the whole process, a full cyclic collection
+walks every entry and frees none of them.  So the entry points marked
+:func:`collector_paused` (``cli.main``, ``ncs.build_omega`` and each suite
+that ``verify`` runs) switch the collector off while they run and back on
+when they return; what they allocated is then collected in one young pass
+at the caller's next allocation.  No memo wrapper or kernel is paused, and
+no threshold, freeze or explicit collection is ever touched.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 
 TABLES: list[dict] = []
 
@@ -79,4 +88,28 @@ def bottom_up(combine):
         return cache[key]
 
     wrapper.table = cache
+    return wrapper
+
+
+def collector_paused(fn):
+    """fn with the cyclic collector off while it runs, restored on return.
+
+    If the collector is on at entry it is switched off and, however fn
+    exits, back on.  If it is already off (the caller's choice, an outer
+    paused call, or another thread's) nothing is touched, so a nested call
+    costs one ``gc.isenabled()``.  The collector is global: under threads,
+    the outermost paused call turns it back on when it returns, possibly
+    while another thread's paused call is still running.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
     return wrapper

@@ -165,6 +165,7 @@ def _primitive_coeffs(labels: tuple[int, ...], w: int) -> tuple[gl.GLElem, gl.GL
     )
 
 
+@memo.collector_paused
 def build_omega(labels, order: int) -> NCSSystem:
     """The five series over the grafting algebra of labeled trees.
 
@@ -230,6 +231,7 @@ def _compare(name: str, lhs: TruncSeries, rhs: TruncSeries) -> EquationCheck:
     return EquationCheck(name, "pass")
 
 
+@memo.collector_paused
 def verify_ncs(system: NCSSystem) -> NCSReport:
     """Check all five defining equations coefficientwise."""
     report = NCSReport(system.carrier, system.order)
@@ -294,6 +296,7 @@ def theta_via_log(labels, order: int) -> dict[LabeledTree, Fraction]:
 # Shrub-expansion identity for f(-t)
 # ---------------------------------------------------------------------------
 
+@memo.collector_paused
 def kappa_expansion_check(labels, order: int) -> CheckReport:
     """Expand B_+ of powers of the labeled-singleton series against f(-t).
 
@@ -387,6 +390,7 @@ def dual_specialize(f: Forest, labels) -> nsym.QSymElem:
     return nsym.QSymElem(terms)
 
 
+@memo.collector_paused
 def specialization_check(labels, order: int) -> CheckReport:
     """Specializing the universal system reproduces the tree system.
 
@@ -410,6 +414,7 @@ def specialization_check(labels, order: int) -> CheckReport:
     return report
 
 
+@memo.collector_paused
 def hopf_morphism_check(labels, order: int) -> CheckReport:
     """Coalgebra compatibility of the specialization.
 
@@ -451,6 +456,7 @@ def hopf_morphism_check(labels, order: int) -> CheckReport:
     return report
 
 
+@memo.collector_paused
 def specialization_rank(labels, order: int) -> dict[int, dict[str, int]]:
     """Rank of the specialization per weight, as a diagnostic.
 
@@ -512,6 +518,7 @@ def _sparse_rank(rows: list[dict[int, int]]) -> int:
 # Three-route agreement for the tree constants
 # ---------------------------------------------------------------------------
 
+@memo.collector_paused
 def theta_agreement_report(max_weight: int = 7) -> CheckReport:
     """Recurrence, logarithm and order-polynomial routes agree on all shapes.
 

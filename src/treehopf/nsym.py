@@ -242,20 +242,12 @@ def compositions(n: int) -> tuple[Composition, ...]:
     """All compositions of n, in lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return ((),)
-    out: list[Composition] = []
-
-    def go(remaining: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(1, remaining + 1):
-            go(remaining - part, prefix + (part,))
-
-    go(n, ())
-    out.sort()
-    return tuple(out)
+    # Those of m are (p,) + c, first part p ascending, c a composition of
+    # m - p in lexicographic order; built by weight, with no recursion.
+    by_weight: list[tuple[Composition, ...]] = [((),)]
+    for m in range(1, n + 1):
+        by_weight.append(tuple([(p,) + c for p in range(1, m + 1) for c in by_weight[m - p]]))
+    return by_weight[n]
 
 
 def duality_pairing(a: NSymElem, q: QSymElem) -> Fraction:

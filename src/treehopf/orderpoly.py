@@ -389,6 +389,7 @@ def theta_via_orderpoly(t: LabeledTree) -> Fraction:
 # Exhaustive suite
 # ---------------------------------------------------------------------------
 
+@memo.collector_paused
 def orderpoly_suite(max_vertices: int = 6) -> CheckReport:
     """All polynomial identities over every unlabeled forest up to a size.
 

@@ -1,5 +1,8 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import treehopf
-from treehopf import cli, ncs, nsym, orderpoly
+from treehopf import cli, duality, ncs, nsym, orderpoly
 from treehopf.cli import main
 from treehopf.trees import forest, leaf, node, parse_tree, tree_text
 
@@ -355,3 +358,118 @@ def test_series_systems_are_read_only():
             setattr(record, name, None)
     with pytest.raises(AttributeError):
         del omega.f.coeffs
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector
+# ---------------------------------------------------------------------------
+
+def _collector_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+@contextlib.contextmanager
+def _collector(enabled: bool):
+    """The collector on or off, with an unusual threshold so that a reset to
+    the defaults would show; both restored after.  Nothing is frozen, since
+    a frozen object that dies lowers the freeze count by itself."""
+    before = _collector_state()
+    gc.set_threshold(701, 11, 9)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        gc.set_threshold(*before[1])
+        (gc.enable if before[0] else gc.disable)()
+
+
+def _quiet_main(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+def _library_suites(labels, weight, vertices):
+    """A call of each paused library entry point on these arguments."""
+    return {
+        "ncs.build_omega": lambda: ncs.build_omega(labels, weight),
+        "ncs.verify_ncs": lambda: ncs.verify_ncs(ncs.build_omega(labels, weight)),
+        "ncs.kappa_expansion_check": lambda: ncs.kappa_expansion_check(labels, weight),
+        "duality.check_hopf_adjunction": lambda: duality.check_hopf_adjunction(labels, weight),
+        "ncs.specialization_check": lambda: ncs.specialization_check(labels, weight),
+        "ncs.hopf_morphism_check": lambda: ncs.hopf_morphism_check(labels, weight),
+        "ncs.specialization_rank": lambda: ncs.specialization_rank(labels, weight),
+        "ncs.theta_agreement_report": lambda: ncs.theta_agreement_report(vertices),
+        "orderpoly.orderpoly_suite": lambda: orderpoly.orderpoly_suite(vertices),
+    }
+
+
+_ENTRY_POINT_CALLS = {
+    "cli.main": lambda: _quiet_main("verify", "all", "--max-weight", "2", "--max-vertices", "3"),
+    **_library_suites((1,), 2, 3),
+}
+
+
+def _exit_2_on_bad_labels():
+    assert _quiet_main("verify", "ncs", "--labels", "0,1") == 2
+
+
+def _argparse_exit():
+    with pytest.raises(SystemExit):
+        _quiet_main("expand", "x")
+
+
+def _build_omega_refuses_order_0():
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        ncs.build_omega((1,), 0)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "call",
+    [*_ENTRY_POINT_CALLS.values(), _exit_2_on_bad_labels, _argparse_exit, _build_omega_refuses_order_0],
+    ids=[*_ENTRY_POINT_CALLS, "bad-labels", "argparse-exit", "build-omega-raises"],
+)
+def test_entry_points_leave_the_collector_as_they_found_it(call, enabled):
+    with _collector(enabled):
+        before = _collector_state()
+        assert before[0] is enabled
+        call()
+        assert _collector_state() == before
+
+
+def test_a_nested_paused_call_keeps_the_collector_off(monkeypatch):
+    # verify_ncs is paused itself; under cli.main it finds the collector off
+    # and must leave it off when it returns, until main returns.
+    seen = []
+    real = ncs.verify_ncs
+
+    def probe(system):
+        seen.append(gc.isenabled())
+        report = real(system)
+        seen.append(gc.isenabled())
+        return report
+
+    monkeypatch.setattr(ncs, "verify_ncs", probe)
+    with _collector(True):
+        assert _quiet_main("verify", "ncs", "--max-weight", "2") == 0
+        assert gc.isenabled()
+    assert seen == [False, False]
+
+
+def test_verify_all_makes_no_reference_cycle():
+    # With the collector paused, any cycle treehopf made would pile up until
+    # the entry point returns.  The first run builds the memoized argparse
+    # parser, whose help formatters make one-off cycles.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _quiet_main("verify", "all")
+        gc.collect()
+        assert _quiet_main("verify", "all") == 0
+        assert gc.collect() == 0
+        for name, suite in _library_suites((1,), 4, 6).items():  # the CLI defaults
+            suite()
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()

@@ -73,6 +73,41 @@ def test_memo_tables_outside_memo_are_only_the_intern_pools():
     assert sorted(pools) == ["_FOREST_POOL", "_TREE_POOL"]
 
 
+def test_the_collector_is_paused_only_at_the_entry_points():
+    # The pause is for whole computations: on a memo wrapper or a kernel it
+    # would cost a gc.isenabled() per call on the hot path.  Every use of
+    # memo.collector_paused is a decorator, on exactly these functions.
+    package = Path(treehopf.__file__).resolve().parent
+    uses, paused = 0, set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "memo.py":
+            continue
+        tree = ast.parse(path.read_text())
+        uses += sum(
+            ast.unparse(n) == "memo.collector_paused" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+        )
+        for n in ast.walk(tree):
+            if isinstance(n, ast.FunctionDef):
+                marks = [ast.unparse(d) for d in n.decorator_list]
+                if "memo.collector_paused" in marks:
+                    assert marks == ["memo.collector_paused"], (path.stem, n.name)
+                    paused.add(f"{path.stem}.{n.name}")
+    assert uses == len(paused)
+    assert paused == {
+        "cli.main",
+        "ncs.build_omega",
+        "ncs.verify_ncs",
+        "ncs.kappa_expansion_check",
+        "duality.check_hopf_adjunction",
+        "ncs.specialization_check",
+        "ncs.hopf_morphism_check",
+        "ncs.specialization_rank",
+        "ncs.theta_agreement_report",
+        "orderpoly.orderpoly_suite",
+    }
+
+
 def test_every_module_level_import_is_used():
     # A name a module imports at its top level and never reads is dead
     # weight; the one kept is gl's re-export of the per-assignment grafting
