@@ -3,18 +3,19 @@
 Free commutative algebra on tree variables: basis monomials are forests,
 multiplication is disjoint union, the coproduct sums over admissible cuts
 (pruned part on the left, trunk on the right), and the antipode is computed
-through the recurrence available in any connected graded bialgebra.  Every
-coefficient is an integer combination of the inputs' numerators (see
-:mod:`treehopf.linear`).
+through the recurrence available in any connected graded bialgebra.  Both
+are memoized on trees and extended over forests by
+:func:`treehopf.linear.extend_multiplicatively`, so every coefficient is an
+integer combination of the inputs' numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from operator import attrgetter
 
 from . import memo
-from .linear import LinComb, bilinear, combine, format_linear
+from .linear import LinComb, bilinear, combine, extend_multiplicatively, format_linear
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -58,11 +59,13 @@ def mul(a: CKElem, b: CKElem) -> CKElem:
     return bilinear(a, ((a, b),), lambda fa, fb: ((forest_union(fa, fb), 1),))
 
 
+def _pair_union(x, y):
+    return forest_union(x[0], y[0]), forest_union(x[1], y[1])
+
+
 def tensor_mul(a: CKTensor, b: CKTensor) -> CKTensor:
     """Componentwise product on the tensor square."""
-    return bilinear(
-        a, ((a, b),), lambda x, y: (((forest_union(x[0], y[0]), forest_union(x[1], y[1])), 1),)
-    )
+    return bilinear(a, ((a, b),), lambda x, y: ((_pair_union(x, y), 1),))
 
 
 def tensor_unit() -> CKTensor:
@@ -77,53 +80,16 @@ def _tree_coproduct(t: LabeledTree) -> CKTensor:
     return CKTensor.from_ints(1, acc)
 
 
-def _multiplicative(a: CKElem, image, unit_key, union, kind):
-    # The linear map sending a forest to the product of its trees' images:
-    # each forest's row starts from its first tree's integer form, and every
-    # later tree's row is unioned into it in one plain dict.  The rows are
-    # summed as by combine, so the result, key order included, is that of
-    # multiplying the images out with bilinear; one from_ints builds it.
-    den, nums = a.ints
-    if den == 1 and len(nums) == 1 and nums[0][1] == 1 and len(nums[0][0].trees) == 1:
-        return image(nums[0][0].trees[0])
-    rows = []
-    for f, n in nums:
-        d, row = 1, ((unit_key, 1),)
-        if f.trees:
-            trees = iter(f.trees)
-            d, row = image(next(trees)).ints
-            for t in trees:
-                dt, tail = image(t).ints
-                d *= dt
-                acc: dict = {}
-                get = acc.get
-                for k, v in row:
-                    for kt, vt in tail:
-                        key = union(k, kt)
-                        acc[key] = get(key, 0) + v * vt
-                row = [kv for kv in acc.items() if kv[1]]
-        rows.append((n, d, row))
-    total = lcm(*[d for _, d, _ in rows])
-    acc = {}
-    get = acc.get
-    for n, d, row in rows:
-        m = n * (total // d)
-        for k, v in row:
-            v = get(k, 0) + m * v
-            if v:
-                acc[k] = v
-            else:
-                del acc[k]
-    return kind.from_ints(den * total, acc)
-
-
-def _pair_union(x, y):
-    return forest_union(x[0], y[0]), forest_union(x[1], y[1])
+# The letters of a forest, and the units, for extend_multiplicatively: a
+# forest's trees and the units are read once, not rebuilt per call.
+_trees = attrgetter("trees")
+_UNIT = unit()
+_TENSOR_UNIT = tensor_unit()
 
 
 def coproduct(a: CKElem) -> CKTensor:
     """Admissible-cut coproduct, extended multiplicatively over forests."""
-    return _multiplicative(a, _tree_coproduct, (EMPTY_FOREST, EMPTY_FOREST), _pair_union, CKTensor)
+    return extend_multiplicatively(a, _trees, _tree_coproduct, _TENSOR_UNIT, _pair_union)
 
 
 def counit(a: CKElem) -> Fraction:
@@ -145,7 +111,7 @@ def _tree_antipode(t: LabeledTree) -> CKElem:
 
 def antipode(a: CKElem) -> CKElem:
     """Hopf antipode; multiplicative over forests, S(1) = 1."""
-    return _multiplicative(a, _tree_antipode, EMPTY_FOREST, forest_union, CKElem)
+    return extend_multiplicatively(a, _trees, _tree_antipode, _UNIT, forest_union)
 
 
 def text(a: CKElem) -> str:

@@ -5,10 +5,13 @@ Every algebra element in this package is stored in one integer form, ``(den,
 terms, no zero numerator, ``(1, ())`` for zero.  Sums, scalings, products and
 the multiplicative extension of a map on letters sum integer numerators and
 end in one builder, ``from_ints``, which drops zeros and reduces by one gcd;
-the constructor sums ``(key, coeff)`` pairs given by hand.  ``terms``, the
-public map ``key -> nonzero Fraction``, is built on first read; equality and
-truth read the integer form.  Subclasses fix the key type and add their own
-products; this module also renders a deterministic text form.
+the constructor sums ``(key, coeff)`` pairs given by hand.  Every map fixed
+on generators (the CK and NSym coproducts and antipodes, the change to
+complete words) is one ``extend_multiplicatively``, whose rows are summed as
+by ``combine``.  ``terms``, the public map ``key -> nonzero Fraction``, is
+built on first read; equality and truth read the integer form.  Subclasses
+fix the key type and add their own products; this module also renders a
+deterministic text form.
 """
 
 from __future__ import annotations
@@ -145,12 +148,18 @@ def combine(zero: LinComb, parts: Iterable[tuple[int, LinComb]], den: int = 1) -
         forms.append((n, x.ints))
     if len(forms) == 1 and forms[0][0] == den == 1:
         return x
-    total = lcm(*[d for _, (d, _) in forms])
+    return _sum_rows(zero, forms, den)
+
+
+def _sum_rows(zero: LinComb, rows, den: int) -> LinComb:
+    # The sum of n/(den*d) * row over the (n, (d, row)) in rows, of the kind
+    # of zero: one sum over the lcm of the d, a cancelled key dropped at once.
+    total = lcm(*[d for _, (d, _) in rows])
     acc: dict = {}
     get = acc.get
-    for n, (d, nums) in forms:
+    for n, (d, row) in rows:
         m = n * (total // d)
-        for k, v in nums:
+        for k, v in row:
             v = get(k, 0) + m * v
             if v:
                 acc[k] = v
@@ -197,26 +206,40 @@ def add_all(zero: LinComb, xs: Iterable[LinComb]) -> LinComb:
 
 
 def extend_multiplicatively(
-    a: LinComb, image: Callable, one: LinComb, mul: Callable[[LinComb, LinComb], LinComb]
+    a: LinComb, letters: Callable, image: Callable, one: LinComb, key_mul: Callable
 ) -> LinComb:
     """Apply to ``a`` the linear map that is multiplicative over the letters of a key.
 
-    Every key of ``a`` is a sequence of letters (the trees of a forest, the
-    indices of a word).  It is sent to ``mul(...mul(image(l1), image(l2))...,
-    image(lk))``, the empty key to ``one``; an anti-homomorphism passes a
-    flipped ``mul``.  The result has the kind of ``one``.
+    ``letters(key)`` lists a key's letters (the trees of a forest, the
+    indices of a word); the key is sent to ``image(l1) * ... * image(lk)``,
+    the empty key to ``one``, whose kind the images and the result share.
+    ``key_mul(k1, k2)`` is the key of the product of two of their keys.  The
+    product is multiplied out from the left in integers and the rows are
+    summed as by ``combine``, so the result, key order included, is that of
+    multiplying the images out with ``bilinear``.  A lone one-letter key
+    with coefficient 1 is sent to its image itself.
     """
     den, nums = a.ints
-    parts = []
+    if den == 1 and len(nums) == 1 and nums[0][1] == 1:
+        word = letters(nums[0][0])
+        if len(word) == 1:
+            return image(word[0])
+    rows = []
     for key, n in nums:
-        part = one
-        if key:
-            letters = iter(key)
-            part = image(next(letters))
-            for letter in letters:
-                part = mul(part, image(letter))
-        parts.append((n, part))
-    return combine(one, parts, den)
+        word = letters(key)
+        d, row = image(word[0]).ints if word else one.ints
+        for letter in word[1:]:
+            dl, tail = image(letter).ints
+            d *= dl
+            acc: dict = {}
+            get = acc.get
+            for k, v in row:
+                for kl, vl in tail:
+                    kk = key_mul(k, kl)
+                    acc[kk] = get(kk, 0) + v * vl
+            row = [kv for kv in acc.items() if kv[1]]
+        rows.append((n, (d, row)))
+    return _sum_rows(one, rows, den)
 
 
 def format_linear(items: list[tuple[Fraction, str]]) -> str:

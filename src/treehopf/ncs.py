@@ -231,6 +231,14 @@ def _compare(name: str, lhs: TruncSeries, rhs: TruncSeries) -> EquationCheck:
     return EquationCheck(name, "pass")
 
 
+def _constant_term_failure(name: str, ops, coeff, expected) -> EquationCheck | None:
+    # An equation that needs the constant term coeff to be expected fails at
+    # degree 0 otherwise, reporting coeff itself.
+    if ops.eq(coeff, expected):
+        return None
+    return EquationCheck(name, "fail", {"degree": 0, "diff": ops.describe(coeff)})
+
+
 @memo.collector_paused
 def verify_ncs(system: NCSSystem) -> NCSReport:
     """Check all five defining equations coefficientwise."""
@@ -238,31 +246,19 @@ def verify_ncs(system: NCSSystem) -> NCSReport:
     ops = system.f.ops
     one = TruncSeries.one(ops, system.order)
 
-    if ops.eq(system.f.coeffs[0], ops.one()):
-        report.checks.append(EquationCheck("unit-constant-term", "pass"))
-    else:
-        report.checks.append(
-            EquationCheck(
-                "unit-constant-term",
-                "fail",
-                {"degree": 0, "diff": ops.describe(system.f.coeffs[0])},
-            )
-        )
+    report.checks.append(
+        _constant_term_failure("unit-constant-term", ops, system.f.coeffs[0], ops.one())
+        or EquationCheck("unit-constant-term", "pass")
+    )
 
     f_neg = system.f.alternate()
     report.checks.append(_compare("left-inverse", f_neg * system.g, one))
     report.checks.append(_compare("right-inverse", system.g * f_neg, one))
 
-    if ops.eq(system.d.coeffs[0], ops.zero()):
-        report.checks.append(_compare("exponential", system.d.exp(), system.g))
-    else:
-        report.checks.append(
-            EquationCheck(
-                "exponential",
-                "fail",
-                {"degree": 0, "diff": ops.describe(system.d.coeffs[0])},
-            )
-        )
+    report.checks.append(
+        _constant_term_failure("exponential", ops, system.d.coeffs[0], ops.zero())
+        or _compare("exponential", system.d.exp(), system.g)
+    )
 
     g_prime = system.g.derivative()
     g_cut = system.g.truncate(system.h.order)

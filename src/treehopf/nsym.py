@@ -15,9 +15,10 @@ monomials.  Products, coproducts and the pairing sum integer numerators
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from . import memo
-from .linear import LinComb, bilinear, extend_multiplicatively, format_linear
+from .linear import LinComb, bilinear, combine, extend_multiplicatively, format_linear
 from .series import LinCombOps, NCSSystem, TruncSeries
 
 Word = tuple[int, ...]
@@ -85,8 +86,12 @@ def dot(pairs) -> NSymElem:
     return bilinear(NSymElem(), pairs, lambda wa, wb: ((wa + wb, 1),))
 
 
+def _pair_concat(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
 def tensor_mul(a: NSymTensor, b: NSymTensor) -> NSymTensor:
-    return bilinear(a, ((a, b),), lambda x, y: (((x[0] + y[0], x[1] + y[1]), 1),))
+    return bilinear(a, ((a, b),), lambda x, y: ((_pair_concat(x, y), 1),))
 
 
 def tensor_unit() -> NSymTensor:
@@ -101,7 +106,7 @@ def _generator_coproduct(m: int) -> NSymTensor:
 
 def coproduct(a: NSymElem) -> NSymTensor:
     """Algebra-map coproduct fixed by the divided-power rule on generators."""
-    return extend_multiplicatively(a, _generator_coproduct, tensor_unit(), tensor_mul)
+    return extend_multiplicatively(a, tuple, _generator_coproduct, tensor_unit(), _pair_concat)
 
 
 def counit(a: NSymElem) -> Fraction:
@@ -110,16 +115,20 @@ def counit(a: NSymElem) -> Fraction:
 
 @memo.memoized
 def _antipode_generator(m: int) -> NSymElem:
-    # Connected-graded recurrence from m(S x id)Delta = unit*counit.
-    acc = -generator(m)
-    for k in range(1, m):
-        acc = acc - mul(_antipode_generator(k), generator(m - k))
-    return acc
+    # Connected-graded recurrence from m(S x id)Delta = unit*counit:
+    # S(m) = -[m] - sum over 0 < k < m of S(k) * [m - k].
+    parts = [(-1, generator(m))]
+    parts += ((-1, mul(_antipode_generator(k), generator(m - k))) for k in range(1, m))
+    return combine(NSymElem(), parts)
 
 
 def antipode(a: NSymElem) -> NSymElem:
-    """Hopf antipode, extended over words as an algebra anti-homomorphism."""
-    return extend_multiplicatively(a, _antipode_generator, unit(), lambda x, y: mul(y, x))
+    """Hopf antipode, extended over words as an algebra anti-homomorphism.
+
+    S(w1 ... wk) = S(wk) ... S(w1): the multiplicative extension of S on the
+    generators, applied to the reversed words.
+    """
+    return extend_multiplicatively(omega_lambda(a), tuple, _antipode_generator, unit(), add)
 
 
 def omega_lambda(a: NSymElem) -> NSymElem:
@@ -178,7 +187,9 @@ def power_third_element(m: int) -> NSymElem:
 
 def complete_word(comp: Composition) -> NSymElem:
     """Product of complete functions along a composition, in elementary words."""
-    return extend_multiplicatively(NSymElem.from_ints(1, {comp: 1}), complete_element, unit(), mul)
+    return extend_multiplicatively(
+        NSymElem.from_ints(1, {comp: 1}), tuple, complete_element, unit(), add
+    )
 
 
 # The m-th elementary generator in complete-basis words.  The identity
@@ -190,7 +201,7 @@ elementary_in_complete = complete_element
 
 def to_complete_basis(a: NSymElem) -> NSymElem:
     """Rewrite an elementary-word element as complete-basis words."""
-    return extend_multiplicatively(a, complete_element, unit(), mul)
+    return extend_multiplicatively(a, tuple, complete_element, unit(), add)
 
 
 # ---------------------------------------------------------------------------

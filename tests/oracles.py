@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from treehopf import ck, duality, gl, ncs
-from treehopf.linear import extend_multiplicatively
+from treehopf.linear import combine
 from treehopf.orderpoly import RationalPolynomial, interpolate_integer_nodes
 from treehopf.series import TruncSeries
 from treehopf.trees import (
@@ -151,23 +151,41 @@ def sparse_rank_in_given_column_order(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
+def multiply_out(a, image, one, mul):
+    """The map on a that is multiplicative over the letters of a key, element
+    by element: a key (a forest, a word) is sent to mul(...mul(image(l1),
+    image(l2))..., image(lk)), the empty key to one, and the images are
+    summed with linear.combine.  An anti-homomorphism passes a flipped mul."""
+    den, nums = a.ints
+    parts = []
+    for key, n in nums:
+        part = one
+        if key:
+            letters = iter(key)
+            part = image(next(letters))
+            for letter in letters:
+                part = mul(part, image(letter))
+        parts.append((n, part))
+    return combine(one, parts, den)
+
+
 def ck_coproduct_by_extension(a: ck.CKElem) -> ck.CKTensor:
     """The CK coproduct of a, each forest multiplied out tree by tree: the
     tensor product of its trees' coproducts, one ck.tensor_mul at a time."""
-    return extend_multiplicatively(a, ck._tree_coproduct, ck.tensor_unit(), ck.tensor_mul)
+    return multiply_out(a, ck._tree_coproduct, ck.tensor_unit(), ck.tensor_mul)
 
 
 def ck_antipode_by_extension(a: ck.CKElem) -> ck.CKElem:
     """The CK antipode of a, each forest multiplied out tree by tree: the
     product of its trees' antipodes, one ck.mul at a time."""
-    return extend_multiplicatively(a, ck._tree_antipode, ck.unit(), ck.mul)
+    return multiply_out(a, ck._tree_antipode, ck.unit(), ck.mul)
 
 
 def specialize_letter_by_letter(x, labels) -> gl.GLElem:
     """The specialization of an NSym element, every word multiplied out letter
     by letter: the product of the generator images of its letters, in order."""
     ls = _norm_labels(labels)
-    return extend_multiplicatively(x, lambda m: ncs._generator_image(ls, m), gl.unit(), gl.mul)
+    return multiply_out(x, lambda m: ncs._generator_image(ls, m), gl.unit(), gl.mul)
 
 
 def binomial_poly(k: int) -> RationalPolynomial:

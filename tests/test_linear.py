@@ -8,6 +8,7 @@ int there would turn a later ``c / alpha`` into a float, and a zero entry or
 an unreduced form would break equality.
 """
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -246,7 +247,7 @@ def test_extend_multiplicatively_sums_each_key_s_product():
         return nsym.NSymElem([((m,), Fraction(m, 2)), ((), Fraction(1, 3))])
 
     a = nsym.NSymElem([((1, 2), Fraction(3, 4)), ((), -2), ((3,), Fraction(5, 6))])
-    out = extend_multiplicatively(a, image, nsym.unit(), nsym.mul)
+    out = extend_multiplicatively(a, tuple, image, nsym.unit(), operator.add)
     expected = summed(
         [
             ((1, 2), Fraction(3, 4) * Fraction(1, 2) * 1),

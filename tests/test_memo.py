@@ -131,3 +131,28 @@ def test_every_module_level_import_is_used():
             if name not in read and (path.stem, name) not in allowed
         ]
     assert unused == []
+
+
+def test_every_module_level_private_function_is_referenced():
+    # A private helper that nothing in the package names outside its own
+    # definition is left over from a deleted path.
+    package = Path(treehopf.__file__).resolve().parent
+
+    def names(node):
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    bodies = {path.stem: ast.parse(path.read_text()).body for path in package.glob("*.py")}
+    read = {stem: [names(n) for n in body] for stem, body in bodies.items()}
+    unreferenced = []
+    for stem, body in sorted(bodies.items()):
+        outside = set().union(*[s for other, ss in read.items() if other != stem for s in ss])
+        for i, fn in enumerate(body):
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_"):
+                rest = outside.union(*read[stem][:i], *read[stem][i + 1:])
+                if fn.name not in rest:
+                    unreferenced.append(f"{stem}.{fn.name}")
+    assert unreferenced == []

@@ -298,6 +298,27 @@ def test_verify_failure_text_of_corrupted_d():
     assert report.as_dict()["status"] == "fail"
 
 
+def test_verify_reports_a_wrong_constant_term_at_degree_zero():
+    # f_0 = 2 breaks f_0 = 1 and both inverses; d_0 = -1 breaks g = exp(d)
+    # before exp is taken.  Each reports the constant term itself.
+    omega = ncs.build_omega((1,), 3)
+    bad_f = type(omega.f)(omega.f.ops, (gl.unit().scale(2),) + omega.f.coeffs[1:])
+    bad_d = type(omega.d)(omega.d.ops, (gl.unit().scale(-1),) + omega.d.coeffs[1:])
+    failures = {
+        name: [(c.equation, c.first_failure) for c in ncs.verify_ncs(system).checks
+               if c.status == "fail"]
+        for name, system in (("f", omega._replace(f=bad_f)), ("d", omega._replace(d=bad_d)))
+    }
+    assert failures == {
+        "f": [
+            ("unit-constant-term", {"degree": 0, "diff": "2"}),
+            ("left-inverse", {"degree": 0, "diff": "1"}),
+            ("right-inverse", {"degree": 0, "diff": "1"}),
+        ],
+        "d": [("exponential", {"degree": 0, "diff": "-1"})],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Shrub expansion of f(-t)
 # ---------------------------------------------------------------------------

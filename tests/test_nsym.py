@@ -4,9 +4,10 @@ import inspect
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
+from oracles import multiply_out
 from treehopf import ncs, nsym, trees
 from treehopf.nsym import (
     NSymElem,
@@ -333,6 +334,58 @@ def test_monomial_product_by_brute_force_duality():
                 * duality_pairing(to_complete_basis_inverse(r), monomial((1,)))
             )
         assert coeff == dual
+
+
+# ---------------------------------------------------------------------------
+# The multiplicative maps against multiplying the images out letter by letter
+# ---------------------------------------------------------------------------
+
+# Each map on generators, and its extension multiplied out one product at a
+# time; the antipode is an anti-homomorphism, so its product is flipped.
+_BY_MULTIPLYING_OUT = {
+    coproduct: lambda a: multiply_out(
+        a, nsym._generator_coproduct, nsym.tensor_unit(), nsym.tensor_mul
+    ),
+    antipode: lambda a: multiply_out(a, nsym._antipode_generator, unit(), lambda x, y: mul(y, x)),
+    nsym.to_complete_basis: lambda a: multiply_out(a, complete_element, unit(), mul),
+}
+
+
+def _assert_maps_match_multiplying_out(a):
+    # .ints lists the keys in order, so this compares the key order too.
+    for op, reference in _BY_MULTIPLYING_OUT.items():
+        assert op(a).ints == reference(a).ints, (op.__name__, nsym.text(a))
+
+
+def test_maps_match_multiplying_out_on_every_word_to_weight_six():
+    all_words = [w for n in range(7) for w in compositions(n)]
+    assert len(all_words) == 64
+    for w in all_words:
+        _assert_maps_match_multiplying_out(word_elem(*w))
+        assert complete_word(w).ints == multiply_out(
+            word_elem(*w), complete_element, unit(), mul
+        ).ints, w
+
+
+_COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+
+
+@st.composite
+def _word_sums(draw):
+    # Repeated words, then the negations of some terms, so that keys cancel.
+    terms = draw(st.lists(st.tuples(words, _COEFFS), max_size=5))
+    cancelled = draw(st.lists(st.sampled_from(terms), max_size=len(terms))) if terms else []
+    return NSymElem(terms + [(w, -c) for w, c in cancelled])
+
+
+@given(_word_sums())
+# An input key that cancels; the output key [1 1 1] of the antipode and of
+# the change to complete words cancels after two terms and comes back with
+# the third.
+@example(NSymElem([((1, 2), 1), ((), Fraction(1, 2)), ((1, 2), -1)]))
+@example(word_elem(1, 1, 1) - word_elem(1, 2) + Fraction(2, 3) * word_elem(2, 1))
+def test_maps_match_multiplying_out_on_sums_of_words(a):
+    _assert_maps_match_multiplying_out(a)
 
 
 def to_complete_basis_inverse(word):
